@@ -7,6 +7,11 @@ problem into dense matrices:
     Lambda(t) w = Ad*_gamma Ad_gamma w      (symmetric positive-definite)
     K0 w        = ad*_w u0                  (antisymmetric)
 
+Lambda(t) is assembled as the Gram matrix <Ad_gamma e_i, Ad_gamma e_j>_beta
+of the pushed-forward basis.  Every basis stream is a single cos or sin
+mode, so the stream e_j o gamma^-1 of Ad_gamma e_j is evaluated directly
+at the inverse-map points; no Fourier series is summed off the grid.
+
 The solution operator Phi(t) of the linearized Cauchy problem is evolved
 as the first-order system m = Lambda w, m' = -K0 Lambda^-1 m, v' = w, and
 split into the absolutely-continuous part Omega = int Lambda^-1 and the
@@ -24,15 +29,15 @@ from scipy.interpolate import CubicSpline
 from scipy.optimize import minimize_scalar
 
 from .euler_arnold import GeodesicRecord
-from .group_ops import DiffeoSample, coadjoint_algebra
+from .group_ops import DiffeoSample
 from .spectral import (
     ScalarField,
     SpectralGrid,
     TWO_PI,
     VectorFieldExact,
     check_beta,
+    frac_laplacian,
     gradient_perp,
-    interpolate_many,
 )
 
 
@@ -59,20 +64,49 @@ class GalerkinBasis:
 
     def coords_of(self, psi: ScalarField) -> np.ndarray:
         """Coordinates <e_j, f>_beta of the exact field with stream psi."""
-        g = self.grid
-        w = np.zeros_like(g.k2)
-        nz = g.k2 > 0
-        w[nz] = g.k2[nz] ** (1.0 - self.beta / 2.0)
-        flat = (w * psi.coeff).reshape(-1)
-        return (np.conj(self.coeffs.reshape(self.dim, -1)) @ flat).real * TWO_PI**2
+        return self.coords_many(psi.coeff[None])[:, 0]
+
+    def coords_many(self, coeffs: np.ndarray) -> np.ndarray:
+        """Coordinates of a (m, N, N) stack of streams, one column per stream."""
+        w = _k_power(self.grid, 1.0 - self.beta / 2.0)
+        flat = (w * coeffs).reshape(len(coeffs), -1)
+        e = self.coeffs.reshape(self.dim, -1)
+        return (np.conj(e) @ flat.T).real * TWO_PI**2
 
     def gram(self) -> np.ndarray:
+        return self.coords_many(self.coeffs)
+
+    def compose(self, fm) -> np.ndarray:
+        """Coefficients of e_j o fm for the whole basis, re-projected.
+
+        Each stream is scale * cos(k.x) or scale * sin(k.x), sampled in
+        closed form at the mapped grid points; the projection keeps the
+        dealiased modes and zeroes the mean.
+        """
         g = self.grid
-        w = np.zeros_like(g.k2)
-        nz = g.k2 > 0
-        w[nz] = g.k2[nz] ** (1.0 - self.beta / 2.0)
-        e = self.coeffs.reshape(self.dim, -1)
-        return (np.conj(e) @ (w.reshape(-1)[:, None] * e.T)).real * TWO_PI**2
+        px, py = fm.points()
+        vals = np.empty((self.dim, g.n, g.n))
+        for j, (kx, ky, kind) in enumerate(self.modes):
+            trig = np.cos if kind == "cos" else np.sin
+            vals[j] = _mode_scale(kx, ky, self.beta) * trig(kx * px + ky * py)
+        c = np.fft.fft2(vals) / g.n**2
+        c *= g.dealias_mask
+        c[:, 0, 0] = 0.0
+        return c
+
+
+def _k_power(g: SpectralGrid, alpha: float) -> np.ndarray:
+    """The multiplier |k|^(2 alpha) of (-Lap)^alpha, zero at k = 0."""
+    w = np.zeros_like(g.k2)
+    nz = g.k2 > 0
+    w[nz] = g.k2[nz] ** alpha
+    return w
+
+
+def _mode_scale(kx: int, ky: int, beta: float) -> float:
+    """Amplitude giving grad_perp cos(k.x) and grad_perp sin(k.x) unit beta norm."""
+    # field norm: ||grad_perp cos(k.x)||_beta^2 = |k|^(2-beta) 2 pi^2
+    return 1.0 / np.sqrt(float(kx**2 + ky**2) ** (1.0 - beta / 2.0) * 2.0 * np.pi**2)
 
 
 def make_basis(g: SpectralGrid, cutoff: int, beta: float) -> GalerkinBasis:
@@ -95,9 +129,7 @@ def make_basis(g: SpectralGrid, cutoff: int, beta: float) -> GalerkinBasis:
             modes.append((kx, ky, "sin"))
     coeffs = np.zeros((len(modes), g.n, g.n), dtype=complex)
     for j, (kx, ky, kind) in enumerate(modes):
-        k2 = float(kx**2 + ky**2)
-        # field norm: ||grad_perp cos(k.x)||_beta^2 = |k|^(2-beta) 2 pi^2
-        scale = 1.0 / np.sqrt(k2 ** (1.0 - beta / 2.0) * 2.0 * np.pi**2)
+        scale = _mode_scale(kx, ky, beta)
         ip, im = (kx % g.n, ky % g.n), ((-kx) % g.n, (-ky) % g.n)
         if kind == "cos":
             coeffs[j][ip] += 0.5 * scale
@@ -124,46 +156,38 @@ class OperatorSample:
 
 
 def k0_matrix(u0: VectorFieldExact, beta: float, basis: GalerkinBasis) -> OperatorSample:
-    """Matrix of K0 w = ad*_w u0 in the basis coordinates."""
+    """Matrix of K0 w = ad*_w u0 in the basis coordinates.
+
+    Column j is ad*_{e_j} u0, whose stream is (-Lap)^(b/2-1) of the bracket
+    {(-Lap)^(1-b/2) psi_u0, e_j}.  The brackets of the whole basis are formed
+    in one pass with the derivatives, 2/3-rule dealiasing and zero mean of
+    ``poisson_bracket``.
+    """
     check_beta(beta)
-    d = basis.dim
-    m = np.empty((d, d))
-    for j in range(d):
-        ej = basis.vector_of(np.eye(d)[j])
-        m[:, j] = basis.coords_of(coadjoint_algebra(ej, u0, beta).stream)
-    return OperatorSample(0.0, m, "K0")
-
-
-def _compose_many(coeffs: np.ndarray, g: SpectralGrid, fm) -> np.ndarray:
-    """R_fm applied to a stack of streams: evaluate at fm(grid), re-project."""
-    px, py = fm.points()
-    vals = interpolate_many(coeffs, g, px.ravel(), py.ravel())
-    out = np.fft.fft2(vals.reshape(-1, g.n, g.n)) / g.n**2
-    out *= g.dealias_mask
-    out[:, 0, 0] = 0.0
-    return out
+    g = basis.grid
+    n2 = g.n**2
+    s = frac_laplacian(u0.stream, 1.0 - beta / 2.0).coeff * g.dealias_mask
+    e = basis.coeffs  # inside the dealias cutoff by construction
+    sx = np.fft.ifft2(g.ikx * s).real * n2
+    sy = np.fft.ifft2(g.iky * s).real * n2
+    ex = np.fft.ifft2(g.ikx * e, axes=(-2, -1)).real * n2
+    ey = np.fft.ifft2(g.iky * e, axes=(-2, -1)).real * n2
+    br = np.fft.fft2(sy * ex - sx * ey, axes=(-2, -1)) / n2
+    br *= g.dealias_mask * _k_power(g, beta / 2.0 - 1.0)
+    return OperatorSample(0.0, basis.coords_many(br), "K0")
 
 
 def lambda_matrix(d: DiffeoSample, beta: float, basis: GalerkinBasis) -> OperatorSample:
-    """Assemble Lambda(t) column-wise (batched over the whole basis)."""
+    """Lambda(t) as the Gram matrix of the directly evaluated pushed-forward basis.
+
+    Lambda_ij = <Ad_gamma e_i, Ad_gamma e_j>_beta = (2 pi)^2 Re(A^H A) with
+    A_kj = |k|^(1-beta/2) c_k(e_j o gamma^-1), so the matrix is symmetric
+    positive-semidefinite by construction.
+    """
     check_beta(beta)
-    g = basis.grid
-    w_fwd = np.zeros_like(g.k2)
-    nz = g.k2 > 0
-    w_fwd[nz] = g.k2[nz] ** (1.0 - beta / 2.0)
-    w_bwd = np.zeros_like(g.k2)
-    w_bwd[nz] = g.k2[nz] ** (beta / 2.0 - 1.0)
-
-    c = _compose_many(basis.coeffs, g, d.inverse)     # R_gamma^-1
-    c *= w_fwd                                        # (-Lap)^(1-b/2)
-    c = _compose_many(c, g, d.forward)                # R_gamma
-    c *= w_bwd                                        # (-Lap)^(b/2-1)
-
-    w_ip = np.zeros_like(g.k2)
-    w_ip[nz] = g.k2[nz] ** (1.0 - beta / 2.0)
-    e = basis.coeffs.reshape(basis.dim, -1)
-    mat = (np.conj(e) @ (w_ip.reshape(-1)[:, None] * c.reshape(basis.dim, -1).T)).real
-    return OperatorSample(d.t, mat * TWO_PI**2, "Lambda")
+    a = basis.compose(d.inverse) * np.sqrt(_k_power(basis.grid, 1.0 - beta / 2.0))
+    b = a.reshape(basis.dim, -1).view(float)  # real and imaginary parts side by side
+    return OperatorSample(d.t, (b @ b.T) * TWO_PI**2, "Lambda")
 
 
 def lambda_inverse(sample: OperatorSample) -> np.ndarray:
@@ -252,8 +276,7 @@ def omega_gamma_split(record: GeodesicRecord, basis: GalerkinBasis, beta: float,
     lam_inv = np.array([lambda_inverse(s) for s in lambdas])
     phi = np.array([s.matrix for s in phi_samples])
     omega = cumulative_simpson(lam_inv, x=times, axis=0, initial=0.0)
-    integrand = np.einsum("tij,jk,tkl->til",
-                          lam_inv, k0_matrix(record.u0(), beta, basis).matrix, phi)
+    integrand = lam_inv @ k0_matrix(record.u0(), beta, basis).matrix @ phi
     gamma = -cumulative_simpson(integrand, x=times, axis=0, initial=0.0)
     resid = 0.0
     for i in range(1, len(times)):

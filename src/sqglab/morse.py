@@ -26,7 +26,7 @@ from scipy.integrate import simpson
 from scipy.interpolate import CubicSpline
 
 from .euler_arnold import GeodesicRecord
-from .jacobi import GalerkinBasis, k0_matrix, make_basis, _compose_many
+from .jacobi import GalerkinBasis, k0_matrix, make_basis
 from .spectral import TWO_PI, VectorFieldExact, frac_laplacian
 
 
@@ -111,26 +111,12 @@ def operator_l2_norm(matrix: np.ndarray, tol: float = 1e-12,
 
 def ad_inverse_matrix(d, basis: GalerkinBasis) -> np.ndarray:
     """Matrix of Ad_{gamma^-1} v = grad_perp(psi_v o gamma) in basis coords."""
-    g = basis.grid
-    c = _compose_many(basis.coeffs, g, d.forward)
-    w = np.zeros_like(g.k2)
-    nz = g.k2 > 0
-    w[nz] = g.k2[nz] ** (1.0 - basis.beta / 2.0)
-    e = basis.coeffs.reshape(basis.dim, -1)
-    return (np.conj(e) @ (w.reshape(-1)[:, None] * c.reshape(basis.dim, -1).T)).real \
-        * TWO_PI**2
+    return basis.coords_many(basis.compose(d.forward))
 
 
 def ad_matrix(d, basis: GalerkinBasis) -> np.ndarray:
     """Matrix of Ad_gamma v = grad_perp(psi_v o gamma^-1) in basis coords."""
-    g = basis.grid
-    c = _compose_many(basis.coeffs, g, d.inverse)
-    w = np.zeros_like(g.k2)
-    nz = g.k2 > 0
-    w[nz] = g.k2[nz] ** (1.0 - basis.beta / 2.0)
-    e = basis.coeffs.reshape(basis.dim, -1)
-    return (np.conj(e) @ (w.reshape(-1)[:, None] * c.reshape(basis.dim, -1).T)).real \
-        * TWO_PI**2
+    return basis.coords_many(basis.compose(d.inverse))
 
 
 def delta_inf(record: GeodesicRecord, cutoff: int = 6) -> float:
@@ -142,7 +128,7 @@ def delta_inf(record: GeodesicRecord, cutoff: int = 6) -> float:
     basis = make_basis(record.psi0.grid, cutoff, beta=0.0)
     best = np.inf
     for d in record.diffeos:
-        norm = operator_l2_norm(ad_inverse_matrix(d, basis))
+        norm = np.linalg.norm(ad_inverse_matrix(d, basis), 2)
         best = min(best, norm**-2)
     if not best > 0:
         raise RuntimeError("degenerate adjoint norm")

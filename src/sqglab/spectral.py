@@ -289,12 +289,6 @@ def interpolate(f: ScalarField, points: np.ndarray, method: str = "fourier",
     raise ValueError(f"unknown interpolation method {method!r}")
 
 
-def interpolate_many(coeffs: np.ndarray, g: SpectralGrid, x: np.ndarray,
-                     y: np.ndarray) -> np.ndarray:
-    """Exact Fourier evaluation of a stack of fields at shared points."""
-    return _fourier_eval(coeffs, g, np.mod(x, TWO_PI), np.mod(y, TWO_PI))
-
-
 # ---------------------------------------------------------------------------
 # metric
 

@@ -1,11 +1,50 @@
 """Galerkin basis, linearized operators, Phi evolution, conjugate detection."""
 
 import numpy as np
+import pytest
 
 from sqglab import jacobi, sphere
 from sqglab.euler_arnold import SolverConfig, simulate
-from sqglab.presets import random_stream
-from sqglab.spectral import ScalarField, grid
+from sqglab.group_ops import DiffeoSample, coadjoint_algebra
+from sqglab.presets import initial_stream, random_stream
+from sqglab.spectral import TWO_PI, ScalarField, _fourier_eval, gradient_perp, grid
+
+
+def _compose_many(coeffs, g, fm):
+    """R_fm applied to a stack of streams: Fourier sum at fm(grid), re-project."""
+    px, py = fm.points()
+    vals = _fourier_eval(coeffs, g, np.mod(px.ravel(), TWO_PI), np.mod(py.ravel(), TWO_PI))
+    out = np.fft.fft2(vals.reshape(-1, g.n, g.n)) / g.n**2
+    out *= g.dealias_mask
+    out[:, 0, 0] = 0.0
+    return out
+
+
+def _lambda_reference(d, beta, basis):
+    """Lambda(t) column-wise as Ad*_gamma Ad_gamma: two compositions, two multipliers."""
+    g = basis.grid
+    nz = g.k2 > 0
+    w_fwd = np.zeros_like(g.k2)
+    w_fwd[nz] = g.k2[nz] ** (1.0 - beta / 2.0)
+    w_bwd = np.zeros_like(g.k2)
+    w_bwd[nz] = g.k2[nz] ** (beta / 2.0 - 1.0)
+    c = _compose_many(basis.coeffs, g, d.inverse)     # R_gamma^-1
+    c *= w_fwd                                        # (-Lap)^(1-b/2)
+    c = _compose_many(c, g, d.forward)                # R_gamma
+    c *= w_bwd                                        # (-Lap)^(b/2-1)
+    return basis.coords_many(c)
+
+
+def _rel_err(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+@pytest.fixture(scope="module")
+def random_record():
+    """Short flow-map record from random:1:4, beta = 0.5, t in [0, 0.2]."""
+    g = grid(64)
+    cfg = SolverConfig(beta=0.5, dt=2e-3, t_final=0.2, n=64, snapshot_stride=25)
+    return simulate(initial_stream("random:1:4", g), cfg)
 
 
 def test_basis_orthonormal():
@@ -39,25 +78,42 @@ def test_coords_roundtrip():
 def test_k0_antisymmetric():
     g = grid(64)
     basis = jacobi.make_basis(g, 4, 0.5)
-    from sqglab.spectral import gradient_perp
-
     u0 = gradient_perp(random_stream(g, 9, 3))
     k0 = jacobi.k0_matrix(u0, 0.5, basis)
     assert k0.antisymmetry_error() < 1e-10
 
 
-def test_lambda_matrix_identity_diffeo():
-    from sqglab.group_ops import DiffeoSample
+def test_k0_matches_coadjoint_columns():
+    g = grid(64)
+    u0 = gradient_perp(random_stream(g, 9, 3))
+    for beta in (0.0, 0.5, 1.0):
+        basis = jacobi.make_basis(g, 6, beta)
+        eye = np.eye(basis.dim)
+        want = np.column_stack([
+            basis.coords_of(coadjoint_algebra(basis.vector_of(eye[j]), u0, beta).stream)
+            for j in range(basis.dim)])
+        got = jacobi.k0_matrix(u0, beta, basis).matrix
+        assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
+
+def test_lambda_matrix_identity_diffeo():
     g = grid(64)
     basis = jacobi.make_basis(g, 4, 0.5)
     lam = jacobi.lambda_matrix(DiffeoSample.identity(g), 0.5, basis)
     assert np.max(np.abs(lam.matrix - np.eye(basis.dim))) < 1e-8
 
 
+def test_lambda_matrix_matches_two_composition_reference(random_record):
+    g = grid(64)
+    basis = jacobi.make_basis(g, 6, 0.5)
+    for d in (random_record.diffeos[-1], DiffeoSample.identity(g)):
+        lam = jacobi.lambda_matrix(d, 0.5, basis)
+        assert _rel_err(lam.matrix, _lambda_reference(d, 0.5, basis)) < 1e-10
+
+
 def test_lambda_matrix_spd_on_geodesic(shear_record, shear_basis, shear_lambdas):
     lam = shear_lambdas[-1]
-    assert lam.symmetry_error() < 1e-5
+    assert lam.symmetry_error() < 1e-12
     sym = 0.5 * (lam.matrix + lam.matrix.T)
     assert np.linalg.eigvalsh(sym).min() > 0.0
     inv = jacobi.lambda_inverse(lam)

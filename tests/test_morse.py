@@ -4,6 +4,10 @@ import numpy as np
 import pytest
 
 from sqglab import morse, sphere
+from sqglab.euler_arnold import SolverConfig, simulate
+from sqglab.jacobi import make_basis
+from sqglab.presets import initial_stream
+from sqglab.spectral import grid
 
 
 def brute_force_torus_count(lam, strict=False):
@@ -58,6 +62,18 @@ def test_operator_l2_norm_matches_svd(rng):
     a = rng.normal(size=(30, 30))
     assert np.isclose(morse.operator_l2_norm(a),
                       np.linalg.svd(a, compute_uv=False)[0], rtol=1e-9)
+
+
+def test_delta_inf_on_short_shear_record():
+    g = grid(64)
+    cfg = SolverConfig(beta=0.5, dt=2e-3, t_final=0.2, n=64, snapshot_stride=25)
+    rec = simulate(initial_stream("shear", g), cfg)
+    delta = morse.delta_inf(rec)
+    assert np.isfinite(delta) and 0.0 < delta <= 1.0
+    basis = make_basis(g, 6, beta=0.0)
+    norms = [np.linalg.svd(morse.ad_inverse_matrix(d, basis), compute_uv=False)[0]
+             for d in rec.diffeos]
+    assert np.isclose(delta, min(s**-2 for s in norms), rtol=1e-12)
 
 
 def test_morse_bound_reference_case():
