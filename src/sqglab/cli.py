@@ -80,6 +80,10 @@ def _validate(cfg: RunConfig):
         raise ConfigError("C must be nonnegative")
     if cfg.t_horizon <= 0:
         raise ConfigError("T must be positive")
+    try:
+        _solver_config(cfg).validate()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _apply_kv(cfg: RunConfig, key: str, value: str, where: str):
@@ -138,11 +142,15 @@ def _parse_spectrum(spec: str) -> morse.Spectrum:
 # ---------------------------------------------------------------------------
 # commands
 
+def _solver_config(cfg: RunConfig) -> SolverConfig:
+    return SolverConfig(beta=cfg.beta, dt=cfg.dt, t_final=cfg.t_final, n=cfg.n,
+                        snapshot_stride=cfg.snapshot_stride)
+
+
 def cmd_simulate(cfg: RunConfig, out: Path) -> list[Path]:
     g = grid(cfg.n)
     psi0 = initial_stream(cfg.ic, g)
-    solver = SolverConfig(beta=cfg.beta, dt=cfg.dt, t_final=cfg.t_final, n=cfg.n,
-                          snapshot_stride=cfg.snapshot_stride)
+    solver = _solver_config(cfg)
 
     def on_abort(record):
         if record.thetas:
@@ -161,13 +169,13 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> list[Path]:
 def cmd_jacobi(cfg: RunConfig, out: Path) -> list[Path]:
     g = grid(cfg.n)
     psi0 = initial_stream(cfg.ic, g)
-    solver = SolverConfig(beta=cfg.beta, dt=cfg.dt, t_final=cfg.t_final, n=cfg.n,
-                          snapshot_stride=cfg.snapshot_stride)
-    record = simulate(psi0, solver)
+    record = simulate(psi0, _solver_config(cfg))
     basis = jacobi.make_basis(g, cfg.k_cutoff, cfg.beta)
     lams = jacobi.lambda_samples(record, basis, cfg.beta)
-    phi = jacobi.evolve_phi(record, basis, cfg.beta, lambdas=lams)
-    _, _, resid = jacobi.omega_gamma_split(record, basis, cfg.beta, phi, lambdas=lams)
+    k0 = jacobi.k0_matrix(record.u0(), cfg.beta, basis)
+    phi = jacobi.evolve_phi(record, basis, cfg.beta, lambdas=lams, k0=k0)
+    _, _, resid = jacobi.omega_gamma_split(record, basis, cfg.beta, phi, lambdas=lams,
+                                           k0=k0)
     report = jacobi.detect_conjugate(phi)
     conj = out / "conjugate.csv"
     conj.write_text(report.csv())

@@ -16,6 +16,7 @@ import numpy as np
 from .flow import (
     FlowMap,
     NumericalAbort,
+    advance_back_to_labels,
     advance_forward,
     jacobian_det_error,
     labels_to_flowmap,
@@ -31,10 +32,10 @@ from .spectral import (
     gradient_perp,
     grid,
     inner_product_beta,
-    interpolate,
     poisson_bracket,
+    _spline_coefficients,
+    _spline_eval,
 )
-from scipy import ndimage
 
 
 class CflViolation(RuntimeError):
@@ -49,15 +50,16 @@ class SolverConfig:
     n: int = 64
     snapshot_stride: int = 50
     advance_flow: bool = True
-    flow_interp: str = "bicubic"   # off-grid velocity sampling during stepping
-    flow_upsample: int = 4
-    exp_filter: bool = False       # optional long-run stabilizer, off by default
     cfl_limit: float = 0.5
 
     def validate(self):
         check_beta(self.beta)
         if self.dt <= 0 or self.t_final <= 0:
             raise ValueError("dt and t_final must be positive")
+        steps = self.t_final / self.dt
+        if abs(steps - round(steps)) > 1e-9 * steps:
+            raise ValueError(f"t_final = {self.t_final:g} is not a multiple of "
+                             f"dt = {self.dt:g}")
         if self.snapshot_stride < 1:
             raise ValueError("snapshot stride must be >= 1")
 
@@ -81,6 +83,12 @@ class GeodesicRecord:
 
     def stream_at(self, i: int) -> ScalarField:
         return frac_laplacian(self.thetas[i], self.config.beta / 2.0 - 1.0)
+
+    def require_flow_maps(self, user: str):
+        """Raise ValueError if the diffeos are identity placeholders."""
+        if not self.config.advance_flow:
+            raise ValueError(f"{user} needs the flow maps, but the record was "
+                             f"simulated with advance_flow=False")
 
 
 def stream_of(theta: ScalarField, beta: float) -> ScalarField:
@@ -126,65 +134,28 @@ def energy(theta: ScalarField, beta: float) -> float:
     return 0.5 * inner_product_beta(psi, psi, beta)
 
 
-def _exp_filter_mask(g):
-    # smooth exponential cutoff acting only above 2/3 of the dealias radius
-    kmag = np.sqrt(g.k2)
-    kc = g.cutoff
-    mask = np.ones_like(kmag)
-    hi = kmag > 2 * kc / 3
-    mask[hi] = np.exp(-36.0 * ((kmag[hi] - 2 * kc / 3) / (kc / 3)) ** 36)
-    return mask
-
-
 class _StageSampler:
     """Off-grid velocity evaluation for the flow stages of one RK4 step.
 
-    Velocities are sampled on a spectrally refined grid once per stage and
-    then spline-interpolated; this keeps particle advection cheap without
-    giving up spectral accuracy of the underlying field.
+    Each stage velocity, packed as ux + i uy, becomes quintic spline
+    coefficients on a grid ``SPLINE_UPSAMPLE`` times finer once per stage
+    (the spline prefilter is folded into the spectral upsampling), which
+    the particle stages then sample; this keeps particle advection cheap
+    without giving up spectral accuracy of the underlying field.
     """
 
-    def __init__(self, cfg: SolverConfig):
-        self.cfg = cfg
-        self._cache = {}
+    def __init__(self, beta: float):
+        self.beta = beta
+        self._coef = {}
 
     def set_stage(self, key, theta: ScalarField):
-        g = theta.grid
-        psi = stream_of(theta, self.cfg.beta)
-        ux, uy = gradient_perp(psi).component_fields()
-        if self.cfg.flow_interp == "bicubic":
-            packed = ScalarField(g, ux.coeff + 1j * uy.coeff)
-            m = self.cfg.flow_upsample * g.n
-            fine = _upsample_complex(packed, self.cfg.flow_upsample)
-            self._cache[key] = ("bicubic", fine, m)
-        else:
-            self._cache[key] = ("fourier", (ux, uy), None)
+        ux, uy = gradient_perp(stream_of(theta, self.beta)).component_fields()
+        self._coef[key] = _spline_coefficients(ux.coeff + 1j * uy.coeff)
         return ux, uy
 
     def eval_stage(self, key, x, y):
-        kind, payload, m = self._cache[key]
-        if kind == "bicubic":
-            ix = np.mod(x, TWO_PI) / TWO_PI * m
-            iy = np.mod(y, TWO_PI) / TWO_PI * m
-            coords = np.vstack([ix, iy])
-            return (ndimage.map_coordinates(payload.real, coords, order=5,
-                                            mode="grid-wrap"),
-                    ndimage.map_coordinates(payload.imag, coords, order=5,
-                                            mode="grid-wrap"))
-        ux, uy = payload
-        pts = np.column_stack([x, y])
-        return interpolate(ux, pts), interpolate(uy, pts)
-
-
-def _upsample_complex(f: ScalarField, factor: int) -> np.ndarray:
-    n = f.grid.n
-    m = factor * n
-    c = np.zeros((m, m), dtype=complex)
-    half = n // 2
-    sl = np.r_[0:half, m - half:m]
-    src = np.r_[0:half, half:n]
-    c[np.ix_(sl, sl)] = f.coeff[np.ix_(src, src)]
-    return np.fft.ifft2(c) * m**2
+        coef = self._coef[key]
+        return _spline_eval((coef.real, coef.imag), x, y)
 
 
 def simulate(psi0: ScalarField, config: SolverConfig,
@@ -203,10 +174,8 @@ def simulate(psi0: ScalarField, config: SolverConfig,
     fwd = FlowMap.identity(g)
     labels = (ScalarField.zero(g), ScalarField.zero(g))
     record = GeodesicRecord(config=config, psi0=psi0)
-    filt = _exp_filter_mask(g) if config.exp_filter else None
-
-    nsteps = int(round(config.t_final / config.dt))
-    sampler = _StageSampler(config) if config.advance_flow else None
+    nsteps = round(config.t_final / config.dt)
+    sampler = _StageSampler(beta) if config.advance_flow else None
 
     def snapshot(t, th, fw, lab):
         inv = labels_to_flowmap(lab)
@@ -220,8 +189,6 @@ def simulate(psi0: ScalarField, config: SolverConfig,
         for step in range(nsteps):
             theta, fwd, labels = _joint_rk4_step(theta, fwd, labels, t, config,
                                                  sampler)
-            if filt is not None:
-                theta = ScalarField(g, theta.coeff * filt)
             t = (step + 1) * config.dt
             if not np.all(np.isfinite(theta.coeff)):
                 raise NumericalAbort(f"non-finite theta at t = {t:.6g}")
@@ -239,14 +206,11 @@ def simulate(psi0: ScalarField, config: SolverConfig,
 def _joint_rk4_step(theta, fwd, labels, t, config, sampler):
     beta, dt = config.beta, config.dt
     check_cfl(theta, beta, dt, config.cfl_limit)
-    g = theta.grid
-    a1, a2 = labels
 
     stage_thetas = []
     k_theta = []
     th = theta
     # classical RK4 tableau: stages at t, t+dt/2, t+dt/2, t+dt
-    offsets = [0.0, 0.5, 0.5, 1.0]
     incr = [None, 0.5, 0.5, 1.0]
     for i in range(4):
         if i > 0:
@@ -254,7 +218,7 @@ def _joint_rk4_step(theta, fwd, labels, t, config, sampler):
         stage_thetas.append(th)
         k_theta.append(rhs(th, beta))
 
-    if config.advance_flow and sampler is not None:
+    if sampler is not None:
         # stages 2 and 3 share the midpoint time but carry their own theta,
         # so stage fields are keyed by stage index, not by time
         stage_fields = []
@@ -276,9 +240,7 @@ def _joint_rk4_step(theta, fwd, labels, t, config, sampler):
         def lab_fields(tt):
             return stage_fields[next(lab_calls)]
 
-        from .flow import advance_back_to_labels
-
-        labels = advance_back_to_labels((a1, a2), lab_fields, t, dt)
+        labels = advance_back_to_labels(labels, lab_fields, t, dt)
 
     theta_next = theta + (config.dt / 6) * (k_theta[0] + 2 * k_theta[1]
                                             + 2 * k_theta[2] + k_theta[3])

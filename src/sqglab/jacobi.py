@@ -202,6 +202,7 @@ def lambda_inverse(sample: OperatorSample) -> np.ndarray:
 
 def lambda_samples(record: GeodesicRecord, basis: GalerkinBasis,
                    beta: float) -> list[OperatorSample]:
+    record.require_flow_maps("lambda_samples")
     return [lambda_matrix(d, beta, basis) for d in record.diffeos]
 
 
@@ -225,14 +226,17 @@ class _MatrixInterpolant:
 
 def evolve_phi(record: GeodesicRecord, basis: GalerkinBasis, beta: float,
                substeps: int = 10,
-               lambdas: list[OperatorSample] | None = None) -> list[OperatorSample]:
+               lambdas: list[OperatorSample] | None = None,
+               k0: OperatorSample | None = None) -> list[OperatorSample]:
     """Phi(t_i) at the record snapshot times; Phi(0) = 0, Phi'(0) = I."""
     check_beta(beta)
+    record.require_flow_maps("evolve_phi")
     if lambdas is None:
         lambdas = lambda_samples(record, basis, beta)
+    if k0 is None:
+        k0 = k0_matrix(record.u0(), beta, basis)
     times = np.asarray(record.times)
     lam = _MatrixInterpolant(times, [s.matrix for s in lambdas])
-    k0 = k0_matrix(record.u0(), beta, basis).matrix
     d = basis.dim
 
     m = np.eye(d)       # m = Lambda w, m(0) = Lambda(0) w0 = w0
@@ -242,7 +246,7 @@ def evolve_phi(record: GeodesicRecord, basis: GalerkinBasis, beta: float,
     def deriv(t, state):
         m_, v_ = state
         w = np.linalg.solve(lam(t), m_)
-        return -k0 @ w, w
+        return -k0.matrix @ w, w
 
     for i in range(len(times) - 1):
         h = (times[i + 1] - times[i]) / substeps
@@ -262,21 +266,25 @@ def evolve_phi(record: GeodesicRecord, basis: GalerkinBasis, beta: float,
 
 def omega_gamma_split(record: GeodesicRecord, basis: GalerkinBasis, beta: float,
                       phi_samples: list[OperatorSample],
-                      lambdas: list[OperatorSample] | None = None):
+                      lambdas: list[OperatorSample] | None = None,
+                      k0: OperatorSample | None = None):
     """Omega/Gamma quadratures and the decomposition residual.
 
     Returns (omega_samples, gamma_samples, residual) with
     residual = max_i ||Phi_i - Omega_i - Gamma_i|| / ||Phi_i|| over t_i > 0.
     """
+    record.require_flow_maps("omega_gamma_split")
     if lambdas is None:
         lambdas = lambda_samples(record, basis, beta)
+    if k0 is None:
+        k0 = k0_matrix(record.u0(), beta, basis)
     times = np.asarray(record.times)
     if len(phi_samples) != len(times):
         raise ValueError("phi samples do not match the record sampling")
     lam_inv = np.array([lambda_inverse(s) for s in lambdas])
     phi = np.array([s.matrix for s in phi_samples])
     omega = cumulative_simpson(lam_inv, x=times, axis=0, initial=0.0)
-    integrand = lam_inv @ k0_matrix(record.u0(), beta, basis).matrix @ phi
+    integrand = lam_inv @ k0.matrix @ phi
     gamma = -cumulative_simpson(integrand, x=times, axis=0, initial=0.0)
     resid = 0.0
     for i in range(1, len(times)):

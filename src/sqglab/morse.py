@@ -125,6 +125,7 @@ def delta_inf(record: GeodesicRecord, cutoff: int = 6) -> float:
     Uses the beta = 0 (L2 velocity) inner product regardless of the
     geodesic's beta, matching the constant's beta-independence.
     """
+    record.require_flow_maps("delta_inf")
     basis = make_basis(record.psi0.grid, cutoff, beta=0.0)
     best = np.inf
     for d in record.diffeos:

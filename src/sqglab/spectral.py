@@ -213,15 +213,17 @@ def multiply_dealiased(f: ScalarField, g_: ScalarField) -> ScalarField:
 
 
 def poisson_bracket(f: ScalarField, g_: ScalarField) -> ScalarField:
-    """{f, g} = grad_perp(g) . grad(f), dealiased, mean forced to zero."""
+    """{f, g} = grad_perp(g) . grad(f), dealiased, mean forced to zero.
+
+    The four masked derivatives go through one batched inverse FFT and
+    fy gx - fx gy through one forward FFT.
+    """
     _check_same_grid(f, g_)
     g = f.grid
-    fx = ScalarField(g, g.ikx * f.coeff)
-    fy = ScalarField(g, g.iky * f.coeff)
-    gx = ScalarField(g, g.ikx * g_.coeff)
-    gy = ScalarField(g, g.iky * g_.coeff)
-    out = multiply_dealiased(fy, gx) - multiply_dealiased(fx, gy)
-    c = out.coeff
+    n2 = g.n**2
+    d = np.stack([g.ikx * f.coeff, g.iky * f.coeff, g.ikx * g_.coeff, g.iky * g_.coeff])
+    fx, fy, gx, gy = np.fft.ifft2(d * g.dealias_mask, axes=(-2, -1)).real * n2
+    c = np.fft.fft2(fy * gx - fx * gy) * (g.dealias_mask / n2)
     c[0, 0] = 0.0
     return ScalarField(g, c)
 
@@ -250,33 +252,65 @@ def _fourier_eval(coeff: np.ndarray, g: SpectralGrid, x: np.ndarray, y: np.ndarr
     return out.reshape(coeff.shape[:-2] + (x.size,))
 
 
-def _bicubic_eval(values_fine: np.ndarray, upsample_n: int,
-                  x: np.ndarray, y: np.ndarray, order: int = 5) -> np.ndarray:
-    ix = x / TWO_PI * upsample_n
-    iy = y / TWO_PI * upsample_n
-    return ndimage.map_coordinates(values_fine, np.vstack([ix, iy]),
-                                   order=order, mode="grid-wrap")
+# refinement factor of the grid that carries the quintic spline
+SPLINE_UPSAMPLE = 4
+
+_QUINTIC_INV_SYMBOL: dict[int, np.ndarray] = {}
 
 
-def upsample_values(f: ScalarField, factor: int = 4) -> np.ndarray:
-    """Physical samples on a ``factor`` times finer grid via spectral padding."""
-    n = f.grid.n
-    m = factor * n
-    c = np.zeros((m, m), dtype=complex)
+def _quintic_inv_symbol(m: int) -> np.ndarray:
+    """1 / B(w) in FFT order, B(w) = (66 + 52 cos w + 2 cos 2w) / 120, w = 2 pi k / m.
+
+    B is the symbol of the quintic B-spline sampled on an m-point periodic
+    grid, so dividing by it is the periodic spline prefilter (Unser,
+    "Splines: a perfect fit", IEEE SPM 1999).
+    """
+    inv = _QUINTIC_INV_SYMBOL.get(m)
+    if inv is None:
+        w = TWO_PI * np.fft.fftfreq(m)
+        inv = 120.0 / (66.0 + 52.0 * np.cos(w) + 2.0 * np.cos(2.0 * w))
+        inv.flags.writeable = False
+        _QUINTIC_INV_SYMBOL[m] = inv
+    return inv
+
+
+def _spline_coefficients(coeff: np.ndarray) -> np.ndarray:
+    """Periodic quintic B-spline coefficients of a field on a finer grid.
+
+    The N x N spectrum is zero-padded to m = SPLINE_UPSAMPLE * N and divided
+    by the separable B-spline symbol, so the spline through the refined
+    samples is evaluated by ``map_coordinates(order=5, prefilter=False)``.
+    Only N of the m rows carry modes: the inverse transform runs along axis
+    1 on those rows, then along axis 0.  Complex (m, m) result; a packed
+    field a + i b gives the coefficients of a in the real and of b in the
+    imaginary part.
+    """
+    n = coeff.shape[-1]
+    m = SPLINE_UPSAMPLE * n
     half = n // 2
-    sl = np.r_[0:half, m - half:m]
-    src = np.r_[0:half, half:n]
-    c[np.ix_(sl, sl)] = f.coeff[np.ix_(src, src)]
-    return np.fft.ifft2(c).real * m**2
+    idx = np.r_[0:half, m - half:m]
+    inv = _quintic_inv_symbol(m)[idx]
+    rows = np.zeros((n, m), dtype=complex)
+    rows[:, idx] = coeff * inv
+    full = np.zeros((m, m), dtype=complex)
+    full[idx] = np.fft.ifft(rows, axis=1, norm="forward") * inv[:, None]
+    return np.fft.ifft(full, axis=0, norm="forward")
 
 
-def interpolate(f: ScalarField, points: np.ndarray, method: str = "fourier",
-                upsample: int = 4) -> np.ndarray:
+def _spline_eval(parts, x: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
+    """Sample real spline coefficient grids (from ``_spline_coefficients``) at points."""
+    m = parts[0].shape[0]
+    coords = np.vstack([np.mod(x, TWO_PI) / TWO_PI * m, np.mod(y, TWO_PI) / TWO_PI * m])
+    return [ndimage.map_coordinates(p, coords, order=5, mode="grid-wrap", prefilter=False)
+            for p in parts]
+
+
+def interpolate(f: ScalarField, points: np.ndarray, method: str = "fourier") -> np.ndarray:
     """Evaluate a field at arbitrary points (wrapped periodically).
 
     ``method="fourier"`` sums the series directly (exact, test-grade);
-    ``method="bicubic"`` evaluates a high-order spline on a spectrally
-    refined grid (fast path).
+    ``method="bicubic"`` evaluates a quintic spline through the samples of
+    the field on a spectrally refined grid (fast path).
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     x = np.mod(pts[:, 0], TWO_PI)
@@ -284,8 +318,7 @@ def interpolate(f: ScalarField, points: np.ndarray, method: str = "fourier",
     if method == "fourier":
         return _fourier_eval(f.coeff, f.grid, x, y)
     if method == "bicubic":
-        fine = upsample_values(f, upsample)
-        return _bicubic_eval(fine, upsample * f.grid.n, x, y)
+        return _spline_eval((_spline_coefficients(f.coeff).real,), x, y)[0]
     raise ValueError(f"unknown interpolation method {method!r}")
 
 

@@ -44,6 +44,14 @@ def test_exit_code_2_on_malformed_set(tmp_path):
     assert main(["sphere-example", "--set", "beta", "--out", str(tmp_path)]) == 2
 
 
+def test_exit_code_2_on_t_final_not_multiple_of_dt(tmp_path, capsys):
+    rc = main(["simulate", "--set", "dt=0.003", "--set", "t_final=0.01",
+               "--set", "N=32", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "not a multiple of dt" in capsys.readouterr().err
+    assert not (tmp_path / "diagnostics.csv").exists()
+
+
 def test_exit_code_3_on_cfl_blowup(tmp_path, capsys):
     rc = main(["simulate", "--set", "dt=1", "--set", "t_final=2",
                "--set", "N=32", "--set", "ic=shear", "--out", str(tmp_path)])

@@ -139,6 +139,16 @@ def test_simulate_snapshots_and_diagnostics():
         assert all(np.isfinite(v) for v in row.values())
 
 
+def test_t_final_must_be_a_multiple_of_dt():
+    cfg = ea.SolverConfig(dt=0.003, t_final=0.01, n=32)
+    with pytest.raises(ValueError, match="not a multiple of dt"):
+        cfg.validate()
+    with pytest.raises(ValueError, match="not a multiple of dt"):
+        ea.simulate(initial_stream("shear", grid(32)), cfg)
+    for dt, t_final in ((1e-3, 0.05), (2e-3, 0.2), (5e-3, 0.1), (1.0, 2.0)):
+        ea.SolverConfig(dt=dt, t_final=t_final).validate()
+
+
 def test_simulate_flows_invert_each_other():
     g = grid(32)
     psi0 = initial_stream("shear", g)

@@ -11,12 +11,14 @@ from sqglab.flow import (
     inverse_consistency,
     jacobian,
     jacobian_det_error,
+    label_rhs,
     labels_to_flowmap,
     load_flowmap,
     save_flowmap,
     transport_check,
 )
-from sqglab.spectral import ScalarField, grid
+from sqglab.presets import random_stream
+from sqglab.spectral import ScalarField, gradient_perp, grid, multiply_dealiased
 
 
 def shear_sampler(t, x, y):
@@ -67,6 +69,19 @@ def test_back_to_labels_shear_inverse():
     assert np.max(np.abs(inv.disp_x + t * np.sin(g.y))) < 1e-10
     assert np.max(np.abs(inv.disp_y)) < 1e-10
     assert inverse_consistency(fwd, inv) < 1e-9
+
+
+def test_label_rhs_matches_two_dealiased_products():
+    g = grid(64)
+    ux, uy = gradient_perp(random_stream(g, 5, 6)).component_fields()
+    rng = np.random.default_rng(6)
+    labels = tuple(ScalarField.from_values(g, 0.05 * rng.normal(size=(g.n, g.n)))
+                   for _ in range(2))
+    got = label_rhs(labels, ux, uy)
+    for a, u, r in zip(labels, (ux, uy), got):
+        ax, ay = ScalarField(g, g.ikx * a.coeff), ScalarField(g, g.iky * a.coeff)
+        want = -(multiply_dealiased(ux, ax) + multiply_dealiased(uy, ay)).coeff - u.coeff
+        assert np.max(np.abs(r.coeff - want)) / np.max(np.abs(want)) < 1e-14
 
 
 def test_transport_check_shear():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sqglab import jacobi, sphere
+from sqglab import jacobi, morse, sphere
 from sqglab.euler_arnold import SolverConfig, simulate
 from sqglab.group_ops import DiffeoSample, coadjoint_algebra
 from sqglab.presets import initial_stream, random_stream
@@ -118,6 +118,37 @@ def test_lambda_matrix_spd_on_geodesic(shear_record, shear_basis, shear_lambdas)
     assert np.linalg.eigvalsh(sym).min() > 0.0
     inv = jacobi.lambda_inverse(lam)
     assert np.max(np.abs(inv @ lam.matrix - np.eye(lam.matrix.shape[0]))) < 1e-8
+
+
+def test_k0_passed_once_gives_identical_phi_and_residual(random_record):
+    basis = jacobi.make_basis(grid(64), 4, 0.5)
+    lams = jacobi.lambda_samples(random_record, basis, 0.5)
+    k0 = jacobi.k0_matrix(random_record.u0(), 0.5, basis)
+    phi = jacobi.evolve_phi(random_record, basis, 0.5, lambdas=lams)
+    phi_k0 = jacobi.evolve_phi(random_record, basis, 0.5, lambdas=lams, k0=k0)
+    assert all(np.array_equal(a.matrix, b.matrix) for a, b in zip(phi, phi_k0))
+    _, _, resid = jacobi.omega_gamma_split(random_record, basis, 0.5, phi, lambdas=lams)
+    _, _, resid_k0 = jacobi.omega_gamma_split(random_record, basis, 0.5, phi,
+                                              lambdas=lams, k0=k0)
+    assert resid == resid_k0
+
+
+def test_record_without_flow_maps_rejected():
+    g = grid(32)
+    cfg = SolverConfig(beta=0.5, dt=1e-2, t_final=0.05, n=32, snapshot_stride=1,
+                       advance_flow=False)
+    rec = simulate(initial_stream("shear", g), cfg)
+    basis = jacobi.make_basis(g, 3, 0.5)
+    with pytest.raises(ValueError, match="advance_flow=False"):
+        jacobi.lambda_samples(rec, basis, 0.5)
+    lams = [jacobi.lambda_matrix(d, 0.5, basis) for d in rec.diffeos]
+    with pytest.raises(ValueError, match="advance_flow=False"):
+        jacobi.evolve_phi(rec, basis, 0.5, lambdas=lams)
+    phi = [jacobi.OperatorSample(t, t * np.eye(basis.dim), "Phi") for t in rec.times]
+    with pytest.raises(ValueError, match="advance_flow=False"):
+        jacobi.omega_gamma_split(rec, basis, 0.5, phi, lambdas=lams)
+    with pytest.raises(ValueError, match="advance_flow=False"):
+        morse.delta_inf(rec)
 
 
 def test_phi_trivial_geodesic_is_linear():

@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
+from sqglab.euler_arnold import _StageSampler
 from sqglab.spectral import (
+    SPLINE_UPSAMPLE,
+    TWO_PI,
     GridMismatchError,
     MeanNonzeroError,
     ScalarField,
@@ -17,6 +21,8 @@ from sqglab.spectral import (
     norm_beta,
     poisson_bracket,
     save_field,
+    _spline_coefficients,
+    _spline_eval,
 )
 
 
@@ -141,6 +147,67 @@ def test_interpolate_bicubic_close_to_fourier():
     b = interpolate(f, pts, method="bicubic")
     scale = np.max(np.abs(a))
     assert np.max(np.abs(a - b)) / scale < 1e-5
+
+
+def _prefiltered_reference(coeff, x, y):
+    """Quintic spline through the zero-padded samples, prefiltered by scipy."""
+    n = coeff.shape[0]
+    m = SPLINE_UPSAMPLE * n
+    c = np.zeros((m, m), dtype=complex)
+    idx = np.r_[0:n // 2, m - n // 2:m]
+    c[np.ix_(idx, idx)] = coeff
+    fine = np.fft.ifft2(c) * m**2
+    coords = np.vstack([np.mod(x, TWO_PI) / TWO_PI * m, np.mod(y, TWO_PI) / TWO_PI * m])
+    return [ndimage.map_coordinates(part, coords, order=5, mode="grid-wrap")
+            for part in (fine.real, fine.imag)]
+
+
+def _spline_test_points(seed):
+    rng = np.random.default_rng(seed)
+    edge = np.array([0.0, 1e-14, 1e-9, -1e-12, TWO_PI - 1e-9, TWO_PI - 1e-14, TWO_PI,
+                     TWO_PI + 1e-12])
+    x = np.concatenate([rng.uniform(0, TWO_PI, 500), edge, rng.uniform(0, TWO_PI, 8)])
+    y = np.concatenate([rng.uniform(0, TWO_PI, 500), rng.uniform(0, TWO_PI, 8), edge])
+    return x, y
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_spline_coefficients_match_scipy_prefilter(n):
+    # every mode up to the Nyquist line carries energy
+    g = grid(n)
+    f = ScalarField.from_values(g, np.random.default_rng(n).normal(size=(n, n)))
+    x, y = _spline_test_points(n + 1)
+    want = _prefiltered_reference(f.coeff, x, y)[0]
+    got = _spline_eval((_spline_coefficients(f.coeff).real,), x, y)[0]
+    assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-13
+    bicubic = interpolate(f, np.column_stack([x, y]), method="bicubic")
+    assert np.max(np.abs(bicubic - want)) / np.max(np.abs(want)) < 1e-13
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_stage_sampler_matches_scipy_prefilter(n):
+    # the packed stage field ux + i uy of a random theta
+    g = grid(n)
+    beta = 0.5
+    theta = ScalarField.from_values(g, np.random.default_rng(2 * n).normal(size=(n, n)))
+    sampler = _StageSampler(beta)
+    ux, uy = sampler.set_stage(0, theta)
+    x, y = _spline_test_points(2 * n + 1)
+    want = _prefiltered_reference(ux.coeff + 1j * uy.coeff, x, y)
+    got = sampler.eval_stage(0, x, y)
+    for a, b in zip(got, want):
+        assert np.max(np.abs(a - b)) / np.max(np.abs(b)) < 1e-13
+
+
+def test_poisson_bracket_matches_two_dealiased_products():
+    g = grid(64)
+    f, h = random_field(g, 21, kmax=20), random_field(g, 22, kmax=20)
+    fx, fy = (ScalarField(g, d * f.coeff) for d in (g.ikx, g.iky))
+    hx, hy = (ScalarField(g, d * h.coeff) for d in (g.ikx, g.iky))
+    want = (multiply_dealiased(fy, hx) - multiply_dealiased(fx, hy)).coeff
+    want[0, 0] = 0.0
+    got = poisson_bracket(f, h).coeff
+    assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-14
 
 
 def test_inner_product_beta_single_mode():
