@@ -38,6 +38,18 @@ from .spectral import (
 )
 
 
+def whole_steps(t_final: float, dt: float) -> int:
+    """Number of dt steps that make up t_final.
+
+    Raises ValueError unless t_final / dt is a whole number to 1e-9 relative,
+    so a time integration never silently stops short of or past t_final.
+    """
+    steps = t_final / dt
+    if abs(steps - round(steps)) > 1e-9 * steps:
+        raise ValueError(f"t_final = {t_final:g} is not a multiple of dt = {dt:g}")
+    return round(steps)
+
+
 class CflViolation(RuntimeError):
     """Advective CFL guard tripped."""
 
@@ -56,10 +68,7 @@ class SolverConfig:
         check_beta(self.beta)
         if self.dt <= 0 or self.t_final <= 0:
             raise ValueError("dt and t_final must be positive")
-        steps = self.t_final / self.dt
-        if abs(steps - round(steps)) > 1e-9 * steps:
-            raise ValueError(f"t_final = {self.t_final:g} is not a multiple of "
-                             f"dt = {self.dt:g}")
+        whole_steps(self.t_final, self.dt)
         if self.snapshot_stride < 1:
             raise ValueError("snapshot stride must be >= 1")
 
@@ -174,7 +183,7 @@ def simulate(psi0: ScalarField, config: SolverConfig,
     fwd = FlowMap.identity(g)
     labels = (ScalarField.zero(g), ScalarField.zero(g))
     record = GeodesicRecord(config=config, psi0=psi0)
-    nsteps = round(config.t_final / config.dt)
+    nsteps = whole_steps(config.t_final, config.dt)
     sampler = _StageSampler(beta) if config.advance_flow else None
 
     def snapshot(t, th, fw, lab):

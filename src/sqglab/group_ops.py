@@ -7,8 +7,7 @@ from the Jacobi analysis,
 
     Lambda(t) w = Ad*_gamma Ad_gamma w,
 
-is available both as the composition of the two actions and in fused
-form as a single multiplier/composition chain.
+is applied as a single multiplier/composition chain.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import FlowMap, jacobian
+from .flow import FlowMap
 from .spectral import (
     ScalarField,
     VectorFieldExact,
@@ -83,39 +82,10 @@ def coadjoint_group(eta: DiffeoSample, u: VectorFieldExact, beta: float,
     return gradient_perp(frac_laplacian(s, beta / 2.0 - 1.0))
 
 
-def coadjoint_group_l2route(eta: DiffeoSample, u: VectorFieldExact, beta: float,
-                            method: str = "fourier") -> VectorFieldExact:
-    """Ad*_eta via the L2 adjoint: (-Lap)^(b/2) Dgamma^T R_gamma (-Lap)^(-b/2).
-
-    Cross-check route; the pointwise Jacobian transpose produces a general
-    vector field whose exact part is recovered by inverting the curl.
-    """
-    check_beta(beta)
-    g = u.grid
-    v = VectorFieldExact(frac_laplacian(u.stream, -beta / 2.0))
-    vx, vy = v.component_fields()
-    px, py = eta.forward.points()
-    pts = np.column_stack([px.ravel(), py.ravel()])
-    wx = interpolate(vx, pts, method=method).reshape(px.shape)
-    wy = interpolate(vy, pts, method=method).reshape(px.shape)
-    jac = jacobian(eta.forward)
-    # D gamma^T applied pointwise
-    rx = jac[0, 0] * wx + jac[1, 0] * wy
-    ry = jac[0, 1] * wx + jac[1, 1] * wy
-    fx = ScalarField.from_values(g, rx, zero_mean=False)
-    fy = ScalarField.from_values(g, ry, zero_mean=False)
-    # exact part: curl(grad_perp psi) = Lap psi, so psi = -(-Lap)^-1 curl
-    curl = ScalarField(g, g.ikx * fy.coeff - g.iky * fx.coeff).dealiased()
-    psi = -1.0 * frac_laplacian(curl, -1.0)
-    return gradient_perp(frac_laplacian(psi, beta / 2.0))
-
-
 def lambda_apply(d: DiffeoSample, v: VectorFieldExact, beta: float,
-                 fused: bool = True, method: str = "fourier") -> VectorFieldExact:
-    """Lambda(t) v = Ad*_gamma Ad_gamma v."""
+                 method: str = "fourier") -> VectorFieldExact:
+    """Lambda(t) v = Ad*_gamma Ad_gamma v as one multiplier/composition chain."""
     check_beta(beta)
-    if not fused:
-        return coadjoint_group(d, adjoint(d, v, method=method), beta, method=method)
     s = compose_stream(v.stream, d.inverse, method=method)
     s = frac_laplacian(s, 1.0 - beta / 2.0)
     s = compose_stream(s, d.forward, method=method)

@@ -324,23 +324,32 @@ def detect_conjugate(phi_samples: list[OperatorSample],
     the location of the minimum is reported.  The default threshold is
     scale-free: threshold_factor times the median of the trace.
     """
-    pts = [(s.t, s.matrix / s.t) for s in phi_samples if s.t > 0]
+    pts = [s for s in phi_samples if s.t > 0]
     if len(pts) < 3:
         raise ValueError("need at least 3 samples with t > 0")
-    times = np.array([p[0] for p in pts])
-    mats = np.array([p[1] for p in pts])
-    svals = np.array([np.linalg.svd(m, compute_uv=False) for m in mats])
-    sig = svals[:, -1]
-    dets = np.array([np.sign(np.linalg.det(m)) for m in mats])
+    times = np.array([s.t for s in pts])
+    mats = np.array([s.matrix for s in pts]) / times[:, None, None]
+    sig = np.linalg.svd(mats, compute_uv=False)[:, -1]
+    dets = np.sign(np.linalg.det(mats))
     thr = threshold if threshold is not None else threshold_factor * float(np.median(sig))
 
-    spline = CubicSpline(times, mats, axis=0)
+    # An entry that is zero in every sample has a zero spline, so only the
+    # support is fitted (2 entries per row of the block-diagonal sphere Phi,
+    # every entry of a dense one).  Spline columns are solved independently,
+    # so the values are those of the full fit.
+    support = np.any(mats != 0, axis=0)
+    spline = CubicSpline(times, mats[:, support], axis=0)
+
+    def phi_at(t):
+        m = np.zeros(mats.shape[1:])
+        m[support] = spline(t)
+        return m
 
     def sigma_at(t):
-        return float(np.linalg.svd(spline(t), compute_uv=False)[-1])
+        return float(np.linalg.svd(phi_at(t), compute_uv=False)[-1])
 
     def det_at(t):
-        return float(np.linalg.det(spline(t)))
+        return float(np.linalg.det(phi_at(t)))
 
     detected = []
     for i in range(len(times)):
@@ -367,7 +376,7 @@ def detect_conjugate(phi_samples: list[OperatorSample],
             t_star = float(res.x)
         if sigma_at(t_star) >= thr:
             continue
-        mult = int(np.sum(np.linalg.svd(spline(t_star), compute_uv=False) < thr))
+        mult = int(np.sum(np.linalg.svd(phi_at(t_star), compute_uv=False) < thr))
         detected.append((float(t_star), max(mult, 1)))
     # deduplicate refined times that collapsed together
     dedup = []

@@ -90,25 +90,6 @@ def _count_below(spectrum: Spectrum, lam: float) -> int:
 # ---------------------------------------------------------------------------
 # run-dependent constants
 
-def operator_l2_norm(matrix: np.ndarray, tol: float = 1e-12,
-                     max_iter: int = 10_000) -> float:
-    """Largest singular value by power iteration on A^T A (deterministic)."""
-    d = matrix.shape[0]
-    v = np.ones(d) / np.sqrt(d)
-    ata = matrix.T @ matrix
-    lam = 0.0
-    for _ in range(max_iter):
-        w = ata @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v_new = w / nw
-        if abs(nw - lam) <= tol * max(nw, 1.0):
-            return float(np.sqrt(nw))
-        lam, v = nw, v_new
-    raise RuntimeError(f"power iteration did not converge in {max_iter} steps")
-
-
 def ad_inverse_matrix(d, basis: GalerkinBasis) -> np.ndarray:
     """Matrix of Ad_{gamma^-1} v = grad_perp(psi_v o gamma) in basis coords."""
     return basis.coords_many(basis.compose(d.forward))

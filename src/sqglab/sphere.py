@@ -21,8 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
+from .euler_arnold import whole_steps
 from .jacobi import OperatorSample
 
 PI_SQRT2 = float(np.pi * np.sqrt(2.0))
@@ -49,12 +51,26 @@ class SphereMode:
         return self.n * (2.0 / self.eigenvalue) ** (1.0 - self.beta / 2.0)
 
 
+def _amplitudes(modes, t):
+    """Exact (xi, s) of every mode at time(s) t, shaped (len(modes),) + t.shape.
+
+    The one place the closed form lives: the per-degree constants are taken
+    once, and the phase and amplitude are evaluated over all degrees and
+    times in one pass.
+    """
+    t = np.asarray(t, dtype=float)
+    shape = (len(modes),) + (1,) * t.ndim
+    omega = np.array([m.omega for m in modes]).reshape(shape)
+    scale = np.array([(1j / m.n) * (m.eigenvalue / 2.0) ** (1.0 - m.beta / 2.0)
+                      for m in modes]).reshape(shape)
+    xi = np.exp(-1j * omega * t)
+    return xi, scale * (xi - 1.0)
+
+
 def closed_form(t, mode: SphereMode):
     """Exact (xi, sigma_amplitude) at time(s) t."""
-    t = np.asarray(t, dtype=float)
-    xi = np.exp(-1j * mode.omega * t)
-    amp = (1j / mode.n) * (mode.eigenvalue / 2.0) ** (1.0 - mode.beta / 2.0)
-    return xi, amp * (xi - 1.0)
+    xi, s = _amplitudes([mode], t)
+    return xi[0], s[0]
 
 
 def conjugate_time(n: int, beta: float) -> float:
@@ -65,9 +81,9 @@ def conjugate_time(n: int, beta: float) -> float:
 
 def integrate_mode(mode: SphereMode, dt: float, t_final: float):
     """RK4 integration of xi' = -i omega xi, sigma' = xi; returns samples."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    nsteps = int(round(t_final / dt))
+    if dt <= 0 or t_final < 0:
+        raise ValueError("dt must be positive and t_final non-negative")
+    nsteps = whole_steps(t_final, dt)
     times = np.linspace(0.0, nsteps * dt, nsteps + 1)
     xi = np.empty(nsteps + 1, dtype=complex)
     sigma = np.empty(nsteps + 1, dtype=complex)
@@ -95,14 +111,13 @@ def first_sigma_zero(mode: SphereMode, dt: float = 1e-4,
     """
     if t_max is None:
         t_max = 1.25 * conjugate_time(mode.n, mode.beta)
-    times, xi, sigma = integrate_mode(mode, dt, t_max)
+    # t_max only bounds the search: round it up to whole steps
+    times, xi, sigma = integrate_mode(mode, dt, np.ceil(t_max / dt) * dt)
     mag = np.abs(sigma)
     peak = np.maximum.accumulate(mag)
     deriv = 2.0 * np.real(np.conj(sigma) * xi)
     for i in range(1, len(times) - 1):
         if mag[i] <= mag[i - 1] and mag[i] <= mag[i + 1] and mag[i] < 0.5 * peak[i]:
-            from scipy.interpolate import CubicSpline
-
             sp = CubicSpline(times[i - 1:i + 2], deriv[i - 1:i + 2])
             try:
                 return float(brentq(sp, times[i - 1], times[i + 1]))
@@ -116,21 +131,20 @@ def sphere_phi_samples(degrees, beta: float, times) -> list[OperatorSample]:
 
     Each complex mode amplitude s(t) becomes the real 2x2 rotation-scaling
     block [[Re s, -Im s], [Im s, Re s]] (real/imaginary Jacobi pair), so
-    the torus detection pipeline applies unchanged.
+    the torus detection pipeline applies unchanged.  The whole (T, 2n, 2n)
+    stack is filled from one evaluation of the amplitudes.
     """
-    degrees = list(degrees)
-    out = []
-    for t in np.asarray(times, dtype=float):
-        m = np.zeros((2 * len(degrees), 2 * len(degrees)))
-        for j, n in enumerate(degrees):
-            _, s = closed_form(t, SphereMode(n, beta))
-            b = 2 * j
-            m[b, b] = s.real
-            m[b, b + 1] = -s.imag
-            m[b + 1, b] = s.imag
-            m[b + 1, b + 1] = s.real
-        out.append(OperatorSample(float(t), m, "Phi"))
-    return out
+    modes = [SphereMode(n, beta) for n in degrees]
+    times = np.asarray(times, dtype=float)
+    _, s = _amplitudes(modes, times)
+    s = s.T  # (T, n)
+    b = np.arange(0, 2 * len(modes), 2)
+    stack = np.zeros((len(times), 2 * len(modes), 2 * len(modes)))
+    stack[:, b, b] = s.real
+    stack[:, b, b + 1] = -s.imag
+    stack[:, b + 1, b] = s.imag
+    stack[:, b + 1, b + 1] = s.real
+    return [OperatorSample(float(t), m, "Phi") for t, m in zip(times, stack)]
 
 
 SCAN_HEADER = "n,beta,T_n"

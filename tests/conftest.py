@@ -1,6 +1,5 @@
 """Shared fixtures: one moderately expensive geodesic reused across tests."""
 
-import numpy as np
 import pytest
 
 from sqglab import euler_arnold, jacobi
@@ -34,8 +33,3 @@ def shear_lambdas(shear_record, shear_basis):
 def shear_phi(shear_record, shear_basis, shear_lambdas):
     return jacobi.evolve_phi(shear_record, shear_basis, SHEAR_BETA,
                              lambdas=shear_lambdas)
-
-
-@pytest.fixture()
-def rng():
-    return np.random.default_rng(1234)

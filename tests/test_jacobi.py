@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
+from scipy.optimize import minimize_scalar
 
 from sqglab import jacobi, morse, sphere
 from sqglab.euler_arnold import SolverConfig, simulate
@@ -33,6 +35,71 @@ def _lambda_reference(d, beta, basis):
     c = _compose_many(c, g, d.forward)                # R_gamma
     c *= w_bwd                                        # (-Lap)^(b/2-1)
     return basis.coords_many(c)
+
+
+def _detect_reference(phi_samples, threshold_factor=1e-3):
+    """Conjugate detection with per-sample svd/det and a spline over every entry.
+
+    Returns (times, sigma_min, det_sign, detected, threshold).
+    """
+    pts = [(s.t, s.matrix / s.t) for s in phi_samples if s.t > 0]
+    times = np.array([p[0] for p in pts])
+    mats = np.array([p[1] for p in pts])
+    sig = np.array([np.linalg.svd(m, compute_uv=False) for m in mats])[:, -1]
+    dets = np.array([np.sign(np.linalg.det(m)) for m in mats])
+    thr = threshold_factor * float(np.median(sig))
+    spline = CubicSpline(times, mats, axis=0)
+
+    def sigma_at(t):
+        return float(np.linalg.svd(spline(t), compute_uv=False)[-1])
+
+    def det_at(t):
+        return float(np.linalg.det(spline(t)))
+
+    detected = []
+    for i in range(len(times)):
+        is_min = ((i == 0 or sig[i] <= sig[i - 1])
+                  and (i == len(times) - 1 or sig[i] <= sig[i + 1]))
+        if not is_min:
+            continue
+        lo = times[max(i - 1, 0)]
+        hi = times[min(i + 1, len(times) - 1)]
+        if np.sign(det_at(lo)) != np.sign(det_at(hi)) and lo < hi:
+            a, b = lo, hi
+            fa = det_at(a)
+            for _ in range(80):
+                mid = 0.5 * (a + b)
+                fm = det_at(mid)
+                if np.sign(fm) == np.sign(fa):
+                    a, fa = mid, fm
+                else:
+                    b = mid
+            t_star = 0.5 * (a + b)
+        else:
+            res = minimize_scalar(sigma_at, bounds=(lo, hi), method="bounded",
+                                  options={"xatol": 1e-12})
+            t_star = float(res.x)
+        if sigma_at(t_star) >= thr:
+            continue
+        mult = int(np.sum(np.linalg.svd(spline(t_star), compute_uv=False) < thr))
+        detected.append((float(t_star), max(mult, 1)))
+    dedup = []
+    for t, m in sorted(detected):
+        if dedup and abs(t - dedup[-1][0]) < 1e-9:
+            continue
+        dedup.append((t, m))
+    return times, sig, dets, dedup, thr
+
+
+def _assert_detection_matches_reference(phi):
+    times, sig, dets, detected, thr = _detect_reference(phi)
+    report = jacobi.detect_conjugate(phi)
+    assert np.array_equal(report.times, times)
+    assert np.array_equal(report.sigma_min, sig)
+    assert np.array_equal(report.det_sign, dets)
+    assert report.detected == detected
+    assert report.threshold == thr
+    return report
 
 
 def _rel_err(a, b):
@@ -203,3 +270,39 @@ def test_conjugate_report_csv_schema():
     t_val, mult = tail[0].split(",")
     assert abs(float(t_val) - t_star) < 1e-6
     assert int(mult) == 2
+
+
+def test_detect_conjugate_matches_reference_on_readme_scan():
+    times = np.linspace(0.0, 7.2, 801)
+    phi = sphere.sphere_phi_samples(range(1, 31), 1.0, times)
+    report = _assert_detection_matches_reference(phi)
+    assert report.detected
+
+
+def test_detect_conjugate_matches_reference_on_criterion_10_stack():
+    times = np.linspace(0.0, 1.1 * sphere.conjugate_time(1, 0.5), 801)
+    phi = sphere.sphere_phi_samples(range(1, 31), 0.5, times)
+    report = _assert_detection_matches_reference(phi)
+    assert report.detected
+
+
+def test_detect_conjugate_matches_reference_on_dense_phi(random_record):
+    basis = jacobi.make_basis(grid(64), 4, 0.5)
+    phi = jacobi.evolve_phi(random_record, basis, 0.5)
+    assert len(phi) == 5
+    assert np.all(phi[-1].matrix != 0)  # dense: the support is every entry
+    _assert_detection_matches_reference(phi)
+
+
+def test_detect_conjugate_support_spans_all_samples():
+    # one off-block entry is non-zero at a single interior sample only,
+    # next to the first conjugate time, so the spline sees it there alone
+    times = np.linspace(0.0, 1.3 * sphere.conjugate_time(2, 1.0), 401)
+    phi = sphere.sphere_phi_samples([1, 2, 3], 1.0, times)
+    plain = jacobi.detect_conjugate(phi)
+    i = int(np.searchsorted(times, plain.detected[0][0]))
+    m = phi[i].matrix.copy()
+    m[0, 5] = 0.5 * np.max(np.abs(m))
+    phi[i] = jacobi.OperatorSample(phi[i].t, m, "Phi")
+    report = _assert_detection_matches_reference(phi)
+    assert report.detected != plain.detected

@@ -58,12 +58,6 @@ def test_weyl_asymptotic_device():
         assert abs(exact / (np.pi * lam) - 1.0) < 0.05
 
 
-def test_operator_l2_norm_matches_svd(rng):
-    a = rng.normal(size=(30, 30))
-    assert np.isclose(morse.operator_l2_norm(a),
-                      np.linalg.svd(a, compute_uv=False)[0], rtol=1e-9)
-
-
 def test_delta_inf_on_short_shear_record():
     g = grid(64)
     cfg = SolverConfig(beta=0.5, dt=2e-3, t_final=0.2, n=64, snapshot_stride=25)

@@ -90,3 +90,30 @@ def test_phi_samples_block_structure():
     # off-diagonal blocks stay zero; each block is a rotation-scaling
     assert np.max(np.abs(m[:2, 2:])) < 1e-14
     assert np.isclose(m[0, 0], m[1, 1]) and np.isclose(m[0, 1], -m[1, 0])
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+def test_phi_samples_match_per_mode_closed_form(beta):
+    degrees = range(1, 31)
+    times = np.linspace(0.0, 7.2, 97)
+    stack = np.array([s.matrix for s in sphere.sphere_phi_samples(degrees, beta, times)])
+    outside = stack.copy()
+    for j, n in enumerate(degrees):
+        _, s = sphere.closed_form(times, sphere.SphereMode(n, beta))
+        block = np.stack([np.stack([s.real, -s.imag], -1),
+                          np.stack([s.imag, s.real], -1)], -2)
+        b = 2 * j
+        assert (np.max(np.abs(stack[:, b:b + 2, b:b + 2] - block))
+                <= 1e-15 * np.max(np.abs(s)))
+        outside[:, b:b + 2, b:b + 2] = 0.0
+    assert not outside.any()
+
+
+def test_integrate_mode_rejects_partial_final_step():
+    mode = sphere.SphereMode(1, 0.5)
+    with pytest.raises(ValueError, match="not a multiple"):
+        sphere.integrate_mode(mode, 0.003, 0.01)
+    with pytest.raises(ValueError, match="not a multiple"):
+        sphere.integrate_mode(mode, 0.003, 0.001)
+    times, _, _ = sphere.integrate_mode(mode, 0.003, 0.009)
+    assert len(times) == 4 and np.isclose(times[-1], 0.009)
