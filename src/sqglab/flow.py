@@ -20,6 +20,7 @@ from .spectral import (
     TWO_PI,
     grid,
     interpolate,
+    read_checkpoint,
 )
 
 
@@ -180,16 +181,8 @@ def save_flowmap(path, fm: FlowMap):
 
 
 def load_flowmap(path) -> FlowMap:
-    with open(path, "rb") as fh:
-        magic = fh.read(5)
-        if magic != MAGIC_FLOW:
-            raise ValueError(f"bad magic {magic!r}, expected {MAGIC_FLOW!r}")
-        version, n = struct.unpack("<II", fh.read(8))
-        if version != 1:
-            raise ValueError(f"unsupported version {version}")
-        cx = np.frombuffer(fh.read(16 * n * n), dtype="<c16").reshape(n, n)
-        cy = np.frombuffer(fh.read(16 * n * n), dtype="<c16").reshape(n, n)
-    g = grid(n)
-    dx = np.fft.ifft2(cx.astype(complex)).real * n**2
-    dy = np.fft.ifft2(cy.astype(complex)).real * n**2
-    return FlowMap(g, dx, dy)
+    cx, cy = read_checkpoint(path, MAGIC_FLOW, 2)
+    n = cx.shape[0]
+    dx = np.fft.ifft2(cx).real * n**2
+    dy = np.fft.ifft2(cy).real * n**2
+    return FlowMap(grid(n), dx, dy)

@@ -8,15 +8,18 @@ problem into dense matrices:
     K0 w        = ad*_w u0                  (antisymmetric)
 
 Lambda(t) is assembled as the Gram matrix <Ad_gamma e_i, Ad_gamma e_j>_beta
-of the pushed-forward basis.  Every basis stream is a single cos or sin
-mode, so the stream e_j o gamma^-1 of Ad_gamma e_j is evaluated directly
-at the inverse-map points; no Fourier series is summed off the grid.
+of the pushed-forward basis over the dealiased half-spectrum.  Every basis
+stream is a single cos or sin mode, so the stream e_j o gamma^-1 of
+Ad_gamma e_j is evaluated directly at the inverse-map points, one complex
+exponential per wavevector; no Fourier series is summed off the grid.  For
+the same reason K0 is a lookup in the spectrum of (-Lap)^(1-b/2) psi_u0.
 
 The solution operator Phi(t) of the linearized Cauchy problem is evolved
-as the first-order system m = Lambda w, m' = -K0 Lambda^-1 m, v' = w, and
-split into the absolutely-continuous part Omega = int Lambda^-1 and the
-compact remainder Gamma.  Conjugate points are flagged from the smallest
-singular value of Phi(t)/t.
+as the first-order system m = Lambda w, m' = -K0 Lambda^-1 m, v' = w, in
+the frame of one generalized eigendecomposition per snapshot interval
+(no linear solves), and split into the absolutely-continuous part Omega = int
+Lambda^-1 and the compact remainder Gamma.  Conjugate points are flagged
+from the smallest singular value of Phi(t)/t.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import linalg as sla
 from scipy.integrate import cumulative_simpson
 from scipy.interpolate import CubicSpline
 from scipy.optimize import minimize_scalar
@@ -48,7 +52,7 @@ class GalerkinBasis:
     grid: SpectralGrid
     cutoff: int
     beta: float
-    modes: list = field(repr=False)       # (kx, ky, "cos"|"sin")
+    modes: list = field(repr=False)       # (kx, ky, "cos"|"sin"), cos then sin per k
     coeffs: np.ndarray = field(repr=False)  # (d, N, N) stream coefficients
 
     @property
@@ -67,39 +71,61 @@ class GalerkinBasis:
         return self.coords_many(psi.coeff[None])[:, 0]
 
     def coords_many(self, coeffs: np.ndarray) -> np.ndarray:
-        """Coordinates of a (m, N, N) stack of streams, one column per stream."""
-        w = _k_power(self.grid, 1.0 - self.beta / 2.0)
-        flat = (w * coeffs).reshape(len(coeffs), -1)
-        e = self.coeffs.reshape(self.dim, -1)
-        return (np.conj(e) @ flat.T).real * TWO_PI**2
+        """Coordinates of a (m, N, N) stack of real streams, one column per stream."""
+        return self.coords_half(_band(self.grid, coeffs))
+
+    def coords_half(self, half: np.ndarray) -> np.ndarray:
+        """Coordinates of real streams given on the band of ``_band`` (as ``compose`` returns).
+
+        The basis streams live inside the band, so nothing outside it counts.
+        """
+        g = self.grid
+        e = np.conj(_band(g, self.coeffs)) * _band_weight(g, 1.0 - self.beta / 2.0)
+        return (e.reshape(self.dim, -1) @ half.reshape(len(half), -1).T).real * TWO_PI**2
 
     def gram(self) -> np.ndarray:
         return self.coords_many(self.coeffs)
 
     def compose(self, fm) -> np.ndarray:
-        """Coefficients of e_j o fm for the whole basis, re-projected.
+        """Half-spectrum coefficients of e_j o fm for the whole basis.
 
-        Each stream is scale * cos(k.x) or scale * sin(k.x), sampled in
-        closed form at the mapped grid points; the projection keeps the
-        dealiased modes and zeroes the mean.
+        The cos and sin streams of a wavevector k are the real and imaginary
+        parts of scale * exp(i k.x), sampled once at the mapped grid points
+        as exp(i kx x) exp(i ky y).  The real samples go through one real
+        transform, pruned to the columns of the dealiased band (``_band``):
+        shape (d, 2c + 1, c + 1).  The k = 0 entry holds the mean, which
+        every weight of ``_band_weight`` zeroes.
         """
         g = self.grid
+        n, kmax = g.n, self.cutoff
         px, py = fm.points()
-        vals = np.empty((self.dim, g.n, g.n))
-        for j, (kx, ky, kind) in enumerate(self.modes):
-            trig = np.cos if kind == "cos" else np.sin
-            vals[j] = _mode_scale(kx, ky, self.beta) * trig(kx * px + ky * py)
-        c = np.fft.fft2(vals) / g.n**2
-        c *= g.dealias_mask
-        c[:, 0, 0] = 0.0
-        return c
+        ex = np.exp(1j * np.arange(kmax + 1)[:, None, None] * px)        # kx = 0..K
+        ey = np.exp(1j * np.arange(-kmax, kmax + 1)[:, None, None] * py)  # ky = -K..K
+        vals = np.empty((self.dim // 2, 2, n, n))
+        for j, (kx, ky, _) in enumerate(self.modes[::2]):
+            z = _mode_scale(kx, ky, self.beta) * (ex[kx] * ey[ky + kmax])
+            vals[j, 0] = z.real  # the cos stream of k
+            vals[j, 1] = z.imag  # the sin stream of k
+        half = np.fft.rfft(vals.reshape(self.dim, n, n), axis=-1)[..., :g.cutoff + 1]
+        return _band(g, np.fft.fft(half, axis=-2)) / n**2
 
 
-def _k_power(g: SpectralGrid, alpha: float) -> np.ndarray:
-    """The multiplier |k|^(2 alpha) of (-Lap)^alpha, zero at k = 0."""
-    w = np.zeros_like(g.k2)
-    nz = g.k2 > 0
-    w[nz] = g.k2[nz] ** alpha
+def _band(g: SpectralGrid, a: np.ndarray) -> np.ndarray:
+    """The dealiased half-spectrum kx in [-c, c], ky in [0, c] of coefficient arrays."""
+    c = g.cutoff
+    return a[..., np.r_[0:c + 1, g.n - c:g.n], :c + 1]
+
+
+def _band_weight(g: SpectralGrid, alpha: float) -> np.ndarray:
+    """|k|^(2 alpha) on ``_band`` times the Hermitian multiplicity.
+
+    A real field has c(-k) = conj(c(k)), so a full-spectrum sum of
+    w(k) Re(conj(a_k) b_k) with even w is the band sum with multiplicity 2,
+    except on the ky = 0 column, which holds both k and -k (as the Nyquist
+    column would; it lies outside the 2/3 band).
+    """
+    w = 2.0 * _band(g, g.k_power(alpha))
+    w[:, 0] /= 2.0
     return w
 
 
@@ -151,41 +177,46 @@ class OperatorSample:
     def symmetry_error(self) -> float:
         return float(np.max(np.abs(self.matrix - self.matrix.T)))
 
-    def antisymmetry_error(self) -> float:
-        return float(np.max(np.abs(self.matrix + self.matrix.T)))
-
 
 def k0_matrix(u0: VectorFieldExact, beta: float, basis: GalerkinBasis) -> OperatorSample:
-    """Matrix of K0 w = ad*_w u0 in the basis coordinates.
+    """Matrix of K0 w = ad*_w u0 in the basis coordinates, in closed form.
 
     Column j is ad*_{e_j} u0, whose stream is (-Lap)^(b/2-1) of the bracket
-    {(-Lap)^(1-b/2) psi_u0, e_j}.  The brackets of the whole basis are formed
-    in one pass with the derivatives, 2/3-rule dealiasing and zero mean of
-    ``poisson_bracket``.
+    {S, e_j}, S = (-Lap)^(1-b/2) psi_u0.  Each basis stream is one +-k mode,
+    e_j = sum_s c_j^s exp(i s k_j.x), and the bracket of S with exp(i q.x)
+    has the coefficient (p x q) S[p - q] at p, so
+
+        K0_ij = (2 pi)^2 Re sum_{t,s = +-1} conj(c_i^t) c_j^s (t k_i x s k_j) S[t k_i - s k_j]
+
+    with S the 2/3-masked spectrum: a lookup, no transform.  A 2/3-rule
+    product aliased onto a basis mode would need p parallel to q, where the
+    cross product vanishes, so this equals the dealiased grid bracket.  The
+    antisymmetric part is returned, so K0^T = -K0 exactly.
     """
     check_beta(beta)
     g = basis.grid
-    n2 = g.n**2
     s = frac_laplacian(u0.stream, 1.0 - beta / 2.0).coeff * g.dealias_mask
-    e = basis.coeffs  # inside the dealias cutoff by construction
-    sx = np.fft.ifft2(g.ikx * s).real * n2
-    sy = np.fft.ifft2(g.iky * s).real * n2
-    ex = np.fft.ifft2(g.ikx * e, axes=(-2, -1)).real * n2
-    ey = np.fft.ifft2(g.iky * e, axes=(-2, -1)).real * n2
-    br = np.fft.fft2(sy * ex - sx * ey, axes=(-2, -1)) / n2
-    br *= g.dealias_mask * _k_power(g, beta / 2.0 - 1.0)
-    return OperatorSample(0.0, basis.coords_many(br), "K0")
+    k = np.array([mode[:2] for mode in basis.modes])
+    c = basis.coeffs[np.arange(basis.dim), k[:, 0] % g.n, k[:, 1] % g.n]  # c_j^+
+    k = np.concatenate([k, -k])          # signed modes t k_i, first t = +1
+    c = np.concatenate([c, np.conj(c)])  # c_i^-(k) = conj(c_i^+) for a real stream
+    cross = k[:, None, 0] * k[None, :, 1] - k[:, None, 1] * k[None, :, 0]
+    dk = (k[:, None] - k[None, :]) % g.n
+    terms = (np.conj(c)[:, None] * c[None, :] * cross * s[dk[..., 0], dk[..., 1]]).real
+    m = terms.reshape(2, basis.dim, 2, basis.dim).sum(axis=(0, 2)) * TWO_PI**2
+    return OperatorSample(0.0, 0.5 * (m - m.T), "K0")
 
 
 def lambda_matrix(d: DiffeoSample, beta: float, basis: GalerkinBasis) -> OperatorSample:
     """Lambda(t) as the Gram matrix of the directly evaluated pushed-forward basis.
 
-    Lambda_ij = <Ad_gamma e_i, Ad_gamma e_j>_beta = (2 pi)^2 Re(A^H A) with
-    A_kj = |k|^(1-beta/2) c_k(e_j o gamma^-1), so the matrix is symmetric
-    positive-semidefinite by construction.
+    Lambda_ij = <Ad_gamma e_i, Ad_gamma e_j>_beta = (2 pi)^2 Re(A^H W A) with
+    A_kj = c_k(e_j o gamma^-1) on the dealiased half-spectrum and W the
+    weights |k|^(2-beta) times the Hermitian multiplicity, so the matrix is
+    symmetric positive-semidefinite by construction.
     """
     check_beta(beta)
-    a = basis.compose(d.inverse) * np.sqrt(_k_power(basis.grid, 1.0 - beta / 2.0))
+    a = basis.compose(d.inverse) * np.sqrt(_band_weight(basis.grid, 1.0 - beta / 2.0))
     b = a.reshape(basis.dim, -1).view(float)  # real and imaginary parts side by side
     return OperatorSample(d.t, (b @ b.T) * TWO_PI**2, "Lambda")
 
@@ -206,29 +237,34 @@ def lambda_samples(record: GeodesicRecord, basis: GalerkinBasis,
     return [lambda_matrix(d, beta, basis) for d in record.diffeos]
 
 
-class _MatrixInterpolant:
-    """Piecewise-linear interpolation of operator samples in time."""
+def _segment_eigh(lam0: OperatorSample, lam1: OperatorSample) -> tuple[np.ndarray, np.ndarray]:
+    """(mu, X) with Lambda_1 X = Lambda_0 X diag(mu) and X^T Lambda_0 X = I.
 
-    def __init__(self, times, matrices):
-        self.times = np.asarray(times)
-        self.matrices = np.asarray(matrices)
-
-    def __call__(self, t: float) -> np.ndarray:
-        ts = self.times
-        if t <= ts[0]:
-            return self.matrices[0]
-        if t >= ts[-1]:
-            return self.matrices[-1]
-        i = int(np.searchsorted(ts, t) - 1)
-        s = (t - ts[i]) / (ts[i + 1] - ts[i])
-        return (1 - s) * self.matrices[i] + s * self.matrices[i + 1]
+    X diagonalizes the whole segment Lambda(s) = (1 - s) Lambda_0 + s Lambda_1:
+    X^T Lambda(s) X = diag(1 - s + s mu), so Lambda(s)^-1 = X diag(1 / (1 - s + s mu)) X^T,
+    symmetric positive-definite for s in [0, 1].
+    """
+    try:
+        return sla.eigh(lam1.matrix, lam0.matrix)
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(
+            f"Lambda({lam0.t}) is not positive-definite; raise the resolution "
+            f"or lower the basis cutoff"
+        ) from exc
 
 
 def evolve_phi(record: GeodesicRecord, basis: GalerkinBasis, beta: float,
                substeps: int = 10,
                lambdas: list[OperatorSample] | None = None,
                k0: OperatorSample | None = None) -> list[OperatorSample]:
-    """Phi(t_i) at the record snapshot times; Phi(0) = 0, Phi'(0) = I."""
+    """Phi(t_i) at the record snapshot times; Phi(0) = 0, Phi'(0) = I.
+
+    Lambda(t) is linear in time between snapshots, so each interval is
+    diagonalized once (``_segment_eigh``) and RK4 runs in its eigenframe
+    q = X^T m, where m' = -K0 Lambda^-1 m reads q' = -(X^T K0 X) D(s)^-1 q
+    and v' = X D(s)^-1 q: one matmul per stage and no solve.  RK4 is
+    linear, so this is the same step as RK4 on (m, v).
+    """
     check_beta(beta)
     record.require_flow_maps("evolve_phi")
     if lambdas is None:
@@ -236,30 +272,34 @@ def evolve_phi(record: GeodesicRecord, basis: GalerkinBasis, beta: float,
     if k0 is None:
         k0 = k0_matrix(record.u0(), beta, basis)
     times = np.asarray(record.times)
-    lam = _MatrixInterpolant(times, [s.matrix for s in lambdas])
     d = basis.dim
 
     m = np.eye(d)       # m = Lambda w, m(0) = Lambda(0) w0 = w0
     v = np.zeros((d, d))
     out = [OperatorSample(0.0, v.copy(), "Phi")]
 
-    def deriv(t, state):
-        m_, v_ = state
-        w = np.linalg.solve(lam(t), m_)
-        return -k0.matrix @ w, w
-
     for i in range(len(times) - 1):
+        mu, x = _segment_eigh(lambdas[i], lambdas[i + 1])
+        a = x.T @ k0.matrix @ x
+        q = x.T @ m
+        u = np.zeros((d, d))  # v gains X u over the interval
+
+        def deriv(s, q_):
+            r = q_ / (1.0 - s + s * mu)[:, None]  # X^T Lambda(s)^-1 m = X^-1 w
+            return -a @ r, r
+
         h = (times[i + 1] - times[i]) / substeps
-        t = times[i]
-        for _ in range(substeps):
-            s = (m, v)
-            k1 = deriv(t, s)
-            k2 = deriv(t + h / 2, (m + h / 2 * k1[0], v + h / 2 * k1[1]))
-            k3 = deriv(t + h / 2, (m + h / 2 * k2[0], v + h / 2 * k2[1]))
-            k4 = deriv(t + h, (m + h * k3[0], v + h * k3[1]))
-            m = m + h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-            v = v + h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-            t += h
+        ds = 1.0 / substeps
+        for j in range(substeps):
+            s = j * ds
+            k1 = deriv(s, q)
+            k2 = deriv(s + ds / 2, q + h / 2 * k1[0])
+            k3 = deriv(s + ds / 2, q + h / 2 * k2[0])
+            k4 = deriv(s + ds, q + h * k3[0])
+            q = q + h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+            u = u + h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+        m = lambdas[i].matrix @ (x @ q)  # X^-T = Lambda_0 X
+        v = v + x @ u
         out.append(OperatorSample(times[i + 1], v.copy(), "Phi"))
     return out
 

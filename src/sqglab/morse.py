@@ -92,12 +92,12 @@ def _count_below(spectrum: Spectrum, lam: float) -> int:
 
 def ad_inverse_matrix(d, basis: GalerkinBasis) -> np.ndarray:
     """Matrix of Ad_{gamma^-1} v = grad_perp(psi_v o gamma) in basis coords."""
-    return basis.coords_many(basis.compose(d.forward))
+    return basis.coords_half(basis.compose(d.forward))
 
 
 def ad_matrix(d, basis: GalerkinBasis) -> np.ndarray:
     """Matrix of Ad_gamma v = grad_perp(psi_v o gamma^-1) in basis coords."""
-    return basis.coords_many(basis.compose(d.inverse))
+    return basis.coords_half(basis.compose(d.inverse))
 
 
 def delta_inf(record: GeodesicRecord, cutoff: int = 6) -> float:
@@ -125,10 +125,7 @@ def c_constant(u0: VectorFieldExact, beta: float, basis: GalerkinBasis) -> float
     matrix of the stream functions in the order-beta/2 homogeneous norm.
     """
     k = k0_matrix(u0, beta, basis).matrix
-    g = basis.grid
-    w = np.zeros_like(g.k2)
-    nz = g.k2 > 0
-    w[nz] = g.k2[nz] ** (beta / 2.0)
+    w = basis.grid.k_power(beta / 2.0)
     e = basis.coeffs.reshape(basis.dim, -1)
     gram = (np.conj(e) @ (w.reshape(-1)[:, None] * e.T)).real * TWO_PI**2
     vals = sla.eigh(k.T @ k, gram, eigvals_only=True)

@@ -66,6 +66,18 @@ class SpectralGrid:
         x = TWO_PI * np.arange(n) / n
         self.x = x[:, None] * np.ones((1, n))
         self.y = np.ones((n, 1)) * x[None, :]
+        self._k_power: dict[float, np.ndarray] = {}
+
+    def k_power(self, alpha: float) -> np.ndarray:
+        """The multiplier |k|^(2 alpha) of (-Lap)^alpha, zero at k = 0 (cached, read-only)."""
+        w = self._k_power.get(alpha)
+        if w is None:
+            w = np.zeros_like(self.k2)
+            nz = self.k2 > 0
+            w[nz] = self.k2[nz] ** alpha
+            w.flags.writeable = False
+            self._k_power[alpha] = w
+        return w
 
     def __eq__(self, other):
         return isinstance(other, SpectralGrid) and other.n == self.n
@@ -189,10 +201,7 @@ def frac_laplacian(f: ScalarField, alpha: float) -> ScalarField:
         raise MeanNonzeroError(
             f"(-Delta)^{alpha} needs a mean-zero field, mean = {f.coeff[0, 0]:.3e}"
         )
-    mult = np.zeros_like(g.k2)
-    nz = g.k2 > 0
-    mult[nz] = g.k2[nz] ** alpha
-    c = f.coeff * mult
+    c = f.coeff * g.k_power(alpha)
     c[0, 0] = 0.0
     return ScalarField(g, c)
 
@@ -338,10 +347,7 @@ def inner_product_beta(psi_u: ScalarField, psi_v: ScalarField, beta: float) -> f
     """
     check_beta(beta)
     _check_same_grid(psi_u, psi_v)
-    g = psi_u.grid
-    w = np.zeros_like(g.k2)
-    nz = g.k2 > 0
-    w[nz] = g.k2[nz] ** (1.0 - beta / 2.0)
+    w = psi_u.grid.k_power(1.0 - beta / 2.0)
     s = np.sum(w * np.conj(psi_u.coeff) * psi_v.coeff)
     return float(s.real * TWO_PI**2)
 
@@ -352,10 +358,7 @@ def norm_beta(psi: ScalarField, beta: float) -> float:
 
 def stream_sobolev_sq(psi: ScalarField, alpha: float) -> float:
     """Squared homogeneous Sobolev norm of the stream itself, order alpha."""
-    g = psi.grid
-    w = np.zeros_like(g.k2)
-    nz = g.k2 > 0
-    w[nz] = g.k2[nz] ** alpha
+    w = psi.grid.k_power(alpha)
     return float(np.sum(w * np.abs(psi.coeff) ** 2).real * TWO_PI**2)
 
 
@@ -374,13 +377,31 @@ def save_field(path, f: ScalarField):
         fh.write(np.ascontiguousarray(f.coeff, dtype="<c16").tobytes())
 
 
-def load_field(path) -> ScalarField:
+def read_checkpoint(path, magic: bytes, channels: int) -> list[np.ndarray]:
+    """The N x N complex coefficient channels of a checkpoint file.
+
+    The layout is magic, version u32 = 1, N u32, then ``channels`` arrays of
+    N*N c128 row-major; a file of any other length is rejected.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != MAGIC_FIELD:
-            raise ValueError(f"bad magic {magic!r}, expected {MAGIC_FIELD!r}")
-        version, n = struct.unpack("<II", fh.read(8))
-        if version != 1:
-            raise ValueError(f"unsupported version {version}")
-        data = np.frombuffer(fh.read(16 * n * n), dtype="<c16").reshape(n, n)
-    return ScalarField(grid(n), data.astype(complex))
+        data = fh.read()
+    if data[:len(magic)] != magic:
+        raise ValueError(f"bad magic {data[:len(magic)]!r}, expected {magic!r}")
+    header = len(magic) + 8
+    if len(data) < header:
+        raise ValueError(f"checkpoint {path} has {len(data)} bytes, "
+                         f"shorter than its {header}-byte header")
+    version, n = struct.unpack_from("<II", data, len(magic))
+    if version != 1:
+        raise ValueError(f"unsupported version {version}")
+    size = 16 * n * n
+    if len(data) != header + channels * size:
+        raise ValueError(f"checkpoint {path} for N = {n} should have "
+                         f"{header + channels * size} bytes, found {len(data)}")
+    return [np.frombuffer(data, dtype="<c16", count=n * n, offset=header + i * size)
+            .reshape(n, n).astype(complex) for i in range(channels)]
+
+
+def load_field(path) -> ScalarField:
+    (c,) = read_checkpoint(path, MAGIC_FIELD, 1)
+    return ScalarField(grid(c.shape[0]), c)

@@ -122,6 +122,17 @@ def test_flowmap_checkpoint_roundtrip(tmp_path):
     assert np.max(np.abs(fm2.disp_y - fm.disp_y)) < 1e-12
 
 
+@pytest.mark.parametrize("edit, found", [(lambda b: b[:-1], 13 + 32 * 32**2 - 1),
+                                         (lambda b: b + b"\x00" * 16, 13 + 32 * 32**2 + 16)],
+                         ids=["truncated", "trailing"])
+def test_flowmap_checkpoint_wrong_length_rejected(tmp_path, edit, found):
+    p = tmp_path / "gamma.gsqgf"
+    save_flowmap(p, FlowMap.identity(grid(32)))
+    p.write_bytes(edit(p.read_bytes()))
+    with pytest.raises(ValueError, match=f"should have {13 + 32 * 32**2} bytes, found {found}"):
+        load_flowmap(p)
+
+
 def test_flowmap_checkpoint_bad_magic(tmp_path):
     p = tmp_path / "bad.gsqgf"
     p.write_bytes(b"WRONG" + b"\x00" * 64)

@@ -37,6 +37,54 @@ def _lambda_reference(d, beta, basis):
     return basis.coords_many(c)
 
 
+class _MatrixInterpolant:
+    """Piecewise-linear interpolation of operator samples in time."""
+
+    def __init__(self, times, matrices):
+        self.times = np.asarray(times)
+        self.matrices = np.asarray(matrices)
+
+    def __call__(self, t):
+        ts = self.times
+        if t <= ts[0]:
+            return self.matrices[0]
+        if t >= ts[-1]:
+            return self.matrices[-1]
+        i = int(np.searchsorted(ts, t) - 1)
+        s = (t - ts[i]) / (ts[i + 1] - ts[i])
+        return (1 - s) * self.matrices[i] + s * self.matrices[i + 1]
+
+
+def _evolve_phi_reference(record, lambdas, k0, substeps=10):
+    """Phi(t_i) by RK4 on (m, v) with one linear solve per stage."""
+    times = np.asarray(record.times)
+    lam = _MatrixInterpolant(times, [s.matrix for s in lambdas])
+    d = k0.shape[0]
+    m = np.eye(d)
+    v = np.zeros((d, d))
+    out = [v.copy()]
+
+    def deriv(t, state):
+        m_, v_ = state
+        w = np.linalg.solve(lam(t), m_)
+        return -k0 @ w, w
+
+    for i in range(len(times) - 1):
+        h = (times[i + 1] - times[i]) / substeps
+        t = times[i]
+        for _ in range(substeps):
+            s = (m, v)
+            k1 = deriv(t, s)
+            k2 = deriv(t + h / 2, (m + h / 2 * k1[0], v + h / 2 * k1[1]))
+            k3 = deriv(t + h / 2, (m + h / 2 * k2[0], v + h / 2 * k2[1]))
+            k4 = deriv(t + h, (m + h * k3[0], v + h * k3[1]))
+            m = m + h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+            v = v + h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+            t += h
+        out.append(v.copy())
+    return out
+
+
 def _detect_reference(phi_samples, threshold_factor=1e-3):
     """Conjugate detection with per-sample svd/det and a spline over every entry.
 
@@ -144,10 +192,11 @@ def test_coords_roundtrip():
 
 def test_k0_antisymmetric():
     g = grid(64)
-    basis = jacobi.make_basis(g, 4, 0.5)
     u0 = gradient_perp(random_stream(g, 9, 3))
-    k0 = jacobi.k0_matrix(u0, 0.5, basis)
-    assert k0.antisymmetry_error() < 1e-10
+    for beta in (0.0, 0.5, 1.0):
+        basis = jacobi.make_basis(g, 4, beta)
+        k0 = jacobi.k0_matrix(u0, beta, basis).matrix
+        assert np.array_equal(k0, -k0.T)
 
 
 def test_k0_matches_coadjoint_columns():
@@ -161,6 +210,21 @@ def test_k0_matches_coadjoint_columns():
             for j in range(basis.dim)])
         got = jacobi.k0_matrix(u0, beta, basis).matrix
         assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+
+def test_k0_matches_coadjoint_columns_at_dealias_cutoff():
+    # on N = 18 the basis and the band of u0 reach the 2/3 cutoff 6, where
+    # grid products of modes at kx = 6 alias onto kx = -6
+    g = grid(18)
+    rng = np.random.default_rng(5)
+    u0 = gradient_perp(ScalarField.from_values(g, rng.normal(size=(18, 18))).dealiased())
+    basis = jacobi.make_basis(g, g.cutoff, 0.5)
+    eye = np.eye(basis.dim)
+    want = np.column_stack([
+        basis.coords_of(coadjoint_algebra(basis.vector_of(eye[j]), u0, 0.5).stream)
+        for j in range(basis.dim)])
+    got = jacobi.k0_matrix(u0, 0.5, basis).matrix
+    assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
 
 def test_lambda_matrix_identity_diffeo():
@@ -178,6 +242,16 @@ def test_lambda_matrix_matches_two_composition_reference(random_record):
         assert _rel_err(lam.matrix, _lambda_reference(d, 0.5, basis)) < 1e-10
 
 
+def test_adjoint_matrices_match_fourier_composition(random_record):
+    g = grid(64)
+    basis = jacobi.make_basis(g, 6, 0.5)
+    d = random_record.diffeos[-1]
+    for got, fm in ((morse.ad_matrix(d, basis), d.inverse),
+                    (morse.ad_inverse_matrix(d, basis), d.forward)):
+        want = basis.coords_many(_compose_many(basis.coeffs, g, fm))
+        assert _rel_err(got, want) < 1e-10
+
+
 def test_lambda_matrix_spd_on_geodesic(shear_record, shear_basis, shear_lambdas):
     lam = shear_lambdas[-1]
     assert lam.symmetry_error() < 1e-12
@@ -185,6 +259,28 @@ def test_lambda_matrix_spd_on_geodesic(shear_record, shear_basis, shear_lambdas)
     assert np.linalg.eigvalsh(sym).min() > 0.0
     inv = jacobi.lambda_inverse(lam)
     assert np.max(np.abs(inv @ lam.matrix - np.eye(lam.matrix.shape[0]))) < 1e-8
+
+
+def test_phi_matches_solve_reference_on_random_record(random_record):
+    basis = jacobi.make_basis(grid(64), 6, 0.5)
+    lams = jacobi.lambda_samples(random_record, basis, 0.5)
+    k0 = jacobi.k0_matrix(random_record.u0(), 0.5, basis)
+    phi = jacobi.evolve_phi(random_record, basis, 0.5, lambdas=lams, k0=k0)
+    want = _evolve_phi_reference(random_record, lams, k0.matrix)
+    assert len(phi) == len(want) == 5
+    assert np.array_equal(phi[0].matrix, want[0])
+    for s, w in zip(phi[1:], want[1:]):
+        assert _rel_err(s.matrix, w) < 1e-12
+
+
+def test_phi_matches_solve_reference_on_shear(shear_record, shear_basis, shear_lambdas,
+                                              shear_phi):
+    k0 = jacobi.k0_matrix(shear_record.u0(), shear_record.config.beta, shear_basis)
+    want = _evolve_phi_reference(shear_record, shear_lambdas, k0.matrix)
+    assert len(shear_phi) == len(want) == 21
+    assert np.array_equal(shear_phi[0].matrix, want[0])
+    for s, w in zip(shear_phi[1:], want[1:]):
+        assert _rel_err(s.matrix, w) < 1e-12
 
 
 def test_k0_passed_once_gives_identical_phi_and_residual(random_record):

@@ -243,3 +243,26 @@ def test_checkpoint_bad_magic(tmp_path):
     p.write_bytes(b"NOPE" + b"\x00" * 64)
     with pytest.raises(ValueError):
         load_field(p)
+
+
+@pytest.mark.parametrize("edit, found", [(lambda b: b[:-16], 12 + 16 * 32**2 - 16),
+                                         (lambda b: b + b"\x00" * 3, 12 + 16 * 32**2 + 3)],
+                         ids=["truncated", "trailing"])
+def test_checkpoint_wrong_length_rejected(tmp_path, edit, found):
+    p = tmp_path / "f.gsqg"
+    save_field(p, random_field(grid(32), 11))
+    p.write_bytes(edit(p.read_bytes()))
+    with pytest.raises(ValueError, match=f"should have {12 + 16 * 32**2} bytes, found {found}"):
+        load_field(p)
+
+
+def test_k_power_cached_read_only_and_exact():
+    g = grid(32)
+    for alpha in (0.75, -0.25, 1.0):
+        w = g.k_power(alpha)
+        assert w is g.k_power(alpha)
+        assert not w.flags.writeable
+        want = np.zeros_like(g.k2)
+        nz = g.k2 > 0
+        want[nz] = g.k2[nz] ** alpha
+        assert np.array_equal(w, want)
