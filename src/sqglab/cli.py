@@ -115,9 +115,8 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _write_manifest(out: Path, command: str, cfg: RunConfig, artifacts: list[Path],
-                    deterministic: bool):
-    lines = [f"command = {command}", f"deterministic = {deterministic}"]
+def _write_manifest(out: Path, command: str, cfg: RunConfig, artifacts: list[Path]):
+    lines = [f"command = {command}"]
     for f in fields(cfg):
         lines.append(f"{f.name} = {getattr(cfg, f.name)}")
     for a in artifacts:
@@ -257,8 +256,6 @@ def main(argv=None) -> int:
                         help="override a config key (repeatable)")
     parser.add_argument("--out", type=Path, default=Path("."),
                         help="output directory")
-    parser.add_argument("--deterministic", action="store_true",
-                        help="force sequential, bit-reproducible runs")
     args = parser.parse_args(argv)
 
     try:
@@ -288,7 +285,7 @@ def main(argv=None) -> int:
     except (NumericalAbort, euler_arnold.CflViolation, np.linalg.LinAlgError) as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 3
-    _write_manifest(out, args.command, cfg, artifacts, args.deterministic)
+    _write_manifest(out, args.command, cfg, artifacts)
     return 0
 
 

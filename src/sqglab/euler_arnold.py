@@ -16,6 +16,7 @@ import numpy as np
 from .flow import (
     FlowMap,
     NumericalAbort,
+    _rk4,
     advance_back_to_labels,
     advance_forward,
     jacobian_det_error,
@@ -50,6 +51,9 @@ def whole_steps(t_final: float, dt: float) -> int:
     return round(steps)
 
 
+CFL_LIMIT = 0.5
+
+
 class CflViolation(RuntimeError):
     """Advective CFL guard tripped."""
 
@@ -62,7 +66,6 @@ class SolverConfig:
     n: int = 64
     snapshot_stride: int = 50
     advance_flow: bool = True
-    cfl_limit: float = 0.5
 
     def validate(self):
         check_beta(self.beta)
@@ -114,24 +117,19 @@ def max_speed(theta: ScalarField, beta: float) -> float:
     return gradient_perp(stream_of(theta, beta)).max_speed()
 
 
-def check_cfl(theta: ScalarField, beta: float, dt: float, limit: float = 0.5):
+def check_cfl(theta: ScalarField, beta: float, dt: float):
     m = max_speed(theta, beta)
     cfl = dt * m * theta.grid.n / TWO_PI
-    if cfl > limit:
+    if cfl > CFL_LIMIT:
         raise CflViolation(
-            f"CFL {cfl:.3f} > {limit} (max|u| = {m:.6g}, dt = {dt:.3g})"
+            f"CFL {cfl:.3f} > {CFL_LIMIT} (max|u| = {m:.6g}, dt = {dt:.3g})"
         )
 
 
-def step_rk4(theta: ScalarField, beta: float, dt: float,
-             cfl_limit: float = 0.5) -> ScalarField:
+def step_rk4(theta: ScalarField, beta: float, dt: float) -> ScalarField:
     """Classical 4-stage step of the scalar transport equation."""
-    check_cfl(theta, beta, dt, cfl_limit)
-    k1 = rhs(theta, beta)
-    k2 = rhs(theta + dt / 2 * k1, beta)
-    k3 = rhs(theta + dt / 2 * k2, beta)
-    k4 = rhs(theta + dt * k3, beta)
-    out = theta + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+    check_cfl(theta, beta, dt)
+    (out,) = _rk4(lambda i, y: (rhs(y[0], beta),), (theta,), dt)
     if not np.all(np.isfinite(out.coeff)):
         raise NumericalAbort("non-finite coefficients after RK4 step")
     return out
@@ -143,28 +141,16 @@ def energy(theta: ScalarField, beta: float) -> float:
     return 0.5 * inner_product_beta(psi, psi, beta)
 
 
-class _StageSampler:
-    """Off-grid velocity evaluation for the flow stages of one RK4 step.
+def _stage_velocity(theta: ScalarField, beta: float):
+    """Velocity components of a stage theta and the spline of the packed ux + i uy.
 
-    Each stage velocity, packed as ux + i uy, becomes quintic spline
-    coefficients on a grid ``SPLINE_UPSAMPLE`` times finer once per stage
-    (the spline prefilter is folded into the spectral upsampling), which
-    the particle stages then sample; this keeps particle advection cheap
+    The spline holds quintic coefficients on a grid ``SPLINE_UPSAMPLE``
+    times finer (the prefilter is folded into the spectral upsampling),
+    which the particle stages sample; this keeps particle advection cheap
     without giving up spectral accuracy of the underlying field.
     """
-
-    def __init__(self, beta: float):
-        self.beta = beta
-        self._coef = {}
-
-    def set_stage(self, key, theta: ScalarField):
-        ux, uy = gradient_perp(stream_of(theta, self.beta)).component_fields()
-        self._coef[key] = _spline_coefficients(ux.coeff + 1j * uy.coeff)
-        return ux, uy
-
-    def eval_stage(self, key, x, y):
-        coef = self._coef[key]
-        return _spline_eval((coef.real, coef.imag), x, y)
+    ux, uy = gradient_perp(stream_of(theta, beta)).component_fields()
+    return (ux, uy), _spline_coefficients(ux.coeff + 1j * uy.coeff)
 
 
 def simulate(psi0: ScalarField, config: SolverConfig,
@@ -184,7 +170,6 @@ def simulate(psi0: ScalarField, config: SolverConfig,
     labels = (ScalarField.zero(g), ScalarField.zero(g))
     record = GeodesicRecord(config=config, psi0=psi0)
     nsteps = whole_steps(config.t_final, config.dt)
-    sampler = _StageSampler(beta) if config.advance_flow else None
 
     def snapshot(t, th, fw, lab):
         inv = labels_to_flowmap(lab)
@@ -193,11 +178,9 @@ def simulate(psi0: ScalarField, config: SolverConfig,
         record.diffeos.append(DiffeoSample(fw, inv, t))
 
     snapshot(0.0, theta, fwd, labels)
-    t = 0.0
     try:
         for step in range(nsteps):
-            theta, fwd, labels = _joint_rk4_step(theta, fwd, labels, t, config,
-                                                 sampler)
+            theta, fwd, labels = _joint_rk4_step(theta, fwd, labels, config)
             t = (step + 1) * config.dt
             if not np.all(np.isfinite(theta.coeff)):
                 raise NumericalAbort(f"non-finite theta at t = {t:.6g}")
@@ -212,47 +195,24 @@ def simulate(psi0: ScalarField, config: SolverConfig,
     return record
 
 
-def _joint_rk4_step(theta, fwd, labels, t, config, sampler):
+def _joint_rk4_step(theta, fwd, labels, config):
+    """One RK4 step of theta; with flow maps, both maps take the same stages."""
     beta, dt = config.beta, config.dt
-    check_cfl(theta, beta, dt, config.cfl_limit)
+    check_cfl(theta, beta, dt)
+    stage_fields, coef = [], []
 
-    stage_thetas = []
-    k_theta = []
-    th = theta
-    # classical RK4 tableau: stages at t, t+dt/2, t+dt/2, t+dt
-    incr = [None, 0.5, 0.5, 1.0]
-    for i in range(4):
-        if i > 0:
-            th = theta + (incr[i] * dt) * k_theta[i - 1]
-        stage_thetas.append(th)
-        k_theta.append(rhs(th, beta))
+    def theta_rhs(i, y):
+        if config.advance_flow:
+            fields, c = _stage_velocity(y[0], beta)
+            stage_fields.append(fields)
+            coef.append(c)
+        return (rhs(y[0], beta),)
 
-    if sampler is not None:
-        # stages 2 and 3 share the midpoint time but carry their own theta,
-        # so stage fields are keyed by stage index, not by time
-        stage_fields = []
-        for i in range(4):
-            ux, uy = sampler.set_stage(i, stage_thetas[i])
-            stage_fields.append((ux, uy))
-
-        # advance_forward/advance_back_to_labels evaluate their four RK4
-        # stages in tableau order; feed the matching stage fields in order
-        calls = iter(range(4))
-
-        def stage_sampler(tt, x, y):
-            return sampler.eval_stage(next(calls), x, y)
-
-        fwd = advance_forward(fwd, stage_sampler, t, dt)
-
-        lab_calls = iter(range(4))
-
-        def lab_fields(tt):
-            return stage_fields[next(lab_calls)]
-
-        labels = advance_back_to_labels(labels, lab_fields, t, dt)
-
-    theta_next = theta + (config.dt / 6) * (k_theta[0] + 2 * k_theta[1]
-                                            + 2 * k_theta[2] + k_theta[3])
+    (theta_next,) = _rk4(theta_rhs, (theta,), dt)
+    if config.advance_flow:
+        fwd = advance_forward(
+            fwd, lambda i, x, y: _spline_eval((coef[i].real, coef[i].imag), x, y), dt)
+        labels = advance_back_to_labels(labels, stage_fields, dt)
     return theta_next, fwd, labels
 
 

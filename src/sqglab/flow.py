@@ -72,25 +72,37 @@ def jacobian_det_error(fm: FlowMap) -> float:
     return float(np.max(np.abs(det - 1.0)))
 
 
-def advance_forward(fm: FlowMap, sampler, t: float, dt: float) -> FlowMap:
+RK4_NODES = (0, 0.5, 0.5, 1)
+
+
+def _rk4(f, y: tuple, dt: float) -> tuple:
+    """One classical RK4 step of y' = f(i, y) over a tuple of arrays or ScalarFields.
+
+    ``f(i, y_i)`` returns the slope of stage i (at t + RK4_NODES[i] dt) as a
+    tuple matching ``y``.  Stages 1 and 2 share a time but not a state, so
+    a caller with per-stage fields selects them by the index i.
+    """
+    k1 = f(0, y)
+    k2 = f(1, tuple(a + dt / 2 * k for a, k in zip(y, k1)))
+    k3 = f(2, tuple(a + dt / 2 * k for a, k in zip(y, k2)))
+    k4 = f(3, tuple(a + dt * k for a, k in zip(y, k3)))
+    return tuple(a + dt / 6 * (p + 2 * q + 2 * r + s)
+                 for a, p, q, r, s in zip(y, k1, k2, k3, k4))
+
+
+def advance_forward(fm: FlowMap, velocity, dt: float) -> FlowMap:
     """One RK4 particle step of gamma_dot = u(t, gamma).
 
-    ``sampler(t, x, y)`` returns velocity components (ux, uy) at the
-    given point arrays.
+    ``velocity(i, x, y)`` returns the RK4 stage-i velocity components
+    (ux, uy) at the given point arrays.
     """
     x0, y0 = fm.grid.x, fm.grid.y
-    dx, dy = fm.disp_x, fm.disp_y
 
-    def vel(tt, ax, ay):
-        ux, uy = sampler(tt, (x0 + ax).ravel(), (y0 + ay).ravel())
-        return ux.reshape(ax.shape), uy.reshape(ay.shape)
+    def f(i, d):
+        ux, uy = velocity(i, (x0 + d[0]).ravel(), (y0 + d[1]).ravel())
+        return ux.reshape(x0.shape), uy.reshape(y0.shape)
 
-    k1x, k1y = vel(t, dx, dy)
-    k2x, k2y = vel(t + dt / 2, dx + dt / 2 * k1x, dy + dt / 2 * k1y)
-    k3x, k3y = vel(t + dt / 2, dx + dt / 2 * k2x, dy + dt / 2 * k2y)
-    k4x, k4y = vel(t + dt, dx + dt * k3x, dy + dt * k3y)
-    ndx = dx + dt / 6 * (k1x + 2 * k2x + 2 * k3x + k4x)
-    ndy = dy + dt / 6 * (k1y + 2 * k2y + 2 * k3y + k4y)
+    ndx, ndy = _rk4(f, (fm.disp_x, fm.disp_y), dt)
     if not (np.all(np.isfinite(ndx)) and np.all(np.isfinite(ndy))):
         raise NumericalAbort("non-finite particle positions")
     return FlowMap(fm.grid, ndx, ndy)
@@ -115,25 +127,14 @@ def label_rhs(labels: tuple[ScalarField, ScalarField], ux: ScalarField,
     return ScalarField(g, -adv[0] - ux.coeff), ScalarField(g, -adv[1] - uy.coeff)
 
 
-def advance_back_to_labels(labels: tuple[ScalarField, ScalarField], sampler_fields,
-                           t: float, dt: float) -> tuple[ScalarField, ScalarField]:
+def advance_back_to_labels(labels: tuple[ScalarField, ScalarField], stage_fields,
+                           dt: float) -> tuple[ScalarField, ScalarField]:
     """One RK4 step of the label transport equations d_t A + u . grad A = 0.
 
-    ``labels`` holds the displacement parts (A - id); ``sampler_fields(t)``
-    returns the velocity component ScalarFields on the grid.
+    ``labels`` holds the displacement parts (A - id); ``stage_fields[i]``
+    holds the RK4 stage-i velocity component ScalarFields on the grid.
     """
-    a1, a2 = labels
-
-    def deriv(tt, b1, b2):
-        return label_rhs((b1, b2), *sampler_fields(tt))
-
-    k1 = deriv(t, a1, a2)
-    k2 = deriv(t + dt / 2, a1 + dt / 2 * k1[0], a2 + dt / 2 * k1[1])
-    k3 = deriv(t + dt / 2, a1 + dt / 2 * k2[0], a2 + dt / 2 * k2[1])
-    k4 = deriv(t + dt, a1 + dt * k3[0], a2 + dt * k3[1])
-    n1 = a1 + (dt / 6) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-    n2 = a2 + (dt / 6) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-    return n1, n2
+    return _rk4(lambda i, a: label_rhs(a, *stage_fields[i]), labels, dt)
 
 
 def labels_to_flowmap(labels: tuple[ScalarField, ScalarField]) -> FlowMap:

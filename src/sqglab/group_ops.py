@@ -24,6 +24,7 @@ from .spectral import (
     frac_laplacian,
     gradient_perp,
     interpolate,
+    poisson_bracket,
 )
 
 
@@ -57,15 +58,11 @@ def adjoint(eta: DiffeoSample, v: VectorFieldExact, method: str = "fourier") -> 
 
 def ad_bracket(u: VectorFieldExact, v: VectorFieldExact) -> VectorFieldExact:
     """ad_u v = -[u, v], an exact field with stream {psi_u, psi_v}."""
-    from .spectral import poisson_bracket
-
     return gradient_perp(poisson_bracket(u.stream, v.stream))
 
 
 def coadjoint_algebra(u: VectorFieldExact, v: VectorFieldExact, beta: float) -> VectorFieldExact:
     """ad*_u v with respect to the beta metric."""
-    from .spectral import poisson_bracket
-
     check_beta(beta)
     br = poisson_bracket(frac_laplacian(v.stream, 1.0 - beta / 2.0), u.stream)
     return gradient_perp(frac_laplacian(br, beta / 2.0 - 1.0))

@@ -33,6 +33,7 @@ from scipy.interpolate import CubicSpline
 from scipy.optimize import minimize_scalar
 
 from .euler_arnold import GeodesicRecord
+from .flow import RK4_NODES, _rk4
 from .group_ops import DiffeoSample
 from .spectral import (
     ScalarField,
@@ -174,9 +175,6 @@ class OperatorSample:
     matrix: np.ndarray
     role: str  # Lambda | K0 | Phi | Omega | Gamma
 
-    def symmetry_error(self) -> float:
-        return float(np.max(np.abs(self.matrix - self.matrix.T)))
-
 
 def k0_matrix(u0: VectorFieldExact, beta: float, basis: GalerkinBasis) -> OperatorSample:
     """Matrix of K0 w = ad*_w u0 in the basis coordinates, in closed form.
@@ -253,17 +251,19 @@ def _segment_eigh(lam0: OperatorSample, lam1: OperatorSample) -> tuple[np.ndarra
         ) from exc
 
 
+PHI_SUBSTEPS = 10
+
+
 def evolve_phi(record: GeodesicRecord, basis: GalerkinBasis, beta: float,
-               substeps: int = 10,
                lambdas: list[OperatorSample] | None = None,
                k0: OperatorSample | None = None) -> list[OperatorSample]:
     """Phi(t_i) at the record snapshot times; Phi(0) = 0, Phi'(0) = I.
 
     Lambda(t) is linear in time between snapshots, so each interval is
-    diagonalized once (``_segment_eigh``) and RK4 runs in its eigenframe
-    q = X^T m, where m' = -K0 Lambda^-1 m reads q' = -(X^T K0 X) D(s)^-1 q
-    and v' = X D(s)^-1 q: one matmul per stage and no solve.  RK4 is
-    linear, so this is the same step as RK4 on (m, v).
+    diagonalized once (``_segment_eigh``) and ``PHI_SUBSTEPS`` RK4 steps run
+    in its eigenframe q = X^T m, where m' = -K0 Lambda^-1 m reads
+    q' = -(X^T K0 X) D(s)^-1 q and v' = X D(s)^-1 q: one matmul per stage
+    and no solve.  RK4 is linear, so this is the same step as RK4 on (m, v).
     """
     check_beta(beta)
     record.require_flow_maps("evolve_phi")
@@ -288,16 +288,11 @@ def evolve_phi(record: GeodesicRecord, basis: GalerkinBasis, beta: float,
             r = q_ / (1.0 - s + s * mu)[:, None]  # X^T Lambda(s)^-1 m = X^-1 w
             return -a @ r, r
 
-        h = (times[i + 1] - times[i]) / substeps
-        ds = 1.0 / substeps
-        for j in range(substeps):
-            s = j * ds
-            k1 = deriv(s, q)
-            k2 = deriv(s + ds / 2, q + h / 2 * k1[0])
-            k3 = deriv(s + ds / 2, q + h / 2 * k2[0])
-            k4 = deriv(s + ds, q + h * k3[0])
-            q = q + h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-            u = u + h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+        h = (times[i + 1] - times[i]) / PHI_SUBSTEPS
+        ds = 1.0 / PHI_SUBSTEPS
+        for j in range(PHI_SUBSTEPS):
+            q, u = _rk4(lambda stage, y: deriv(j * ds + RK4_NODES[stage] * ds, y[0]),
+                        (q, u), h)
         m = lambdas[i].matrix @ (x @ q)  # X^-T = Lambda_0 X
         v = v + x @ u
         out.append(OperatorSample(times[i + 1], v.copy(), "Phi"))

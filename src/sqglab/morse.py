@@ -27,7 +27,7 @@ from scipy.interpolate import CubicSpline
 
 from .euler_arnold import GeodesicRecord
 from .jacobi import GalerkinBasis, k0_matrix, make_basis
-from .spectral import TWO_PI, VectorFieldExact, frac_laplacian
+from .spectral import TWO_PI, VectorFieldExact
 
 
 class CoverageError(ValueError):
@@ -130,15 +130,6 @@ def c_constant(u0: VectorFieldExact, beta: float, basis: GalerkinBasis) -> float
     gram = (np.conj(e) @ (w.reshape(-1)[:, None] * e.T)).real * TWO_PI**2
     vals = sla.eigh(k.T @ k, gram, eigvals_only=True)
     return float(max(vals[-1], 0.0))
-
-
-def c_constant_supnorm(u0: VectorFieldExact, beta: float) -> float:
-    """Sup-norm alternative: ||grad (-Lap)^(1-beta/2) psi_u0||_inf^2."""
-    s = frac_laplacian(u0.stream, 1.0 - beta / 2.0)
-    g = s.grid
-    sx = np.fft.ifft2(g.ikx * s.coeff).real * g.n**2
-    sy = np.fft.ifft2(g.iky * s.coeff).real * g.n**2
-    return float(np.max(sx**2 + sy**2))
 
 
 def sphere_rotation_constants(beta: float, n_max: int) -> tuple[float, float]:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spectral import ScalarField, SpectralGrid
+from .spectral import ScalarField, SpectralGrid, gradient_perp
 
 
 def initial_stream(spec: str, g: SpectralGrid) -> ScalarField:
@@ -42,8 +42,6 @@ def random_stream(g: SpectralGrid, seed: int, kmax: int,
             c[kx % g.n, ky % g.n] = amp
             c[(-kx) % g.n, (-ky) % g.n] = np.conj(amp)
     psi = ScalarField(g, c)
-    from .spectral import gradient_perp
-
     speed = gradient_perp(psi).max_speed()
     if speed > 0:
         psi = psi * (max_speed / speed)

@@ -25,6 +25,7 @@ from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
 from .euler_arnold import whole_steps
+from .flow import _rk4
 from .jacobi import OperatorSample
 
 PI_SQRT2 = float(np.pi * np.sqrt(2.0))
@@ -80,24 +81,20 @@ def conjugate_time(n: int, beta: float) -> float:
 
 
 def integrate_mode(mode: SphereMode, dt: float, t_final: float):
-    """RK4 integration of xi' = -i omega xi, sigma' = xi; returns samples."""
+    """RK4 integration of xi' = -i omega xi, sigma' = xi; returns samples.
+
+    The system is linear and autonomous, so one RK4 step from (1, 0) gives
+    the step map (xi, sigma) -> (p xi, sigma + c xi), and the samples are a
+    running product of p and a running sum of c xi.
+    """
     if dt <= 0 or t_final < 0:
         raise ValueError("dt must be positive and t_final non-negative")
     nsteps = whole_steps(t_final, dt)
     times = np.linspace(0.0, nsteps * dt, nsteps + 1)
-    xi = np.empty(nsteps + 1, dtype=complex)
-    sigma = np.empty(nsteps + 1, dtype=complex)
-    xi[0], sigma[0] = 1.0, 0.0
     w = mode.omega
-    x, s = 1.0 + 0.0j, 0.0 + 0.0j
-    for i in range(nsteps):
-        k1x, k1s = -1j * w * x, x
-        k2x, k2s = -1j * w * (x + dt / 2 * k1x), x + dt / 2 * k1x
-        k3x, k3s = -1j * w * (x + dt / 2 * k2x), x + dt / 2 * k2x
-        k4x, k4s = -1j * w * (x + dt * k3x), x + dt * k3x
-        x = x + dt / 6 * (k1x + 2 * k2x + 2 * k3x + k4x)
-        s = s + dt / 6 * (k1s + 2 * k2s + 2 * k3s + k4s)
-        xi[i + 1], sigma[i + 1] = x, s
+    p, c = _rk4(lambda i, y: (-1j * w * y[0], y[0]), (1.0 + 0.0j, 0.0j), dt)
+    xi = np.cumprod(np.concatenate([[1.0 + 0.0j], np.full(nsteps, p)]))
+    sigma = np.concatenate([[0.0j], np.cumsum(c * xi[:-1])])
     return times, xi, sigma
 
 

@@ -247,8 +247,8 @@ def test_criterion_11_determinism(tmp_path):
     outs = []
     for name in ("a", "b"):
         out = tmp_path / name
-        rc = cli.main(["verify", "--deterministic", "--out", str(out)])
+        rc = cli.main(["verify", "--out", str(out)])
         assert rc == 0
         outs.append((out / "verify.csv").read_bytes())
     assert outs[0] == outs[1]
-    print("PASS criterion 11: verify CSV byte-identical across deterministic runs")
+    print("PASS criterion 11: verify CSV byte-identical across two runs")

@@ -84,8 +84,7 @@ def test_sphere_example_artifacts(tmp_path):
 def test_sphere_example_deterministic_rerun(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
-        rc = main(["sphere-example", "--set", "beta=1", "--deterministic",
-                   "--out", str(out)])
+        rc = main(["sphere-example", "--set", "beta=1", "--out", str(out)])
         assert rc == 0
     assert (a / "scan.csv").read_bytes() == (b / "scan.csv").read_bytes()
 

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from sqglab.flow import (
+    RK4_NODES,
     FlowMap,
     NumericalAbort,
+    _rk4,
     advance_back_to_labels,
     advance_forward,
     inverse_consistency,
@@ -21,15 +23,29 @@ from sqglab.presets import random_stream
 from sqglab.spectral import ScalarField, gradient_perp, grid, multiply_dealiased
 
 
-def shear_sampler(t, x, y):
+def shear_velocity(i, x, y):
     # steady horizontal shear u = (sin y, 0); exact flow x -> x + t sin y
     return np.sin(y), np.zeros_like(x)
 
 
 def shear_fields(g):
+    """The shear as the grid fields of all four RK4 stages."""
     ux = ScalarField.from_function(g, lambda x, y: np.sin(y))
-    uy = ScalarField.zero(g)
-    return lambda t: (ux, uy)
+    return [(ux, ScalarField.zero(g))] * 4
+
+
+def test_rk4_fourth_order_on_nonautonomous_ode():
+    # y' = y cos t, y(0) = 1, exact y(t) = exp(sin t); stage i sits at t + RK4_NODES[i] dt
+    def error(nsteps, t_final=2.0):
+        dt = t_final / nsteps
+        y = (1.0,)
+        for j in range(nsteps):
+            y = _rk4(lambda i, s: (s[0] * np.cos(j * dt + RK4_NODES[i] * dt),), y, dt)
+        return abs(y[0] - np.exp(np.sin(t_final)))
+
+    errors = [error(n) for n in (10, 20, 40)]
+    for coarse, fine in zip(errors, errors[1:]):
+        assert abs(coarse / fine - 16.0) < 1.0
 
 
 def test_identity_flowmap():
@@ -45,8 +61,8 @@ def test_forward_shear_flow_exact():
     g = grid(32)
     fm = FlowMap.identity(g)
     dt, nsteps = 1e-2, 50
-    for i in range(nsteps):
-        fm = advance_forward(fm, shear_sampler, i * dt, dt)
+    for _ in range(nsteps):
+        fm = advance_forward(fm, shear_velocity, dt)
     t = nsteps * dt
     # y is constant along trajectories, so RK4 integrates exactly
     assert np.max(np.abs(fm.disp_x - t * np.sin(g.y))) < 1e-13
@@ -56,13 +72,13 @@ def test_forward_shear_flow_exact():
 
 def test_back_to_labels_shear_inverse():
     g = grid(32)
-    sampler = shear_fields(g)
+    stage_fields = shear_fields(g)
     labels = (ScalarField.zero(g), ScalarField.zero(g))
     fwd = FlowMap.identity(g)
     dt, nsteps = 1e-2, 50
-    for i in range(nsteps):
-        fwd = advance_forward(fwd, shear_sampler, i * dt, dt)
-        labels = advance_back_to_labels(labels, sampler, i * dt, dt)
+    for _ in range(nsteps):
+        fwd = advance_forward(fwd, shear_velocity, dt)
+        labels = advance_back_to_labels(labels, stage_fields, dt)
     t = nsteps * dt
     inv = labels_to_flowmap(labels)
     # gamma^-1(x, y) = (x - t sin y, y)
@@ -88,8 +104,8 @@ def test_transport_check_shear():
     g = grid(32)
     fm = FlowMap.identity(g)
     dt, nsteps = 1e-2, 30
-    for i in range(nsteps):
-        fm = advance_forward(fm, shear_sampler, i * dt, dt)
+    for _ in range(nsteps):
+        fm = advance_forward(fm, shear_velocity, dt)
     t = nsteps * dt
     theta0 = ScalarField.from_function(g, lambda x, y: np.cos(x) + np.sin(y))
     # theta(t) = theta0 o gamma(t)^-1 = cos(x - t sin y) + sin y
@@ -101,19 +117,19 @@ def test_transport_check_shear():
 def test_advance_forward_aborts_on_nan():
     g = grid(32)
 
-    def bad(t, x, y):
+    def bad(i, x, y):
         return np.full_like(x, np.nan), np.zeros_like(y)
 
     with pytest.raises(NumericalAbort):
-        advance_forward(FlowMap.identity(g), bad, 0.0, 1e-2)
+        advance_forward(FlowMap.identity(g), bad, 1e-2)
 
 
 def test_flowmap_checkpoint_roundtrip(tmp_path):
     g = grid(32)
     fm = FlowMap.identity(g)
     dt = 1e-2
-    for i in range(20):
-        fm = advance_forward(fm, shear_sampler, i * dt, dt)
+    for _ in range(20):
+        fm = advance_forward(fm, shear_velocity, dt)
     p = tmp_path / "gamma.gsqgf"
     save_flowmap(p, fm)
     fm2 = load_flowmap(p)

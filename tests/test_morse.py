@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
+from scipy import linalg as sla
 
 from sqglab import morse, sphere
 from sqglab.euler_arnold import SolverConfig, simulate
-from sqglab.jacobi import make_basis
-from sqglab.presets import initial_stream
-from sqglab.spectral import grid
+from sqglab.jacobi import k0_matrix, make_basis
+from sqglab.presets import initial_stream, random_stream
+from sqglab.spectral import gradient_perp, grid, stream_sobolev_sq
 
 
 def brute_force_torus_count(lam, strict=False):
@@ -68,6 +69,29 @@ def test_delta_inf_on_short_shear_record():
     norms = [np.linalg.svd(morse.ad_inverse_matrix(d, basis), compute_uv=False)[0]
              for d in rec.diffeos]
     assert np.isclose(delta, min(s**-2 for s in norms), rtol=1e-12)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5])
+def test_c_constant_attained_and_bounds_random_directions(beta):
+    g = grid(32)
+    basis = make_basis(g, 4, beta)
+    u0 = gradient_perp(random_stream(g, 8, 4))
+    c = morse.c_constant(u0, beta, basis)
+    k0 = k0_matrix(u0, beta, basis).matrix
+
+    def quotient(x):
+        # |K0 x|^2 in the beta-orthonormal coordinates over ||psi_x||_{beta/2}^2
+        return np.sum((k0 @ x) ** 2) / stream_sobolev_sq(basis.field_of(x), beta / 2.0)
+
+    # the basis streams are single Fourier modes, orthogonal in every homogeneous norm
+    gram = np.diag([stream_sobolev_sq(basis.field_of(e), beta / 2.0)
+                    for e in np.eye(basis.dim)])
+    _, vecs = sla.eigh(k0.T @ k0, gram)
+    assert c > 0.0
+    assert abs(quotient(vecs[:, -1]) - c) <= 1e-12 * c
+    rng = np.random.default_rng(17)
+    for _ in range(100):
+        assert quotient(rng.normal(size=basis.dim)) <= c * (1 + 1e-12)
 
 
 def test_morse_bound_reference_case():

@@ -6,6 +6,25 @@ import pytest
 from sqglab import sphere
 
 
+def _integrate_mode_reference(mode, dt, t_final):
+    """(xi, sigma) by one inline RK4 step of xi' = -i omega xi, sigma' = xi per sample."""
+    nsteps = round(t_final / dt)
+    xi = np.empty(nsteps + 1, dtype=complex)
+    sigma = np.empty(nsteps + 1, dtype=complex)
+    xi[0], sigma[0] = 1.0, 0.0
+    w = mode.omega
+    x, s = 1.0 + 0.0j, 0.0 + 0.0j
+    for i in range(nsteps):
+        k1x, k1s = -1j * w * x, x
+        k2x, k2s = -1j * w * (x + dt / 2 * k1x), x + dt / 2 * k1x
+        k3x, k3s = -1j * w * (x + dt / 2 * k2x), x + dt / 2 * k2x
+        k4x, k4s = -1j * w * (x + dt * k3x), x + dt * k3x
+        x = x + dt / 6 * (k1x + 2 * k2x + 2 * k3x + k4x)
+        s = s + dt / 6 * (k1s + 2 * k2s + 2 * k3s + k4s)
+        xi[i + 1], sigma[i + 1] = x, s
+    return xi, sigma
+
+
 def test_mode_validation():
     with pytest.raises(ValueError):
         sphere.SphereMode(0, 0.5)
@@ -47,6 +66,17 @@ def test_integrator_matches_closed_form():
     # the amplitude normalization makes sigma equal to the closed form
     _, s_ref = sphere.closed_form(times, mode)
     assert np.max(np.abs(sigma - s_ref)) < 1e-10
+
+
+@pytest.mark.parametrize("n, beta, t_final, tol", [(20, 0.0, 82.5, 1e-10),
+                                                    (2, 1.0, 3.0, 1e-12)])
+def test_integrate_mode_matches_stepwise_rk4(n, beta, t_final, tol):
+    # (20, 0, 82.5) is the longest first_sigma_zero search of criterion 01
+    mode = sphere.SphereMode(n, beta)
+    _, xi, sigma = sphere.integrate_mode(mode, 1e-3, t_final)
+    xi_ref, sigma_ref = _integrate_mode_reference(mode, 1e-3, t_final)
+    assert np.max(np.abs(xi - xi_ref)) < tol
+    assert np.max(np.abs(sigma - sigma_ref)) < tol
 
 
 def test_first_sigma_zero_accuracy():
