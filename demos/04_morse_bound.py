@@ -13,7 +13,7 @@ the clustering of sphere conjugate times at criticality.
 
 import numpy as np
 
-from sqglab import morse, sphere
+from sqglab import jacobi, morse, sphere
 
 sp = morse.Spectrum.torus(256)
 print("torus spectrum, (delta, C, T) = (1, 16, pi)")
@@ -26,8 +26,6 @@ print("\nsphere rotation: detected conjugate points vs the bound")
 for beta in (0.0, 0.5, 0.75):
     horizon = 1.1 * sphere.conjugate_time(1, beta)
     times = np.linspace(0.0, horizon, 801)
-    from sqglab import jacobi
-
     report = jacobi.detect_conjugate(
         sphere.sphere_phi_samples(range(1, 31), beta, times))
     detected = sum(m for _, m in report.detected)

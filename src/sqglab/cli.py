@@ -1,8 +1,9 @@
 """Command-line front end: configuration, run orchestration, CSV artifacts.
 
 Configuration is plain ``key = value`` lines with ``#`` comments; every
-run writes its artifacts plus a ``manifest.txt`` echoing the resolved
-configuration and the SHA-256 of each emitted file.  Exit codes: 0 ok,
+run writes its artifacts plus a ``manifest.txt`` recording the package,
+numpy and scipy versions, the git revision (``null`` outside a checkout),
+the resolved configuration and the SHA-256 of each emitted file.  Exit codes: 0 ok,
 2 configuration error, 3 numerical abort, 4 spectrum coverage too small.
 """
 
@@ -15,8 +16,9 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
+import scipy
 
-from . import euler_arnold, jacobi, morse, sphere
+from . import __version__, euler_arnold, jacobi, morse, sphere
 from .euler_arnold import SolverConfig, simulate
 from .flow import NumericalAbort, save_flowmap
 from .presets import initial_stream
@@ -115,8 +117,33 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _git_revision(root: Path = Path(__file__).resolve().parents[2]) -> str | None:
+    """Commit of the checkout holding the package, read from .git; None outside one."""
+    git = root / ".git"
+    head = git / "HEAD"
+    if not head.is_file():
+        return None
+    ref = head.read_text().strip()
+    if not ref.startswith("ref: "):
+        return ref  # detached HEAD
+    name = ref[5:]
+    loose = git / name
+    if loose.is_file():
+        return loose.read_text().strip()
+    packed = git / "packed-refs"
+    if packed.is_file():
+        for line in packed.read_text().splitlines():
+            if line.endswith(" " + name):
+                return line.split()[0]
+    return None
+
+
 def _write_manifest(out: Path, command: str, cfg: RunConfig, artifacts: list[Path]):
-    lines = [f"command = {command}"]
+    lines = [f"command = {command}",
+             f"sqglab = {__version__}",
+             f"numpy = {np.__version__}",
+             f"scipy = {scipy.__version__}",
+             f"git_revision = {_git_revision() or 'null'}"]
     for f in fields(cfg):
         lines.append(f"{f.name} = {getattr(cfg, f.name)}")
     for a in artifacts:

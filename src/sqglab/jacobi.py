@@ -19,7 +19,10 @@ as the first-order system m = Lambda w, m' = -K0 Lambda^-1 m, v' = w, in
 the frame of one generalized eigendecomposition per snapshot interval
 (no linear solves), and split into the absolutely-continuous part Omega = int
 Lambda^-1 and the compact remainder Gamma.  Conjugate points are flagged
-from the smallest singular value of Phi(t)/t.
+from the smallest singular value of Phi(t)/t, block by block over the
+decoupled blocks of Phi (one 2x2 block per degree on the sphere, a single
+block for a generic torus Phi), so that zeros of different blocks do not
+hide one another.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import numpy as np
 from scipy import linalg as sla
 from scipy.integrate import cumulative_simpson
 from scipy.interpolate import CubicSpline
-from scipy.optimize import minimize_scalar
+from scipy.sparse.csgraph import connected_components
 
 from .euler_arnold import GeodesicRecord
 from .flow import RK4_NODES, _rk4
@@ -349,74 +352,176 @@ class ConjugateReport:
         return "\n".join(lines) + "\n"
 
 
+# golden-section ratio and the width to which refinement brackets shrink
+_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
+_XATOL = 1e-12
+
+
+def _block_groups(mats: list[np.ndarray]) -> list[np.ndarray]:
+    """Index arrays of the decoupled blocks of Phi, grouped by block size.
+
+    The blocks are the connected components of the entries that are
+    non-zero in some sample.  Returns one (nb, s) array per block size s,
+    each row the sorted indices of one block.
+    """
+    support = np.zeros(mats[0].shape, dtype=bool)
+    for m in mats:
+        support |= m != 0
+    n, labels = connected_components(support | support.T, directed=False)
+    blocks = [np.flatnonzero(labels == k) for k in range(n)]
+    sizes = sorted({len(b) for b in blocks})
+    return [np.array([b for b in blocks if len(b) == s]) for s in sizes]
+
+
+def _horner(c: np.ndarray, times: np.ndarray, t: np.ndarray, blk: np.ndarray) -> np.ndarray:
+    """Block splines at times t, one (block blk[i], time t[i]) pair per row.
+
+    c holds the piecewise cubic coefficients of ``CubicSpline.c``, shaped
+    (4, T - 1, nb, s, s); the result is (len(t), s, s).
+    """
+    j = np.clip(np.searchsorted(times, t, side="right") - 1, 0, len(times) - 2)
+    x = (t - times[j])[:, None, None]
+    cj = c[:, j, blk]
+    return ((cj[0] * x + cj[1]) * x + cj[2]) * x + cj[3]
+
+
+def _steps(width: np.ndarray, rate: float) -> int:
+    """Iterations that shrink every bracket width below ``_XATOL`` at the given rate."""
+    return max(int(np.ceil(np.log(_XATOL / np.max(width)) / np.log(rate))), 0)
+
+
+def _golden(f, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Vectorized golden-section minimization of f over the brackets [a, b].
+
+    f maps one time per bracket to one value per bracket.
+    """
+    x1, x2 = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(_steps(b - a, _INVPHI)):
+        left = f1 < f2  # the minimum lies in [a, x2]
+        a, b = np.where(left, a, x1), np.where(left, x2, b)
+        kept, f_kept = np.where(left, x1, x2), np.where(left, f1, f2)
+        new = np.where(left, b - _INVPHI * (b - a), a + _INVPHI * (b - a))
+        f_new = f(new)
+        x1, f1 = np.where(left, new, kept), np.where(left, f_new, f_kept)
+        x2, f2 = np.where(left, kept, new), np.where(left, f_kept, f_new)
+    return 0.5 * (a + b)
+
+
+def _bisect(f, a: np.ndarray, b: np.ndarray, sign_a: np.ndarray) -> np.ndarray:
+    """Vectorized bisection on the sign of f, which is sign_a at a (one time per bracket)."""
+    for _ in range(_steps(b - a, 0.5)):
+        mid = 0.5 * (a + b)
+        same = np.sign(f(mid)) == sign_a
+        a, b = np.where(same, mid, a), np.where(same, b, mid)
+    return 0.5 * (a + b)
+
+
+def _spline_drift(c: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Bound on ||S(t) - S(t_j)||_F over each spline interval [t_j, t_j+1], (T - 1, nb).
+
+    On an interval of length h the cubic S moves at most sum_p ||c_p||_F h^p
+    away from either end, since |x^p - h^p| <= h^p for x in [0, h].
+    """
+    h = np.diff(times)[:, None]
+    cn = np.linalg.norm(c[:3], axis=(-2, -1))
+    return ((cn[0] * h + cn[1]) * h + cn[2]) * h
+
+
+def _detect_group(times: np.ndarray, phi: np.ndarray, sig: np.ndarray,
+                  dets: np.ndarray, thr: float):
+    """Conjugate times of one group of equal-size blocks.
+
+    phi is Phi/t per block, (T, nb, s, s), with its sampled sigma_min and
+    determinant sign (T, nb).  Returns (t, multiplicity, block) arrays.
+    """
+    nt, nb = sig.shape
+    c = CubicSpline(times, phi, axis=0).c
+    # Weyl: sigma_min(S(t)) >= sigma_min(S(t_i)) - ||S(t) - S(t_i)||_2 on the
+    # intervals next to t_i (none beyond the ends of the trace)
+    drift = np.zeros((nt + 1, nb))
+    drift[1:-1] = _spline_drift(c, times)
+    inf = np.full((1, nb), np.inf)
+    is_min = (sig <= np.vstack([inf, sig[:-1]])) & (sig <= np.vstack([sig[1:], inf]))
+    ti, bi = np.nonzero(is_min)
+    reach = sig[ti, bi] - np.maximum(drift[ti, bi], drift[ti + 1, bi]) < thr
+    ti, bi = ti[reach], bi[reach]
+    if not len(ti):
+        return np.empty(0), np.empty(0, dtype=int), bi
+
+    lo, hi = np.maximum(ti - 1, 0), np.minimum(ti + 1, nt - 1)
+    a, b = times[lo], times[hi]
+    t_star = np.empty(len(ti))
+    cross = dets[lo, bi] != dets[hi, bi]
+    if np.any(cross):
+        blk = bi[cross]
+        t_star[cross] = _bisect(
+            lambda t: np.linalg.det(_horner(c, times, t, blk)),
+            a[cross], b[cross], dets[lo[cross], blk])
+    if not np.all(cross):
+        blk = bi[~cross]
+        t_star[~cross] = _golden(
+            lambda t: np.linalg.svd(_horner(c, times, t, blk), compute_uv=False)[:, -1],
+            a[~cross], b[~cross])
+    sv = np.linalg.svd(_horner(c, times, t_star, bi), compute_uv=False)
+    hit = sv[:, -1] < thr
+    mult = np.maximum(np.sum(sv < thr, axis=1), 1)
+    return t_star[hit], mult[hit], bi[hit]
+
+
 def detect_conjugate(phi_samples: list[OperatorSample],
                      threshold: float | None = None,
                      threshold_factor: float = 1e-3) -> ConjugateReport:
     """Flag zeros of the Jacobi solution operator from sigma_min(Phi/t).
 
-    Local minima of the trace falling below the threshold are refined by
-    bisection on a determinant sign change when one is present; otherwise
-    the location of the minimum is reported.  The default threshold is
-    scale-free: threshold_factor times the median of the trace.
+    Phi is split into its decoupled blocks: the connected components of
+    the entries non-zero in some sample (each degree of the sphere Phi is
+    one 2x2 block, a generic torus Phi is one block).  The reported trace is
+    the smallest block sigma_min and the determinant sign the product of the
+    block signs.  The default threshold is scale-free: threshold_factor
+    times the median of the trace.
+
+    Each local minimum of a block's sampled sigma_min is a candidate,
+    bracketed by its neighbouring samples, unless Weyl's inequality with the
+    drift of the block's cubic spline over the bracket proves that sigma_min
+    stays above the threshold there.  All candidates of a block size are
+    refined together: by bisection where the block determinant changes sign
+    across the bracket, by golden section on sigma_min elsewhere.  A refined
+    time whose sigma_min is below the threshold is reported with the number
+    of block singular values below it; within a block refined times closer
+    than 1e-9 count once, and across blocks such times merge and their
+    multiplicities add.
     """
     pts = [s for s in phi_samples if s.t > 0]
     if len(pts) < 3:
         raise ValueError("need at least 3 samples with t > 0")
     times = np.array([s.t for s in pts])
-    mats = np.array([s.matrix for s in pts]) / times[:, None, None]
-    sig = np.linalg.svd(mats, compute_uv=False)[:, -1]
-    dets = np.sign(np.linalg.det(mats))
+    mats = [s.matrix for s in pts]
+    groups = []
+    for idx in _block_groups(mats):
+        phi = np.array([m[idx[:, :, None], idx[:, None, :]] for m in mats])
+        phi /= times[:, None, None, None]
+        groups.append((phi, np.linalg.svd(phi, compute_uv=False)[..., -1],
+                       np.sign(np.linalg.det(phi))))
+    sig = np.min(np.concatenate([g[1] for g in groups], axis=1), axis=1)
+    dets = np.prod(np.concatenate([g[2] for g in groups], axis=1), axis=1)
     thr = threshold if threshold is not None else threshold_factor * float(np.median(sig))
 
-    # An entry that is zero in every sample has a zero spline, so only the
-    # support is fitted (2 entries per row of the block-diagonal sphere Phi,
-    # every entry of a dense one).  Spline columns are solved independently,
-    # so the values are those of the full fit.
-    support = np.any(mats != 0, axis=0)
-    spline = CubicSpline(times, mats[:, support], axis=0)
-
-    def phi_at(t):
-        m = np.zeros(mats.shape[1:])
-        m[support] = spline(t)
-        return m
-
-    def sigma_at(t):
-        return float(np.linalg.svd(phi_at(t), compute_uv=False)[-1])
-
-    def det_at(t):
-        return float(np.linalg.det(phi_at(t)))
-
-    detected = []
-    for i in range(len(times)):
-        is_min = ((i == 0 or sig[i] <= sig[i - 1])
-                  and (i == len(times) - 1 or sig[i] <= sig[i + 1]))
-        if not is_min:
+    found = []  # (block, t, multiplicity), blocks numbered across the groups
+    offset = 0
+    for phi, block_sig, block_dets in groups:
+        t, mult, blk = _detect_group(times, phi, block_sig, block_dets, thr)
+        found += zip((offset + blk).tolist(), t.tolist(), mult.tolist())
+        offset += block_sig.shape[1]
+    dedup = []  # refined times that collapsed together within a block count once
+    for blk, t, m in sorted(found):
+        if dedup and dedup[-1][0] == blk and abs(t - dedup[-1][1]) < 1e-9:
             continue
-        lo = times[max(i - 1, 0)]
-        hi = times[min(i + 1, len(times) - 1)]
-        if np.sign(det_at(lo)) != np.sign(det_at(hi)) and lo < hi:
-            a, b = lo, hi
-            fa = det_at(a)
-            for _ in range(80):
-                mid = 0.5 * (a + b)
-                fm = det_at(mid)
-                if np.sign(fm) == np.sign(fa):
-                    a, fa = mid, fm
-                else:
-                    b = mid
-            t_star = 0.5 * (a + b)
+        dedup.append((blk, t, m))
+    detected = []  # coinciding times of different blocks add their multiplicities
+    for _, t, m in sorted(dedup, key=lambda x: x[1]):
+        if detected and abs(t - detected[-1][0]) < 1e-9:
+            detected[-1] = (detected[-1][0], detected[-1][1] + m)
         else:
-            res = minimize_scalar(sigma_at, bounds=(lo, hi), method="bounded",
-                                  options={"xatol": 1e-12})
-            t_star = float(res.x)
-        if sigma_at(t_star) >= thr:
-            continue
-        mult = int(np.sum(np.linalg.svd(phi_at(t_star), compute_uv=False) < thr))
-        detected.append((float(t_star), max(mult, 1)))
-    # deduplicate refined times that collapsed together
-    dedup = []
-    for t, m in sorted(detected):
-        if dedup and abs(t - dedup[-1][0]) < 1e-9:
-            continue
-        dedup.append((t, m))
-    return ConjugateReport(times, sig, dets, dedup, thr)
+            detected.append((t, m))
+    return ConjugateReport(times, sig, dets, detected, thr)

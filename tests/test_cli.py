@@ -81,6 +81,35 @@ def test_sphere_example_artifacts(tmp_path):
     assert digest in manifest
 
 
+def test_manifest_records_provenance(tmp_path):
+    import scipy
+
+    import sqglab
+
+    assert main(["sphere-example", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "manifest.txt").read_text().splitlines()
+    entries = dict(line.split(" = ", 1) for line in lines)
+    assert entries["sqglab"] == sqglab.__version__
+    assert entries["numpy"] == np.__version__
+    assert entries["scipy"] == scipy.__version__
+    rev = cli._git_revision()
+    assert entries["git_revision"] == (rev if rev is not None else "null")
+
+
+def test_git_revision_reads_refs_without_git(tmp_path):
+    assert cli._git_revision(tmp_path) is None  # not a checkout
+    git = tmp_path / ".git"
+    (git / "refs" / "heads").mkdir(parents=True)
+    (git / "HEAD").write_text("ref: refs/heads/main\n")
+    assert cli._git_revision(tmp_path) is None  # no commit yet
+    (git / "packed-refs").write_text("# pack-refs\n" + "a" * 40 + " refs/heads/main\n")
+    assert cli._git_revision(tmp_path) == "a" * 40
+    (git / "refs" / "heads" / "main").write_text("b" * 40 + "\n")
+    assert cli._git_revision(tmp_path) == "b" * 40  # a loose ref wins
+    (git / "HEAD").write_text("c" * 40 + "\n")
+    assert cli._git_revision(tmp_path) == "c" * 40  # detached HEAD
+
+
 def test_sphere_example_deterministic_rerun(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):

@@ -372,18 +372,26 @@ def test_conjugate_report_csv_schema():
     assert int(mult) == 2
 
 
-def test_detect_conjugate_matches_reference_on_readme_scan():
+def test_detect_conjugate_finds_every_t_n_on_readme_scan():
+    # the 30 T_n(1) lie in [4.44, 6.29], as close as 0.0025 apart, against a
+    # sample spacing of 0.009; each is a double zero of its own 2x2 block
     times = np.linspace(0.0, 7.2, 801)
-    phi = sphere.sphere_phi_samples(range(1, 31), 1.0, times)
-    report = _assert_detection_matches_reference(phi)
-    assert report.detected
+    report = jacobi.detect_conjugate(sphere.sphere_phi_samples(range(1, 31), 1.0, times))
+    t_exact = sorted(sphere.conjugate_time(n, 1.0) for n in range(1, 31))
+    assert len(report.detected) == 30
+    for (t_det, mult), t_ref in zip(report.detected, t_exact):
+        assert abs(t_det - t_ref) < 1e-6
+        assert mult == 2
+    assert sum(m for _, m in report.detected) == 60
 
 
-def test_detect_conjugate_matches_reference_on_criterion_10_stack():
-    times = np.linspace(0.0, 1.1 * sphere.conjugate_time(1, 0.5), 801)
-    phi = sphere.sphere_phi_samples(range(1, 31), 0.5, times)
-    report = _assert_detection_matches_reference(phi)
-    assert report.detected
+def test_detect_conjugate_counts_closed_form_on_criterion_10_stacks():
+    for beta, expected in ((0.0, 2), (0.5, 2), (0.75, 10)):
+        horizon = 1.1 * sphere.conjugate_time(1, beta)
+        times = np.linspace(0.0, horizon, 801)
+        report = jacobi.detect_conjugate(sphere.sphere_phi_samples(range(1, 31), beta, times))
+        inside = sum(sphere.conjugate_time(n, beta) <= times[-1] for n in range(1, 31))
+        assert sum(m for _, m in report.detected) == expected == 2 * inside
 
 
 def test_detect_conjugate_matches_reference_on_dense_phi(random_record):
@@ -395,8 +403,8 @@ def test_detect_conjugate_matches_reference_on_dense_phi(random_record):
 
 
 def test_detect_conjugate_support_spans_all_samples():
-    # one off-block entry is non-zero at a single interior sample only,
-    # next to the first conjugate time, so the spline sees it there alone
+    # one entry coupling degrees 1 and 3 is non-zero at a single interior
+    # sample only, next to the first conjugate time
     times = np.linspace(0.0, 1.3 * sphere.conjugate_time(2, 1.0), 401)
     phi = sphere.sphere_phi_samples([1, 2, 3], 1.0, times)
     plain = jacobi.detect_conjugate(phi)
@@ -404,5 +412,80 @@ def test_detect_conjugate_support_spans_all_samples():
     m = phi[i].matrix.copy()
     m[0, 5] = 0.5 * np.max(np.abs(m))
     phi[i] = jacobi.OperatorSample(phi[i].t, m, "Phi")
-    report = _assert_detection_matches_reference(phi)
-    assert report.detected != plain.detected
+    groups = jacobi._block_groups([s.matrix for s in phi[1:]])
+    assert [g.tolist() for g in groups] == [[[2, 3]], [[0, 1, 4, 5]]]
+    report = jacobi.detect_conjugate(phi)
+    assert report.sigma_min[i - 1] != plain.sigma_min[i - 1]  # the trace skips t = 0
+    # the coupled block is block-triangular, so its zeros are those of its parts
+    assert report.detected == plain.detected
+
+
+def test_detect_conjugate_merges_coinciding_blocks():
+    times = np.linspace(0.0, 1.3 * sphere.conjugate_time(2, 1.0), 401)
+    report = jacobi.detect_conjugate(sphere.sphere_phi_samples([2, 2], 1.0, times))
+    assert len(report.detected) == 1
+    t_det, mult = report.detected[0]
+    assert abs(t_det - sphere.conjugate_time(2, 1.0)) < 1e-6
+    assert mult == 4
+
+
+def _count_svd(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+def test_detect_conjugate_skips_only_proven_minima(random_record, monkeypatch):
+    basis = jacobi.make_basis(grid(64), 4, 0.5)
+    phi = jacobi.evolve_phi(random_record, basis, 0.5)
+    calls = _count_svd(monkeypatch)
+    report = jacobi.detect_conjugate(phi)
+    # sigma_min stays near 1 against a threshold near 1e-3: the trace SVD only
+    assert report.detected == []
+    assert np.min(report.sigma_min) > 100 * report.threshold
+    assert len(calls) == 1
+
+    # a threshold just below the smallest sample is out of the bound's reach,
+    # so that minimum is refined, and rejected
+    calls.clear()
+    thr = 0.999 * np.min(report.sigma_min)
+    near = jacobi.detect_conjugate(phi, threshold=thr)
+    assert near.detected == []
+    assert len(calls) > 2
+
+
+@pytest.mark.parametrize("stack", ["sphere", "dense", "cubic"])
+def test_spline_drift_bounds_the_block_splines(random_record, stack):
+    # the skip rule is only sound if the drift bounds how far each block
+    # spline moves from either end of every interval
+    if stack == "sphere":
+        phi = sphere.sphere_phi_samples(range(1, 6), 1.0, np.linspace(0.0, 7.2, 81))[1:]
+        times = np.array([s.t for s in phi])
+        mats = [s.matrix / s.t for s in phi]
+    elif stack == "dense":
+        phi = jacobi.evolve_phi(random_record, jacobi.make_basis(grid(64), 4, 0.5), 0.5)[1:]
+        times = np.array([s.t for s in phi])
+        mats = [s.matrix / s.t for s in phi]
+    else:
+        # t^3 times a rank-one matrix: the spline is exact, and on [0, h] the
+        # bound is attained by its cubic term alone
+        times = np.linspace(0.0, 1.0, 5)
+        mats = [t**3 * np.array([[1.0, 2.0], [0.0, 0.0]]) for t in times]
+    for idx in jacobi._block_groups(mats):
+        blocks = np.array([m[idx[:, :, None], idx[:, None, :]] for m in mats])
+        spline = CubicSpline(times, blocks, axis=0)
+        drift = jacobi._spline_drift(spline.c, times)
+        for j in range(len(times) - 1):
+            t = np.linspace(times[j], times[j + 1], 41)
+            s = spline(t)
+            for end in (s[0], s[-1]):
+                moved = np.linalg.norm(s - end, ord=2, axis=(-2, -1)).max(axis=0)
+                assert np.all(moved <= drift[j] * (1 + 1e-12))
+            if stack == "cubic" and j == 0:
+                assert moved == pytest.approx(drift[0], rel=1e-12)
