@@ -182,9 +182,17 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> list[Path]:
         if record.thetas:
             save_field(out / "theta_last.gsqg", record.thetas[-1])
 
-    record = simulate(psi0, solver, on_abort=on_abort)
     diag = out / "diagnostics.csv"
-    diag.write_text(euler_arnold.diagnostics_csv(record.diagnostics_rows))
+    with diag.open("w") as f:
+        # one flushed row per snapshot, so an aborted run keeps its trace
+        f.write(euler_arnold.DIAG_HEADER + "\n")
+        f.flush()
+
+        def on_snapshot(row):
+            f.write(euler_arnold.diagnostics_line(row) + "\n")
+            f.flush()
+
+        record = simulate(psi0, solver, on_abort=on_abort, on_snapshot=on_snapshot)
     theta_ck = out / "theta_final.gsqg"
     save_field(theta_ck, record.thetas[-1])
     flow_ck = out / "gamma_final.gsqgf"

@@ -4,7 +4,9 @@ The evolved quantity is the active scalar theta with velocity
 u = grad_perp (-Lap)^(beta/2 - 1) theta; this is exactly the Euler-Arnold
 geodesic equation reduced to the Lie algebra, and the transport form makes
 the L2 Casimir of theta conservation free.  The forward flow map and the
-back-to-labels map are advanced jointly with the same RK4 stages.
+back-to-labels map are advanced jointly with the same RK4 stages.  The
+conservation and volume diagnostics of a snapshot are computed when it is
+taken, so they can be streamed out while the run goes.
 """
 
 from __future__ import annotations
@@ -154,10 +156,12 @@ def _stage_velocity(theta: ScalarField, beta: float):
 
 
 def simulate(psi0: ScalarField, config: SolverConfig,
-             on_abort=None) -> GeodesicRecord:
+             on_abort=None, on_snapshot=None) -> GeodesicRecord:
     """Advance theta, gamma and gamma^-1 jointly; record snapshots.
 
-    On a numerical abort the last good snapshot is kept in the record and
+    Each snapshot's diagnostics row is computed when the snapshot is taken
+    and passed to ``on_snapshot(row)``, so a caller can stream it out.  On a
+    numerical abort the last good snapshot is kept in the record and
     ``on_abort(record)`` is invoked before the exception propagates.
     """
     config.validate()
@@ -176,6 +180,10 @@ def simulate(psi0: ScalarField, config: SolverConfig,
         record.times.append(t)
         record.thetas.append(th)
         record.diffeos.append(DiffeoSample(fw, inv, t))
+        row = diagnostics(t, th, fw, record.thetas[0], beta)
+        record.diagnostics_rows.append(row)
+        if on_snapshot is not None:
+            on_snapshot(row)
 
     snapshot(0.0, theta, fwd, labels)
     try:
@@ -191,7 +199,6 @@ def simulate(psi0: ScalarField, config: SolverConfig,
         if on_abort is not None:
             on_abort(record)
         raise
-    record.diagnostics_rows = diagnostics(record)
     return record
 
 
@@ -219,32 +226,28 @@ def _joint_rk4_step(theta, fwd, labels, config):
 DIAG_HEADER = "t,energy,theta_l2,max_u,det_jac_err,transport_residual"
 
 
-def diagnostics(record: GeodesicRecord) -> list[dict]:
-    """One row per snapshot: conservation and volume-preservation checks."""
-    if not record.times:
-        raise ValueError("empty record")
-    beta = record.config.beta
-    theta0 = record.thetas[0]
-    rows = []
-    for t, th, d in zip(record.times, record.thetas, record.diffeos):
-        if t == 0.0 or theta0.norm_l2() == 0.0:
-            det_err, resid = 0.0, 0.0
-        else:
-            det_err = jacobian_det_error(d.forward)
-            resid = transport_check(th, d.forward, theta0)
-        rows.append({
-            "t": t,
-            "energy": energy(th, beta),
-            "theta_l2": th.norm_l2(),
-            "max_u": max_speed(th, beta),
-            "det_jac_err": det_err,
-            "transport_residual": resid,
-        })
-    return rows
+def diagnostics(t: float, theta: ScalarField, forward: FlowMap, theta0: ScalarField,
+                beta: float) -> dict:
+    """Conservation and volume-preservation checks of the snapshot at time t."""
+    if t == 0.0 or theta0.norm_l2() == 0.0:
+        det_err, resid = 0.0, 0.0
+    else:
+        det_err = jacobian_det_error(forward)
+        resid = transport_check(theta, forward, theta0)
+    return {
+        "t": t,
+        "energy": energy(theta, beta),
+        "theta_l2": theta.norm_l2(),
+        "max_u": max_speed(theta, beta),
+        "det_jac_err": det_err,
+        "transport_residual": resid,
+    }
+
+
+def diagnostics_line(row: dict) -> str:
+    """One ``DIAG_HEADER`` row of diagnostics.csv, without the newline."""
+    return ",".join(f"{row[k]:.17g}" for k in DIAG_HEADER.split(","))
 
 
 def diagnostics_csv(rows: list[dict]) -> str:
-    lines = [DIAG_HEADER]
-    for r in rows:
-        lines.append(",".join(f"{r[k]:.17g}" for k in DIAG_HEADER.split(",")))
-    return "\n".join(lines) + "\n"
+    return "\n".join([DIAG_HEADER] + [diagnostics_line(r) for r in rows]) + "\n"

@@ -20,9 +20,12 @@ the frame of one generalized eigendecomposition per snapshot interval
 (no linear solves), and split into the absolutely-continuous part Omega = int
 Lambda^-1 and the compact remainder Gamma.  Conjugate points are flagged
 from the smallest singular value of Phi(t)/t, block by block over the
-decoupled blocks of Phi (one 2x2 block per degree on the sphere, a single
-block for a generic torus Phi), so that zeros of different blocks do not
-hide one another.
+decoupled blocks of Phi (``PhiBlocks``: one 2x2 block per degree on the
+sphere, given as such by the sphere backend; a single block for a generic
+torus Phi, found from the support of the dense samples), so that zeros of
+different blocks do not hide one another.  The singular values and
+determinants of 2x2 blocks are taken in closed form, larger blocks through
+LAPACK.
 """
 
 from __future__ import annotations
@@ -352,6 +355,19 @@ class ConjugateReport:
         return "\n".join(lines) + "\n"
 
 
+@dataclass(frozen=True)
+class PhiBlocks:
+    """Phi(t) as its decoupled blocks, grouped by block size.
+
+    Each group is (idx, values): idx is (nb, s), each row the sorted indices
+    of one block of the dense Phi, and values is (T, nb, s, s), the entries
+    of those blocks at every sample time.
+    """
+
+    times: np.ndarray
+    groups: list
+
+
 # golden-section ratio and the width to which refinement brackets shrink
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 _XATOL = 1e-12
@@ -371,6 +387,37 @@ def _block_groups(mats: list[np.ndarray]) -> list[np.ndarray]:
     blocks = [np.flatnonzero(labels == k) for k in range(n)]
     sizes = sorted({len(b) for b in blocks})
     return [np.array([b for b in blocks if len(b) == s]) for s in sizes]
+
+
+def _to_blocks(samples: list[OperatorSample]) -> PhiBlocks:
+    """The blocks of dense Phi samples, gathered along ``_block_groups``."""
+    mats = [s.matrix for s in samples]
+    groups = [(idx, np.array([m[idx[:, :, None], idx[:, None, :]] for m in mats]))
+              for idx in _block_groups(mats)]
+    return PhiBlocks(np.array([s.t for s in samples]), groups)
+
+
+def _svals(a: np.ndarray) -> np.ndarray:
+    """Singular values of a stack of square blocks, largest first, shaped a.shape[:-1].
+
+    2x2 blocks [[a, b], [c, d]] use the closed form (J. Blinn, "Consider the
+    lowly 2x2 matrix", IEEE CG&A 1996): with Q = hypot((a + d)/2, (c - b)/2)
+    and R = hypot((a - d)/2, (c + b)/2) they are Q + R and |Q - R|.  A
+    rotation-scaling block has R = 0, so its two are equal bit for bit.
+    """
+    if a.shape[-1] != 2:
+        return np.linalg.svd(a, compute_uv=False)
+    p, b, c, d = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
+    q = np.hypot(0.5 * (p + d), 0.5 * (c - b))
+    r = np.hypot(0.5 * (p - d), 0.5 * (c + b))
+    return np.stack([q + r, np.abs(q - r)], axis=-1)
+
+
+def _det(a: np.ndarray) -> np.ndarray:
+    """Determinants of a stack of square blocks; ad - bc for 2x2 blocks."""
+    if a.shape[-1] != 2:
+        return np.linalg.det(a)
+    return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
 
 
 def _horner(c: np.ndarray, times: np.ndarray, t: np.ndarray, blk: np.ndarray) -> np.ndarray:
@@ -456,30 +503,31 @@ def _detect_group(times: np.ndarray, phi: np.ndarray, sig: np.ndarray,
     if np.any(cross):
         blk = bi[cross]
         t_star[cross] = _bisect(
-            lambda t: np.linalg.det(_horner(c, times, t, blk)),
+            lambda t: _det(_horner(c, times, t, blk)),
             a[cross], b[cross], dets[lo[cross], blk])
     if not np.all(cross):
         blk = bi[~cross]
         t_star[~cross] = _golden(
-            lambda t: np.linalg.svd(_horner(c, times, t, blk), compute_uv=False)[:, -1],
+            lambda t: _svals(_horner(c, times, t, blk))[:, -1],
             a[~cross], b[~cross])
-    sv = np.linalg.svd(_horner(c, times, t_star, bi), compute_uv=False)
+    sv = _svals(_horner(c, times, t_star, bi))
     hit = sv[:, -1] < thr
     mult = np.maximum(np.sum(sv < thr, axis=1), 1)
     return t_star[hit], mult[hit], bi[hit]
 
 
-def detect_conjugate(phi_samples: list[OperatorSample],
+def detect_conjugate(phi_samples: list[OperatorSample] | PhiBlocks,
                      threshold: float | None = None,
                      threshold_factor: float = 1e-3) -> ConjugateReport:
     """Flag zeros of the Jacobi solution operator from sigma_min(Phi/t).
 
-    Phi is split into its decoupled blocks: the connected components of
-    the entries non-zero in some sample (each degree of the sphere Phi is
-    one 2x2 block, a generic torus Phi is one block).  The reported trace is
-    the smallest block sigma_min and the determinant sign the product of the
-    block signs.  The default threshold is scale-free: threshold_factor
-    times the median of the trace.
+    Detection runs on the decoupled blocks of Phi.  ``PhiBlocks`` (the
+    sphere backend's form, one 2x2 block per degree) are used as given;
+    dense samples are split into the connected components of the entries
+    non-zero in some sample (a generic torus Phi is one block).  Samples at
+    t <= 0 are dropped.  The reported trace is the smallest block sigma_min
+    and the determinant sign the product of the block signs.  The default
+    threshold is scale-free: threshold_factor times the median of the trace.
 
     Each local minimum of a block's sampled sigma_min is a candidate,
     bracketed by its neighbouring samples, unless Weyl's inequality with the
@@ -490,19 +538,21 @@ def detect_conjugate(phi_samples: list[OperatorSample],
     time whose sigma_min is below the threshold is reported with the number
     of block singular values below it; within a block refined times closer
     than 1e-9 count once, and across blocks such times merge and their
-    multiplicities add.
+    multiplicities add.  Singular values and determinants of 2x2 blocks are
+    taken in closed form (``_svals``, ``_det``), larger ones through LAPACK.
     """
-    pts = [s for s in phi_samples if s.t > 0]
-    if len(pts) < 3:
+    blocks = phi_samples
+    if not isinstance(blocks, PhiBlocks):
+        pts = [s for s in blocks if s.t > 0]
+        blocks = _to_blocks(pts) if pts else PhiBlocks(np.empty(0), [])
+    keep = blocks.times > 0
+    times = blocks.times[keep]
+    if len(times) < 3:
         raise ValueError("need at least 3 samples with t > 0")
-    times = np.array([s.t for s in pts])
-    mats = [s.matrix for s in pts]
     groups = []
-    for idx in _block_groups(mats):
-        phi = np.array([m[idx[:, :, None], idx[:, None, :]] for m in mats])
-        phi /= times[:, None, None, None]
-        groups.append((phi, np.linalg.svd(phi, compute_uv=False)[..., -1],
-                       np.sign(np.linalg.det(phi))))
+    for _, values in blocks.groups:
+        phi = values[keep] / times[:, None, None, None]
+        groups.append((phi, _svals(phi)[..., -1], np.sign(_det(phi))))
     sig = np.min(np.concatenate([g[1] for g in groups], axis=1), axis=1)
     dets = np.prod(np.concatenate([g[2] for g in groups], axis=1), axis=1)
     thr = threshold if threshold is not None else threshold_factor * float(np.median(sig))

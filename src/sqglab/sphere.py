@@ -13,7 +13,8 @@ and the translated Jacobi amplitude
 
 vanishes exactly at T_n(beta) = (2 pi / n) (n(n+1)/2)^(1 - beta/2).  For
 beta = 1 these conjugate times accumulate at pi sqrt(2); for beta < 1 they
-spread out.  No spherical grid is built: everything is exact per mode.
+spread out.  No spherical grid is built: everything is exact per mode, and
+Phi(t) is handed to the detection as its 2x2 blocks, one per degree.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from scipy.optimize import brentq
 
 from .euler_arnold import whole_steps
 from .flow import _rk4
-from .jacobi import OperatorSample
+from .jacobi import PhiBlocks
 
 PI_SQRT2 = float(np.pi * np.sqrt(2.0))
 
@@ -123,25 +124,25 @@ def first_sigma_zero(mode: SphereMode, dt: float = 1e-4,
     raise ValueError("no sigma zero found below t_max")
 
 
-def sphere_phi_samples(degrees, beta: float, times) -> list[OperatorSample]:
-    """Block-diagonal Phi(t) over the listed harmonic degrees.
+def sphere_phi_samples(degrees, beta: float, times) -> PhiBlocks:
+    """Phi(t) over the listed harmonic degrees, as its 2x2 blocks.
 
-    Each complex mode amplitude s(t) becomes the real 2x2 rotation-scaling
-    block [[Re s, -Im s], [Im s, Re s]] (real/imaginary Jacobi pair), so
-    the torus detection pipeline applies unchanged.  The whole (T, 2n, 2n)
-    stack is filled from one evaluation of the amplitudes.
+    Each complex mode amplitude s(t) becomes the real rotation-scaling block
+    [[Re s, -Im s], [Im s, Re s]] (real/imaginary Jacobi pair) on the
+    indices 2j, 2j + 1 of the j-th degree.  The (T, n, 2, 2) blocks come
+    from one evaluation of the amplitudes; no dense (T, 2n, 2n) stack is
+    built, and ``jacobi.detect_conjugate`` takes them as they are.
     """
     modes = [SphereMode(n, beta) for n in degrees]
     times = np.asarray(times, dtype=float)
     _, s = _amplitudes(modes, times)
     s = s.T  # (T, n)
-    b = np.arange(0, 2 * len(modes), 2)
-    stack = np.zeros((len(times), 2 * len(modes), 2 * len(modes)))
-    stack[:, b, b] = s.real
-    stack[:, b, b + 1] = -s.imag
-    stack[:, b + 1, b] = s.imag
-    stack[:, b + 1, b + 1] = s.real
-    return [OperatorSample(float(t), m, "Phi") for t, m in zip(times, stack)]
+    blocks = np.empty(s.shape + (2, 2))
+    blocks[..., 0, 0] = blocks[..., 1, 1] = s.real
+    blocks[..., 0, 1] = -s.imag
+    blocks[..., 1, 0] = s.imag
+    idx = np.arange(2 * len(modes)).reshape(-1, 2)
+    return PhiBlocks(times, [(idx, blocks)])
 
 
 SCAN_HEADER = "n,beta,T_n"

@@ -1,5 +1,6 @@
 """Shared fixtures: one moderately expensive geodesic reused across tests."""
 
+import numpy as np
 import pytest
 
 from sqglab import euler_arnold, jacobi
@@ -33,3 +34,17 @@ def shear_lambdas(shear_record, shear_basis):
 def shear_phi(shear_record, shear_basis, shear_lambdas):
     return jacobi.evolve_phi(shear_record, shear_basis, SHEAR_BETA,
                              lambdas=shear_lambdas)
+
+
+def _densify(blocks):
+    """Dense Phi samples with the entries of a ``jacobi.PhiBlocks`` and zeros elsewhere."""
+    d = sum(idx.size for idx, _ in blocks.groups)
+    stack = np.zeros((len(blocks.times), d, d))
+    for idx, values in blocks.groups:
+        stack[:, idx[:, :, None], idx[:, None, :]] = values
+    return [jacobi.OperatorSample(float(t), m, "Phi") for t, m in zip(blocks.times, stack)]
+
+
+@pytest.fixture
+def densify():
+    return _densify

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from sqglab import cli, morse, sphere
+from sqglab import cli, euler_arnold, morse, sphere
 from sqglab.cli import ConfigError, RunConfig, main, parse_config
 from sqglab.spectral import load_field
-from sqglab.flow import load_flowmap
+from sqglab.flow import NumericalAbort, load_flowmap
 
 
 def test_parse_config_basic():
@@ -57,6 +57,28 @@ def test_exit_code_3_on_cfl_blowup(tmp_path, capsys):
                "--set", "N=32", "--set", "ic=shear", "--out", str(tmp_path)])
     assert rc == 3
     assert "numerical abort" in capsys.readouterr().err
+
+
+def test_aborted_simulate_keeps_streamed_diagnostics(tmp_path, monkeypatch, capsys):
+    # snapshots at t = 0 and t = dt, then the second step aborts
+    step, calls = euler_arnold._joint_rk4_step, []
+
+    def abort_on_second_step(*args):
+        calls.append(1)
+        if len(calls) == 2:
+            raise NumericalAbort("injected abort")
+        return step(*args)
+
+    monkeypatch.setattr(euler_arnold, "_joint_rk4_step", abort_on_second_step)
+    rc = main(["simulate", "--set", "N=32", "--set", "dt=5e-3", "--set", "t_final=0.05",
+               "--set", "ic=shear", "--set", "snapshot_stride=1", "--out", str(tmp_path)])
+    assert rc == 3
+    assert "injected abort" in capsys.readouterr().err
+    diag = (tmp_path / "diagnostics.csv").read_text().splitlines()
+    assert diag[0] == euler_arnold.DIAG_HEADER
+    assert [float(row.split(",")[0]) for row in diag[1:]] == [0.0, 5e-3]
+    assert load_field(tmp_path / "theta_last.gsqg").grid.n == 32
+    assert not (tmp_path / "theta_final.gsqg").exists()
 
 
 def test_exit_code_4_on_coverage(tmp_path, capsys):

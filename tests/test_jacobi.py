@@ -402,11 +402,11 @@ def test_detect_conjugate_matches_reference_on_dense_phi(random_record):
     _assert_detection_matches_reference(phi)
 
 
-def test_detect_conjugate_support_spans_all_samples():
+def test_detect_conjugate_support_spans_all_samples(densify):
     # one entry coupling degrees 1 and 3 is non-zero at a single interior
     # sample only, next to the first conjugate time
     times = np.linspace(0.0, 1.3 * sphere.conjugate_time(2, 1.0), 401)
-    phi = sphere.sphere_phi_samples([1, 2, 3], 1.0, times)
+    phi = densify(sphere.sphere_phi_samples([1, 2, 3], 1.0, times))
     plain = jacobi.detect_conjugate(phi)
     i = int(np.searchsorted(times, plain.detected[0][0]))
     m = phi[i].matrix.copy()
@@ -427,6 +427,64 @@ def test_detect_conjugate_merges_coinciding_blocks():
     t_det, mult = report.detected[0]
     assert abs(t_det - sphere.conjugate_time(2, 1.0)) < 1e-6
     assert mult == 4
+
+
+_SCAN_STACKS = {
+    # the README scan, the criterion-10 stacks and two coinciding degrees
+    "readme": (range(1, 31), 1.0, 7.2, 801),
+    "beta0": (range(1, 31), 0.0, 1.1 * sphere.conjugate_time(1, 0.0), 801),
+    "beta0.5": (range(1, 31), 0.5, 1.1 * sphere.conjugate_time(1, 0.5), 801),
+    "beta0.75": (range(1, 31), 0.75, 1.1 * sphere.conjugate_time(1, 0.75), 801),
+    "2,2": ([2, 2], 1.0, 1.3 * sphere.conjugate_time(2, 1.0), 401),
+}
+
+
+@pytest.mark.parametrize("stack", list(_SCAN_STACKS))
+def test_detect_conjugate_block_route_equals_dense_route(densify, stack):
+    degrees, beta, horizon, samples = _SCAN_STACKS[stack]
+    blocks = sphere.sphere_phi_samples(degrees, beta, np.linspace(0.0, horizon, samples))
+    report = jacobi.detect_conjugate(blocks)
+    dense = jacobi.detect_conjugate(densify(blocks))
+    assert np.array_equal(report.times, dense.times)
+    assert np.array_equal(report.sigma_min, dense.sigma_min)
+    assert np.array_equal(report.det_sign, dense.det_sign)
+    assert report.detected == dense.detected
+    assert report.threshold == dense.threshold
+
+
+_TWO_BY_TWO = {
+    "random": lambda rng, n: rng.standard_normal((n, 2, 2)),
+    "rank_one": lambda rng, n: _outer(rng, n),
+    "rotation_scaling": lambda rng, n: _rotation_scaling(*rng.standard_normal((2, n))),
+    "rank_one_noise": lambda rng, n: _outer(rng, n) + 1e-12 * rng.standard_normal((n, 2, 2)),
+    "scaled": lambda rng, n: (rng.standard_normal((n, 2, 2))
+                              * 10.0 ** rng.uniform(-8.0, 8.0, (n, 2, 2))),
+    "zero": lambda rng, n: np.zeros((n, 2, 2)),
+}
+
+
+def _outer(rng, n):
+    u, v = rng.standard_normal((2, n, 2))
+    return u[:, :, None] * v[:, None, :]
+
+
+def _rotation_scaling(x, y):
+    return np.stack([np.stack([x, -y], -1), np.stack([y, x], -1)], -2)
+
+
+@pytest.mark.parametrize("family", list(_TWO_BY_TWO))
+def test_closed_form_2x2_matches_lapack(family):
+    a = _TWO_BY_TWO[family](np.random.default_rng(2024), 100_000)
+    eps = np.finfo(float).eps
+    ref = np.linalg.svd(a, compute_uv=False)
+    sv = jacobi._svals(a)
+    smax = ref[:, :1]
+    assert sv.shape == ref.shape
+    assert np.all(np.abs(sv - ref) <= 8 * eps * smax)
+    assert np.all(np.abs(jacobi._det(a) - np.linalg.det(a)) <= 64 * eps * smax[:, 0]**2)
+    if family == "rotation_scaling":
+        # a double singular value is exactly double, so multiplicity 2 is not luck
+        assert np.array_equal(sv[:, 0], sv[:, 1])
 
 
 def _count_svd(monkeypatch):
@@ -461,11 +519,12 @@ def test_detect_conjugate_skips_only_proven_minima(random_record, monkeypatch):
 
 
 @pytest.mark.parametrize("stack", ["sphere", "dense", "cubic"])
-def test_spline_drift_bounds_the_block_splines(random_record, stack):
+def test_spline_drift_bounds_the_block_splines(random_record, densify, stack):
     # the skip rule is only sound if the drift bounds how far each block
     # spline moves from either end of every interval
     if stack == "sphere":
-        phi = sphere.sphere_phi_samples(range(1, 6), 1.0, np.linspace(0.0, 7.2, 81))[1:]
+        phi = densify(sphere.sphere_phi_samples(range(1, 6), 1.0,
+                                                np.linspace(0.0, 7.2, 81)))[1:]
         times = np.array([s.t for s in phi])
         mats = [s.matrix / s.t for s in phi]
     elif stack == "dense":

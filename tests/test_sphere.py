@@ -111,9 +111,13 @@ def test_cluster_scan_csv_format():
     assert np.isclose(float(tn), sphere.conjugate_time(1, 1.0))
 
 
-def test_phi_samples_block_structure():
+def test_phi_samples_block_structure(densify):
     times = np.linspace(0.0, 2.0, 5)
-    samples = sphere.sphere_phi_samples([1, 2], 0.5, times)
+    blocks = sphere.sphere_phi_samples([1, 2], 0.5, times)
+    # one group of 2x2 blocks on the index pairs (0, 1) and (2, 3)
+    [(idx, values)] = blocks.groups
+    assert idx.tolist() == [[0, 1], [2, 3]] and values.shape == (5, 2, 2, 2)
+    samples = densify(blocks)
     assert samples[0].matrix.shape == (4, 4)
     assert np.max(np.abs(samples[0].matrix)) < 1e-14
     m = samples[3].matrix
@@ -126,17 +130,16 @@ def test_phi_samples_block_structure():
 def test_phi_samples_match_per_mode_closed_form(beta):
     degrees = range(1, 31)
     times = np.linspace(0.0, 7.2, 97)
-    stack = np.array([s.matrix for s in sphere.sphere_phi_samples(degrees, beta, times)])
-    outside = stack.copy()
+    blocks = sphere.sphere_phi_samples(degrees, beta, times)
+    assert np.array_equal(blocks.times, times)
+    # nothing outside the blocks: degree j owns exactly the indices 2j, 2j + 1
+    [(idx, values)] = blocks.groups
+    assert idx.tolist() == [[2 * j, 2 * j + 1] for j in range(len(degrees))]
     for j, n in enumerate(degrees):
         _, s = sphere.closed_form(times, sphere.SphereMode(n, beta))
         block = np.stack([np.stack([s.real, -s.imag], -1),
                           np.stack([s.imag, s.real], -1)], -2)
-        b = 2 * j
-        assert (np.max(np.abs(stack[:, b:b + 2, b:b + 2] - block))
-                <= 1e-15 * np.max(np.abs(s)))
-        outside[:, b:b + 2, b:b + 2] = 0.0
-    assert not outside.any()
+        assert np.max(np.abs(values[:, j] - block)) <= 1e-15 * np.max(np.abs(s))
 
 
 def test_integrate_mode_rejects_partial_final_step():
