@@ -95,9 +95,6 @@ class GeodesicRecord:
     def u0(self) -> VectorFieldExact:
         return gradient_perp(self.psi0)
 
-    def stream_at(self, i: int) -> ScalarField:
-        return frac_laplacian(self.thetas[i], self.config.beta / 2.0 - 1.0)
-
     def require_flow_maps(self, user: str):
         """Raise ValueError if the diffeos are identity placeholders."""
         if not self.config.advance_flow:

@@ -142,21 +142,20 @@ def labels_to_flowmap(labels: tuple[ScalarField, ScalarField]) -> FlowMap:
     return FlowMap(a1.grid, a1.values(), a2.values())
 
 
-def inverse_consistency(fwd: FlowMap, inv: FlowMap, method: str = "fourier") -> float:
+def inverse_consistency(fwd: FlowMap, inv: FlowMap) -> float:
     """max |gamma(gamma^-1(x)) - x| over the grid (periodic distance)."""
     g = fwd.grid
     ix, iy = inv.points()
     fx, fy = fwd.displacement_fields()
     pts = np.column_stack([ix.ravel(), iy.ravel()])
-    dx = interpolate(fx, pts, method=method)
-    dy = interpolate(fy, pts, method=method)
+    dx = interpolate(fx, pts)
+    dy = interpolate(fy, pts)
     rx = np.mod(ix.ravel() + dx - g.x.ravel() + np.pi, TWO_PI) - np.pi
     ry = np.mod(iy.ravel() + dy - g.y.ravel() + np.pi, TWO_PI) - np.pi
     return float(np.max(np.hypot(rx, ry)))
 
 
-def transport_check(theta_t: ScalarField, fm: FlowMap, theta0: ScalarField,
-                    method: str = "fourier") -> float:
+def transport_check(theta_t: ScalarField, fm: FlowMap, theta0: ScalarField) -> float:
     """Relative L2 size of theta(t) o gamma(t) - theta_0.
 
     This is the computable form of the coadjoint conservation law.
@@ -165,8 +164,7 @@ def transport_check(theta_t: ScalarField, fm: FlowMap, theta0: ScalarField,
     if n0 == 0.0:
         raise ValueError("transport_check needs a nonzero reference field")
     px, py = fm.points()
-    vals = interpolate(theta_t, np.column_stack([px.ravel(), py.ravel()]),
-                       method=method).reshape(px.shape)
+    vals = interpolate(theta_t, np.column_stack([px.ravel(), py.ravel()])).reshape(px.shape)
     comp = ScalarField.from_values(fm.grid, vals, zero_mean=False)
     return (comp - theta0).norm_l2() / n0
 

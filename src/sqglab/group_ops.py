@@ -41,19 +41,18 @@ class DiffeoSample:
         return cls(FlowMap.identity(g), FlowMap.identity(g), 0.0)
 
 
-def compose_stream(psi: ScalarField, fm: FlowMap, method: str = "fourier") -> ScalarField:
+def compose_stream(psi: ScalarField, fm: FlowMap) -> ScalarField:
     """psi o fm, re-projected: dealiased and mean-zeroed."""
     px, py = fm.points()
-    vals = interpolate(psi, np.column_stack([px.ravel(), py.ravel()]),
-                       method=method).reshape(px.shape)
+    vals = interpolate(psi, np.column_stack([px.ravel(), py.ravel()])).reshape(px.shape)
     return ScalarField.from_values(fm.grid, vals).dealiased()
 
 
-def adjoint(eta: DiffeoSample, v: VectorFieldExact, method: str = "fourier") -> VectorFieldExact:
+def adjoint(eta: DiffeoSample, v: VectorFieldExact) -> VectorFieldExact:
     """Ad_eta v: stream function pushed forward, psi_v o eta^-1."""
     if eta.inverse is None:
         raise ValueError("adjoint needs the inverse map")
-    return gradient_perp(compose_stream(v.stream, eta.inverse, method=method))
+    return gradient_perp(compose_stream(v.stream, eta.inverse))
 
 
 def ad_bracket(u: VectorFieldExact, v: VectorFieldExact) -> VectorFieldExact:
@@ -68,33 +67,30 @@ def coadjoint_algebra(u: VectorFieldExact, v: VectorFieldExact, beta: float) -> 
     return gradient_perp(frac_laplacian(br, beta / 2.0 - 1.0))
 
 
-def coadjoint_group(eta: DiffeoSample, u: VectorFieldExact, beta: float,
-                    method: str = "fourier") -> VectorFieldExact:
+def coadjoint_group(eta: DiffeoSample, u: VectorFieldExact, beta: float) -> VectorFieldExact:
     """Ad*_eta u with respect to the beta metric."""
     check_beta(beta)
     if eta.forward is None:
         raise ValueError("coadjoint_group needs the forward map")
     s = frac_laplacian(u.stream, 1.0 - beta / 2.0)
-    s = compose_stream(s, eta.forward, method=method)
+    s = compose_stream(s, eta.forward)
     return gradient_perp(frac_laplacian(s, beta / 2.0 - 1.0))
 
 
-def lambda_apply(d: DiffeoSample, v: VectorFieldExact, beta: float,
-                 method: str = "fourier") -> VectorFieldExact:
+def lambda_apply(d: DiffeoSample, v: VectorFieldExact, beta: float) -> VectorFieldExact:
     """Lambda(t) v = Ad*_gamma Ad_gamma v as one multiplier/composition chain."""
     check_beta(beta)
-    s = compose_stream(v.stream, d.inverse, method=method)
+    s = compose_stream(v.stream, d.inverse)
     s = frac_laplacian(s, 1.0 - beta / 2.0)
-    s = compose_stream(s, d.forward, method=method)
+    s = compose_stream(s, d.forward)
     return gradient_perp(frac_laplacian(s, beta / 2.0 - 1.0))
 
 
-def lambda_inverse_apply(d: DiffeoSample, v: VectorFieldExact, beta: float,
-                         method: str = "fourier") -> VectorFieldExact:
+def lambda_inverse_apply(d: DiffeoSample, v: VectorFieldExact, beta: float) -> VectorFieldExact:
     """Lambda(t)^-1 v = Ad_{gamma^-1} Ad*_{gamma^-1} v."""
     check_beta(beta)
     s = frac_laplacian(v.stream, 1.0 - beta / 2.0)
-    s = compose_stream(s, d.inverse, method=method)
+    s = compose_stream(s, d.inverse)
     s = frac_laplacian(s, beta / 2.0 - 1.0)
-    s = compose_stream(s, d.forward, method=method)
+    s = compose_stream(s, d.forward)
     return gradient_perp(s)

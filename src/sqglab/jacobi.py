@@ -13,6 +13,8 @@ stream is a single cos or sin mode, so the stream e_j o gamma^-1 of
 Ad_gamma e_j is evaluated directly at the inverse-map points, one complex
 exponential per wavevector; no Fourier series is summed off the grid.  For
 the same reason K0 is a lookup in the spectrum of (-Lap)^(1-b/2) psi_u0.
+The basis is its integer wavevector table alone, with no stack of grid
+coefficients: coordinates, streams and K0 are read from it in closed form.
 
 The solution operator Phi(t) of the linearized Cauchy problem is evolved
 as the first-order system m = Lambda w, m' = -K0 Lambda^-1 m, v' = w, in
@@ -54,20 +56,37 @@ from .spectral import (
 
 @dataclass(frozen=True)
 class GalerkinBasis:
-    """Real trigonometric streams over 0 < |k| <= K, beta-orthonormalized."""
+    """Real trigonometric streams over 0 < |k| <= K, beta-orthonormalized.
+
+    ``k`` is the integer wavevector table, shape (d/2, 2), one row per +-k
+    pair (kx > 0, or kx = 0 and ky > 0).  Coordinate 2j is the cos stream
+    s_j cos(k_j.x) and coordinate 2j + 1 the sin stream s_j sin(k_j.x), with
+    the amplitudes s_j of ``_mode_scale`` (``scale``).  Distinct streams are
+    single, distinct +-k modes, so the basis is orthonormal by construction.
+    """
 
     grid: SpectralGrid
     cutoff: int
     beta: float
-    modes: list = field(repr=False)       # (kx, ky, "cos"|"sin"), cos then sin per k
-    coeffs: np.ndarray = field(repr=False)  # (d, N, N) stream coefficients
+    k: np.ndarray = field(repr=False)
 
     @property
     def dim(self) -> int:
-        return len(self.modes)
+        return 2 * len(self.k)
+
+    @property
+    def scale(self) -> np.ndarray:
+        """The amplitude s_j of the cos and sin streams of k_j, shape (d/2,)."""
+        return np.array([_mode_scale(kx, ky, self.beta) for kx, ky in self.k.tolist()])
 
     def field_of(self, coords: np.ndarray) -> ScalarField:
-        c = np.tensordot(np.asarray(coords, dtype=float), self.coeffs, axes=(0, 0))
+        """The stream sum_j coords_j e_j: s/2 (a_cos - i a_sin) at k, its conjugate at -k."""
+        n = self.grid.n
+        a = np.asarray(coords, dtype=float).reshape(-1, 2)
+        z = 0.5 * self.scale * (a[:, 0] - 1j * a[:, 1])
+        c = np.zeros((n, n), dtype=complex)
+        c[self.k[:, 0] % n, self.k[:, 1] % n] = z
+        c[-self.k[:, 0] % n, -self.k[:, 1] % n] = np.conj(z)
         return ScalarField(self.grid, c)
 
     def vector_of(self, coords: np.ndarray) -> VectorFieldExact:
@@ -84,37 +103,44 @@ class GalerkinBasis:
     def coords_half(self, half: np.ndarray) -> np.ndarray:
         """Coordinates of real streams given on the band of ``_band`` (as ``compose`` returns).
 
-        The basis streams live inside the band, so nothing outside it counts.
+        The pairing of e_j with a real stream f reads f only at +-k_j:
+        (2 pi)^2 |k|^(2-beta) s Re f_k for the cos stream and minus the same
+        times Im f_k for the sin stream.  The band holds ky >= 0, so f_k is
+        read at k, or for ky < 0 as the conjugate of f_-k.
         """
         g = self.grid
-        e = np.conj(_band(g, self.coeffs)) * _band_weight(g, 1.0 - self.beta / 2.0)
-        return (e.reshape(self.dim, -1) @ half.reshape(len(half), -1).T).real * TWO_PI**2
-
-    def gram(self) -> np.ndarray:
-        return self.coords_many(self.coeffs)
+        flip = self.k[:, 1] < 0
+        q = np.where(flip[:, None], -self.k, self.k)
+        f = half[:, q[:, 0] % (2 * g.cutoff + 1), q[:, 1]]  # (m, d/2)
+        w = g.k_power(1.0 - self.beta / 2.0)[q[:, 0] % g.n, q[:, 1]] * self.scale * TWO_PI**2
+        f = w * np.where(flip, np.conj(f), f)
+        return np.stack([f.real, -f.imag], axis=-1).reshape(len(half), self.dim).T
 
     def compose(self, fm) -> np.ndarray:
         """Half-spectrum coefficients of e_j o fm for the whole basis.
 
         The cos and sin streams of a wavevector k are the real and imaginary
-        parts of scale * exp(i k.x), sampled once at the mapped grid points
-        as exp(i kx x) exp(i ky y).  The real samples go through one real
-        transform, pruned to the columns of the dealiased band (``_band``):
-        shape (d, 2c + 1, c + 1).  The k = 0 entry holds the mean, which
-        every weight of ``_band_weight`` zeroes.
+        parts of s exp(i k.x), sampled at the mapped grid points as
+        exp(i kx x) exp(i ky y).  The two real sample grids of each k go
+        through one real transform, pruned to the columns of the dealiased
+        band (``_band``), then along x: shape (d, 2c + 1, c + 1).  The k = 0
+        entry holds the mean, which every weight of ``_band_weight`` zeroes.
+        Transforming one k at a time keeps the working set to a few N x N
+        arrays; whole-basis (d, N, N) temporaries measured slower.
         """
         g = self.grid
-        n, kmax = g.n, self.cutoff
+        n, kmax, c = g.n, self.cutoff, g.cutoff
         px, py = fm.points()
         ex = np.exp(1j * np.arange(kmax + 1)[:, None, None] * px)        # kx = 0..K
         ey = np.exp(1j * np.arange(-kmax, kmax + 1)[:, None, None] * py)  # ky = -K..K
-        vals = np.empty((self.dim // 2, 2, n, n))
-        for j, (kx, ky, _) in enumerate(self.modes[::2]):
-            z = _mode_scale(kx, ky, self.beta) * (ex[kx] * ey[ky + kmax])
-            vals[j, 0] = z.real  # the cos stream of k
-            vals[j, 1] = z.imag  # the sin stream of k
-        half = np.fft.rfft(vals.reshape(self.dim, n, n), axis=-1)[..., :g.cutoff + 1]
-        return _band(g, np.fft.fft(half, axis=-2)) / n**2
+        out = np.empty((len(self.k), 2, 2 * c + 1, c + 1), dtype=complex)
+        pair = np.empty((2, n, n))  # the cos and sin streams of one k
+        for j, ((kx, ky), s) in enumerate(zip(self.k.tolist(), self.scale)):
+            z = s * (ex[kx] * ey[ky + kmax])
+            pair[0], pair[1] = z.real, z.imag
+            half = np.fft.rfft(pair, axis=-1)[..., :c + 1]
+            out[j] = _band(g, np.fft.fft(half, axis=-2))
+        return out.reshape(self.dim, 2 * c + 1, c + 1) / n**2
 
 
 def _band(g: SpectralGrid, a: np.ndarray) -> np.ndarray:
@@ -149,28 +175,11 @@ def make_basis(g: SpectralGrid, cutoff: int, beta: float) -> GalerkinBasis:
         raise ValueError("basis cutoff must be >= 2")
     if cutoff > g.cutoff:
         raise ValueError(f"basis cutoff {cutoff} exceeds dealias cutoff {g.cutoff}")
-    modes = []
-    for kx in range(-cutoff, cutoff + 1):
-        for ky in range(-cutoff, cutoff + 1):
-            if kx == 0 and ky == 0:
-                continue
-            if kx**2 + ky**2 > cutoff**2:
-                continue
-            if kx < 0 or (kx == 0 and ky < 0):
-                continue  # one representative per +-k pair
-            modes.append((kx, ky, "cos"))
-            modes.append((kx, ky, "sin"))
-    coeffs = np.zeros((len(modes), g.n, g.n), dtype=complex)
-    for j, (kx, ky, kind) in enumerate(modes):
-        scale = _mode_scale(kx, ky, beta)
-        ip, im = (kx % g.n, ky % g.n), ((-kx) % g.n, (-ky) % g.n)
-        if kind == "cos":
-            coeffs[j][ip] += 0.5 * scale
-            coeffs[j][im] += 0.5 * scale
-        else:
-            coeffs[j][ip] += -0.5j * scale
-            coeffs[j][im] += 0.5j * scale
-    return GalerkinBasis(g, cutoff, beta, modes, coeffs)
+    r = np.arange(-cutoff, cutoff + 1)
+    kx, ky = np.meshgrid(r, r, indexing="ij")  # kx-major, as the rows of the table
+    # 0 < |k| <= K, one representative per +-k pair
+    keep = (kx**2 + ky**2 <= cutoff**2) & ((kx > 0) | ((kx == 0) & (ky > 0)))
+    return GalerkinBasis(g, cutoff, beta, np.column_stack([kx[keep], ky[keep]]))
 
 
 @dataclass(frozen=True)
@@ -200,8 +209,8 @@ def k0_matrix(u0: VectorFieldExact, beta: float, basis: GalerkinBasis) -> Operat
     check_beta(beta)
     g = basis.grid
     s = frac_laplacian(u0.stream, 1.0 - beta / 2.0).coeff * g.dealias_mask
-    k = np.array([mode[:2] for mode in basis.modes])
-    c = basis.coeffs[np.arange(basis.dim), k[:, 0] % g.n, k[:, 1] % g.n]  # c_j^+
+    k = np.repeat(basis.k, 2, axis=0)
+    c = np.repeat(0.5 * basis.scale, 2) * np.tile([1.0, -1j], len(basis.k))  # c_j^+
     k = np.concatenate([k, -k])          # signed modes t k_i, first t = +1
     c = np.concatenate([c, np.conj(c)])  # c_i^-(k) = conj(c_i^+) for a real stream
     cross = k[:, None, 0] * k[None, :, 1] - k[:, None, 1] * k[None, :, 0]
@@ -368,6 +377,9 @@ class PhiBlocks:
     groups: list
 
 
+# the default detection threshold relative to the median of the sigma_min trace
+THRESHOLD_FACTOR = 1e-3
+
 # golden-section ratio and the width to which refinement brackets shrink
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 _XATOL = 1e-12
@@ -517,8 +529,7 @@ def _detect_group(times: np.ndarray, phi: np.ndarray, sig: np.ndarray,
 
 
 def detect_conjugate(phi_samples: list[OperatorSample] | PhiBlocks,
-                     threshold: float | None = None,
-                     threshold_factor: float = 1e-3) -> ConjugateReport:
+                     threshold: float | None = None) -> ConjugateReport:
     """Flag zeros of the Jacobi solution operator from sigma_min(Phi/t).
 
     Detection runs on the decoupled blocks of Phi.  ``PhiBlocks`` (the
@@ -527,7 +538,7 @@ def detect_conjugate(phi_samples: list[OperatorSample] | PhiBlocks,
     non-zero in some sample (a generic torus Phi is one block).  Samples at
     t <= 0 are dropped.  The reported trace is the smallest block sigma_min
     and the determinant sign the product of the block signs.  The default
-    threshold is scale-free: threshold_factor times the median of the trace.
+    threshold is scale-free: ``THRESHOLD_FACTOR`` times the median of the trace.
 
     Each local minimum of a block's sampled sigma_min is a candidate,
     bracketed by its neighbouring samples, unless Weyl's inequality with the
@@ -555,7 +566,7 @@ def detect_conjugate(phi_samples: list[OperatorSample] | PhiBlocks,
         groups.append((phi, _svals(phi)[..., -1], np.sign(_det(phi))))
     sig = np.min(np.concatenate([g[1] for g in groups], axis=1), axis=1)
     dets = np.prod(np.concatenate([g[2] for g in groups], axis=1), axis=1)
-    thr = threshold if threshold is not None else threshold_factor * float(np.median(sig))
+    thr = threshold if threshold is not None else THRESHOLD_FACTOR * float(np.median(sig))
 
     found = []  # (block, t, multiplicity), blocks numbered across the groups
     offset = 0

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sla
 from scipy.integrate import simpson
 from scipy.interpolate import CubicSpline
 
@@ -120,16 +119,16 @@ def delta_inf(record: GeodesicRecord, cutoff: int = 6) -> float:
 def c_constant(u0: VectorFieldExact, beta: float, basis: GalerkinBasis) -> float:
     """Sharpest C with ||K0 v||_{-beta/2}^2 <= C ||psi_v||_{beta/2}^2.
 
-    Generalized eigenvalue problem on the truncated space: the left side is
-    |K x|^2 in the beta-orthonormal coordinates, the right side the Gram
-    matrix of the stream functions in the order-beta/2 homogeneous norm.
+    On the truncated space the left side is |K0 x|^2 in the
+    beta-orthonormal coordinates and the right side x^T D x with D the Gram
+    matrix of the basis streams in the order-beta/2 homogeneous norm.  The
+    streams are single, distinct +-k modes, so D is diagonal,
+    D_jj = 2 pi^2 |k_j|^beta s_j^2 = |k_j|^(2 beta - 2) for the unit-beta-norm
+    amplitude s_j, and C = ||K0 D^(-1/2)||_2^2.
     """
     k = k0_matrix(u0, beta, basis).matrix
-    w = basis.grid.k_power(beta / 2.0)
-    e = basis.coeffs.reshape(basis.dim, -1)
-    gram = (np.conj(e) @ (w.reshape(-1)[:, None] * e.T)).real * TWO_PI**2
-    vals = sla.eigh(k.T @ k, gram, eigvals_only=True)
-    return float(max(vals[-1], 0.0))
+    kk = np.repeat(np.sum(basis.k**2, axis=1), 2).astype(float)
+    return float(np.linalg.norm(k * kk ** (0.5 - beta / 2.0), 2) ** 2)
 
 
 def sphere_rotation_constants(beta: float, n_max: int) -> tuple[float, float]:

@@ -240,12 +240,13 @@ def poisson_bracket(f: ScalarField, g_: ScalarField) -> ScalarField:
 # ---------------------------------------------------------------------------
 # interpolation
 
-def _fourier_eval(coeff: np.ndarray, g: SpectralGrid, x: np.ndarray, y: np.ndarray,
-                  chunk: int = 16) -> np.ndarray:
+def _fourier_eval(coeff: np.ndarray, g: SpectralGrid, x: np.ndarray,
+                  y: np.ndarray) -> np.ndarray:
     """Direct Fourier evaluation of stacked coefficient arrays at points.
 
     coeff has shape (..., N, N); returns real values of shape (..., P).
     """
+    chunk = 16  # arrays per batched product
     n = g.n
     k = np.fft.fftfreq(n, d=1.0 / n)
     ex = np.exp(1j * np.outer(k, x))  # (N, P)
@@ -314,21 +315,17 @@ def _spline_eval(parts, x: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
             for p in parts]
 
 
-def interpolate(f: ScalarField, points: np.ndarray, method: str = "fourier") -> np.ndarray:
+def interpolate(f: ScalarField, points: np.ndarray) -> np.ndarray:
     """Evaluate a field at arbitrary points (wrapped periodically).
 
-    ``method="fourier"`` sums the series directly (exact, test-grade);
-    ``method="bicubic"`` evaluates a quintic spline through the samples of
-    the field on a spectrally refined grid (fast path).
+    The Fourier series is summed directly, so the values are exact.  The
+    particle stage samples the velocity through the quintic spline of
+    ``_spline_coefficients`` / ``_spline_eval`` instead.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     x = np.mod(pts[:, 0], TWO_PI)
     y = np.mod(pts[:, 1], TWO_PI)
-    if method == "fourier":
-        return _fourier_eval(f.coeff, f.grid, x, y)
-    if method == "bicubic":
-        return _spline_eval((_spline_coefficients(f.coeff).real,), x, y)[0]
-    raise ValueError(f"unknown interpolation method {method!r}")
+    return _fourier_eval(f.coeff, f.grid, x, y)
 
 
 # ---------------------------------------------------------------------------

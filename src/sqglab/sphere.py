@@ -99,16 +99,15 @@ def integrate_mode(mode: SphereMode, dt: float, t_final: float):
     return times, xi, sigma
 
 
-def first_sigma_zero(mode: SphereMode, dt: float = 1e-4,
-                     t_max: float | None = None) -> float:
+def first_sigma_zero(mode: SphereMode, dt: float = 1e-4) -> float:
     """First positive zero of |sigma| from the integrated samples.
 
     |sigma| does not change sign, so the zero is refined as a root of
     d|sigma|^2/dt = 2 Re(conj(sigma) xi), bracketed around the first local
-    minimum of |sigma| below half its running maximum.
+    minimum of |sigma| below half its running maximum, searched up to 1.25
+    times the closed-form conjugate time.
     """
-    if t_max is None:
-        t_max = 1.25 * conjugate_time(mode.n, mode.beta)
+    t_max = 1.25 * conjugate_time(mode.n, mode.beta)
     # t_max only bounds the search: round it up to whole steps
     times, xi, sigma = integrate_mode(mode, dt, np.ceil(t_max / dt) * dt)
     mag = np.abs(sigma)

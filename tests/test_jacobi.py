@@ -1,5 +1,7 @@
 """Galerkin basis, linearized operators, Phi evolution, conjugate detection."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
@@ -9,7 +11,14 @@ from sqglab import jacobi, morse, sphere
 from sqglab.euler_arnold import SolverConfig, simulate
 from sqglab.group_ops import DiffeoSample, coadjoint_algebra
 from sqglab.presets import initial_stream, random_stream
-from sqglab.spectral import TWO_PI, ScalarField, _fourier_eval, gradient_perp, grid
+from sqglab.spectral import (
+    TWO_PI,
+    ScalarField,
+    _fourier_eval,
+    gradient_perp,
+    grid,
+    inner_product_beta,
+)
 
 
 def _compose_many(coeffs, g, fm):
@@ -22,6 +31,11 @@ def _compose_many(coeffs, g, fm):
     return out
 
 
+def _stream_stack(basis):
+    """The (d, N, N) coefficient arrays of the basis streams."""
+    return np.stack([basis.field_of(e).coeff for e in np.eye(basis.dim)])
+
+
 def _lambda_reference(d, beta, basis):
     """Lambda(t) column-wise as Ad*_gamma Ad_gamma: two compositions, two multipliers."""
     g = basis.grid
@@ -30,7 +44,7 @@ def _lambda_reference(d, beta, basis):
     w_fwd[nz] = g.k2[nz] ** (1.0 - beta / 2.0)
     w_bwd = np.zeros_like(g.k2)
     w_bwd[nz] = g.k2[nz] ** (beta / 2.0 - 1.0)
-    c = _compose_many(basis.coeffs, g, d.inverse)     # R_gamma^-1
+    c = _compose_many(_stream_stack(basis), g, d.inverse)  # R_gamma^-1
     c *= w_fwd                                        # (-Lap)^(1-b/2)
     c = _compose_many(c, g, d.forward)                # R_gamma
     c *= w_bwd                                        # (-Lap)^(b/2-1)
@@ -170,8 +184,37 @@ def test_basis_orthonormal():
     g = grid(64)
     for beta in (0.0, 0.5, 1.0):
         basis = jacobi.make_basis(g, 4, beta)
-        gram = basis.gram()
+        streams = [basis.field_of(e) for e in np.eye(basis.dim)]
+        gram = np.array([[inner_product_beta(a, b, beta) for b in streams] for a in streams])
         assert np.max(np.abs(gram - np.eye(basis.dim))) < 1e-12
+
+
+def test_make_basis_holds_no_grid_stack():
+    g = grid(256)
+    tracemalloc.start()
+    try:
+        jacobi.make_basis(g, 6, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("n", [18, 64])
+def test_coords_match_inner_product(n):
+    # an independent route to the coordinates: the full-spectrum beta pairing
+    # with each basis stream, on every wavevector sign pattern (N = 18 puts
+    # K = 6 at the dealias band edge)
+    g = grid(n)
+    beta = 0.5
+    basis = jacobi.make_basis(g, 6, beta)
+    rng = np.random.default_rng(n)
+    fields = [ScalarField.from_values(g, rng.normal(size=(n, n))).dealiased()
+              for _ in range(3)]
+    got = basis.coords_many(np.stack([f.coeff for f in fields]))
+    want = np.array([[inner_product_beta(basis.field_of(e), f, beta) for f in fields]
+                     for e in np.eye(basis.dim)])
+    assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
 
 
 def test_basis_dimension_counts_half_lattice():
@@ -252,7 +295,7 @@ def test_adjoint_matrices_match_fourier_composition(random_record):
     d = random_record.diffeos[-1]
     for got, fm in ((morse.ad_matrix(d, basis), d.inverse),
                     (morse.ad_inverse_matrix(d, basis), d.forward)):
-        want = basis.coords_many(_compose_many(basis.coeffs, g, fm))
+        want = basis.coords_many(_compose_many(_stream_stack(basis), g, fm))
         assert _rel_err(got, want) < 1e-10
 
 

@@ -134,7 +134,7 @@ def test_interpolate_fourier_is_exact_off_grid():
     f = ScalarField.from_function(g, lambda x, y: np.cos(3 * x - 2 * y))
     rng = np.random.default_rng(7)
     pts = rng.uniform(0, 2 * np.pi, size=(50, 2))
-    vals = interpolate(f, pts, method="fourier")
+    vals = interpolate(f, pts)
     assert np.allclose(vals, np.cos(3 * pts[:, 0] - 2 * pts[:, 1]), atol=1e-12)
 
 
@@ -143,8 +143,8 @@ def test_interpolate_bicubic_close_to_fourier():
     f = random_field(g, 8, kmax=4)
     rng = np.random.default_rng(9)
     pts = rng.uniform(0, 2 * np.pi, size=(200, 2))
-    a = interpolate(f, pts, method="fourier")
-    b = interpolate(f, pts, method="bicubic")
+    a = interpolate(f, pts)
+    b = _spline_eval((_spline_coefficients(f.coeff).real,), pts[:, 0], pts[:, 1])[0]
     scale = np.max(np.abs(a))
     assert np.max(np.abs(a - b)) / scale < 1e-5
 
@@ -180,8 +180,6 @@ def test_spline_coefficients_match_scipy_prefilter(n):
     want = _prefiltered_reference(f.coeff, x, y)[0]
     got = _spline_eval((_spline_coefficients(f.coeff).real,), x, y)[0]
     assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-13
-    bicubic = interpolate(f, np.column_stack([x, y]), method="bicubic")
-    assert np.max(np.abs(bicubic - want)) / np.max(np.abs(want)) < 1e-13
 
 
 @pytest.mark.parametrize("n", [32, 64])
