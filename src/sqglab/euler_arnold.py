@@ -33,7 +33,6 @@ from .spectral import (
     check_beta,
     frac_laplacian,
     gradient_perp,
-    grid,
     inner_product_beta,
     poisson_bracket,
     _spline_coefficients,

@@ -25,7 +25,8 @@ from the smallest singular value of Phi(t)/t, block by block over the
 decoupled blocks of Phi (``PhiBlocks``: one 2x2 block per degree on the
 sphere, given as such by the sphere backend; a single block for a generic
 torus Phi, found from the support of the dense samples), so that zeros of
-different blocks do not hide one another.  The singular values and
+different blocks do not hide one another; between samples a block is only
+interpolated near the minima of its sigma_min.  The singular values and
 determinants of 2x2 blocks are taken in closed form, larger blocks through
 LAPACK.
 """
@@ -37,7 +38,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import linalg as sla
 from scipy.integrate import cumulative_simpson
-from scipy.interpolate import CubicSpline
 from scipy.sparse.csgraph import connected_components
 
 from .euler_arnold import GeodesicRecord
@@ -432,18 +432,6 @@ def _det(a: np.ndarray) -> np.ndarray:
     return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
 
 
-def _horner(c: np.ndarray, times: np.ndarray, t: np.ndarray, blk: np.ndarray) -> np.ndarray:
-    """Block splines at times t, one (block blk[i], time t[i]) pair per row.
-
-    c holds the piecewise cubic coefficients of ``CubicSpline.c``, shaped
-    (4, T - 1, nb, s, s); the result is (len(t), s, s).
-    """
-    j = np.clip(np.searchsorted(times, t, side="right") - 1, 0, len(times) - 2)
-    x = (t - times[j])[:, None, None]
-    cj = c[:, j, blk]
-    return ((cj[0] * x + cj[1]) * x + cj[2]) * x + cj[3]
-
-
 def _steps(width: np.ndarray, rate: float) -> int:
     """Iterations that shrink every bracket width below ``_XATOL`` at the given rate."""
     return max(int(np.ceil(np.log(_XATOL / np.max(width)) / np.log(rate))), 0)
@@ -476,15 +464,34 @@ def _bisect(f, a: np.ndarray, b: np.ndarray, sign_a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + b)
 
 
-def _spline_drift(c: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Bound on ||S(t) - S(t_j)||_F over each spline interval [t_j, t_j+1], (T - 1, nb).
+def _local_poly(times: np.ndarray, phi: np.ndarray, ti: np.ndarray, bi: np.ndarray):
+    """Interpolating polynomials of the blocks bi around the samples ti, and their drift.
 
-    On an interval of length h the cubic S moves at most sum_p ||c_p||_F h^p
-    away from either end, since |x^p - h^p| <= h^p for x in [0, h].
+    Each runs through the w = min(5, T) samples centred on t_i (shifted inward
+    at the ends of the trace) in x = (t - t_i) / r, r the larger half-width of
+    the bracket [t_(i-1), t_(i+1)]: p = sum_k c_k x^k, c_0 = phi[t_i] exactly
+    and the rest from one batched solve.  Returns (c, r, drift), c (w, m, s, s)
+    and drift = sum_(k>0) ||c_k||_F >= ||p(t) - p(t_i)||_F for |t - t_i| <= r.
     """
-    h = np.diff(times)[:, None]
-    cn = np.linalg.norm(c[:3], axis=(-2, -1))
-    return ((cn[0] * h + cn[1]) * h + cn[2]) * h
+    nt, w = len(times), min(5, len(times))
+    win = np.clip(ti - w // 2, 0, nt - w)[:, None] + np.arange(w)
+    rest = win[win != ti[:, None]].reshape(len(ti), w - 1)  # the window without t_i
+    t0 = times[ti]
+    r = np.maximum(t0 - times[np.maximum(ti - 1, 0)], times[np.minimum(ti + 1, nt - 1)] - t0)
+    x = (times[rest] - t0[:, None]) / r[:, None]
+    c0 = phi[ti, bi]
+    rhs = (phi[rest, bi[:, None]] - c0[:, None]).reshape(len(ti), w - 1, -1)
+    ck = np.linalg.solve(x[:, :, None] ** np.arange(1, w), rhs)
+    c = np.concatenate([c0[None], np.moveaxis(ck, 1, 0).reshape((w - 1,) + c0.shape)])
+    return c, r, np.linalg.norm(c[1:], axis=(-2, -1)).sum(axis=0)
+
+
+def _poly_at(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_k c_k x^k by Horner, one x per polynomial of ``_local_poly`` coefficients c."""
+    p = c[-1]
+    for ck in c[-2::-1]:
+        p = p * x[:, None, None] + ck
+    return p
 
 
 def _detect_group(times: np.ndarray, phi: np.ndarray, sig: np.ndarray,
@@ -495,34 +502,31 @@ def _detect_group(times: np.ndarray, phi: np.ndarray, sig: np.ndarray,
     determinant sign (T, nb).  Returns (t, multiplicity, block) arrays.
     """
     nt, nb = sig.shape
-    c = CubicSpline(times, phi, axis=0).c
-    # Weyl: sigma_min(S(t)) >= sigma_min(S(t_i)) - ||S(t) - S(t_i)||_2 on the
-    # intervals next to t_i (none beyond the ends of the trace)
-    drift = np.zeros((nt + 1, nb))
-    drift[1:-1] = _spline_drift(c, times)
     inf = np.full((1, nb), np.inf)
     is_min = (sig <= np.vstack([inf, sig[:-1]])) & (sig <= np.vstack([sig[1:], inf]))
     ti, bi = np.nonzero(is_min)
-    reach = sig[ti, bi] - np.maximum(drift[ti, bi], drift[ti + 1, bi]) < thr
-    ti, bi = ti[reach], bi[reach]
+    c, r, drift = _local_poly(times, phi, ti, bi)
+    # Weyl: sigma_min(p(t)) >= sigma_min(p(t_i)) - ||p(t) - p(t_i)||_2 on the bracket
+    reach = sig[ti, bi] - drift < thr
+    ti, bi, c, r = ti[reach], bi[reach], c[:, reach], r[reach]
     if not len(ti):
         return np.empty(0), np.empty(0, dtype=int), bi
 
     lo, hi = np.maximum(ti - 1, 0), np.minimum(ti + 1, nt - 1)
-    a, b = times[lo], times[hi]
+    a, b, t0 = times[lo], times[hi], times[ti]
+
+    def poly(sel, t):
+        return _poly_at(c[:, sel], (t - t0[sel]) / r[sel])
+
     t_star = np.empty(len(ti))
     cross = dets[lo, bi] != dets[hi, bi]
     if np.any(cross):
-        blk = bi[cross]
-        t_star[cross] = _bisect(
-            lambda t: _det(_horner(c, times, t, blk)),
-            a[cross], b[cross], dets[lo[cross], blk])
+        t_star[cross] = _bisect(lambda t: _det(poly(cross, t)), a[cross], b[cross],
+                                dets[lo[cross], bi[cross]])
     if not np.all(cross):
-        blk = bi[~cross]
-        t_star[~cross] = _golden(
-            lambda t: _svals(_horner(c, times, t, blk))[:, -1],
-            a[~cross], b[~cross])
-    sv = _svals(_horner(c, times, t_star, bi))
+        t_star[~cross] = _golden(lambda t: _svals(poly(~cross, t))[:, -1],
+                                 a[~cross], b[~cross])
+    sv = _svals(_poly_at(c, (t_star - t0) / r))
     hit = sv[:, -1] < thr
     mult = np.maximum(np.sum(sv < thr, axis=1), 1)
     return t_star[hit], mult[hit], bi[hit]
@@ -541,10 +545,13 @@ def detect_conjugate(phi_samples: list[OperatorSample] | PhiBlocks,
     threshold is scale-free: ``THRESHOLD_FACTOR`` times the median of the trace.
 
     Each local minimum of a block's sampled sigma_min is a candidate,
-    bracketed by its neighbouring samples, unless Weyl's inequality with the
-    drift of the block's cubic spline over the bracket proves that sigma_min
-    stays above the threshold there.  All candidates of a block size are
-    refined together: by bisection where the block determinant changes sign
+    bracketed by its neighbouring samples.  Around it the block is the
+    polynomial through the five samples centred on it (``_local_poly``;
+    shifted inward at the ends of the trace, all samples if fewer), so blocks
+    polynomial of degree <= 4 are reproduced.  Weyl's inequality with its
+    drift over the bracket skips the candidate when sigma_min provably stays
+    above the threshold.  The others of a block size are refined together on
+    their polynomials: by bisection where the block determinant changes sign
     across the bracket, by golden section on sigma_min elsewhere.  A refined
     time whose sigma_min is below the threshold is reported with the number
     of block singular values below it; within a block refined times closer
@@ -560,6 +567,8 @@ def detect_conjugate(phi_samples: list[OperatorSample] | PhiBlocks,
     times = blocks.times[keep]
     if len(times) < 3:
         raise ValueError("need at least 3 samples with t > 0")
+    if np.any(np.diff(times) <= 0):
+        raise ValueError("sample times must be strictly increasing")
     groups = []
     for _, values in blocks.groups:
         phi = values[keep] / times[:, None, None, None]

@@ -401,6 +401,12 @@ def test_detect_conjugate_none_before_first():
     assert report.detected == []
 
 
+def test_detect_conjugate_rejects_unordered_times():
+    times = np.linspace(0.0, 1.0, 6)[[0, 1, 3, 2, 4, 5]]
+    with pytest.raises(ValueError, match="strictly increasing"):
+        jacobi.detect_conjugate(sphere.sphere_phi_samples([2], 1.0, times))
+
+
 def test_conjugate_report_csv_schema():
     t_star = sphere.conjugate_time(2, 1.0)
     times = np.linspace(0.0, 1.3 * t_star, 401)
@@ -423,7 +429,7 @@ def test_detect_conjugate_finds_every_t_n_on_readme_scan():
     t_exact = sorted(sphere.conjugate_time(n, 1.0) for n in range(1, 31))
     assert len(report.detected) == 30
     for (t_det, mult), t_ref in zip(report.detected, t_exact):
-        assert abs(t_det - t_ref) < 1e-6
+        assert abs(t_det - t_ref) < 1e-11
         assert mult == 2
     assert sum(m for _, m in report.detected) == 60
 
@@ -561,10 +567,11 @@ def test_detect_conjugate_skips_only_proven_minima(random_record, monkeypatch):
     assert len(calls) > 2
 
 
-@pytest.mark.parametrize("stack", ["sphere", "dense", "cubic"])
-def test_spline_drift_bounds_the_block_splines(random_record, densify, stack):
-    # the skip rule is only sound if the drift bounds how far each block
-    # spline moves from either end of every interval
+@pytest.mark.parametrize("stack", ["sphere", "dense", "monomial"])
+def test_local_poly_drift_bounds_the_block_polynomials(random_record, densify, stack):
+    # the skip rule is only sound if the drift bounds how far each local
+    # polynomial moves from its centre sample over the bracket; the fit is
+    # taken around every sample, so every minimum, skipped or refined, is covered
     if stack == "sphere":
         phi = densify(sphere.sphere_phi_samples(range(1, 6), 1.0,
                                                 np.linspace(0.0, 7.2, 81)))[1:]
@@ -575,19 +582,44 @@ def test_spline_drift_bounds_the_block_splines(random_record, densify, stack):
         times = np.array([s.t for s in phi])
         mats = [s.matrix / s.t for s in phi]
     else:
-        # t^3 times a rank-one matrix: the spline is exact, and on [0, h] the
-        # bound is attained by its cubic term alone
-        times = np.linspace(0.0, 1.0, 5)
-        mats = [t**3 * np.array([[1.0, 2.0], [0.0, 0.0]]) for t in times]
+        # a quartic monomial centred at sample 4 times a rank-one matrix: the
+        # fit is exact, and on that bracket the bound is attained by its top term
+        times = np.linspace(0.0, 1.0, 9)
+        mats = [(t - times[4])**4 * np.array([[1.0, 2.0], [0.0, 0.0]]) for t in times]
+    nt = len(times)
     for idx in jacobi._block_groups(mats):
         blocks = np.array([m[idx[:, :, None], idx[:, None, :]] for m in mats])
-        spline = CubicSpline(times, blocks, axis=0)
-        drift = jacobi._spline_drift(spline.c, times)
-        for j in range(len(times) - 1):
-            t = np.linspace(times[j], times[j + 1], 41)
-            s = spline(t)
-            for end in (s[0], s[-1]):
-                moved = np.linalg.norm(s - end, ord=2, axis=(-2, -1)).max(axis=0)
-                assert np.all(moved <= drift[j] * (1 + 1e-12))
-            if stack == "cubic" and j == 0:
-                assert moved == pytest.approx(drift[0], rel=1e-12)
+        ti, bi = (a.ravel() for a in np.meshgrid(np.arange(nt), np.arange(len(idx)),
+                                                 indexing="ij"))
+        c, r, drift = jacobi._local_poly(times, blocks, ti, bi)
+        lo, hi = np.maximum(ti - 1, 0), np.minimum(ti + 1, nt - 1)
+        p = np.array([jacobi._poly_at(c, (t - times[ti]) / r)
+                      for t in np.linspace(times[lo], times[hi], 1000)])
+        scale = np.max(np.abs(blocks))
+        assert np.max(np.abs(p[0] - blocks[lo, bi])) <= 1e-12 * scale
+        assert np.max(np.abs(p[-1] - blocks[hi, bi])) <= 1e-12 * scale
+        moved = np.linalg.norm(p - blocks[ti, bi], axis=(-2, -1)).max(axis=0)
+        assert np.all(moved <= drift * (1 + 1e-12))
+        if stack == "monomial":
+            assert moved[4] == pytest.approx(drift[4], rel=1e-12)
+
+
+@pytest.mark.parametrize("block", ["diagonal", "rotation_scaling"])
+def test_detect_conjugate_reproduces_a_quartic(block):
+    # Phi/t is a polynomial of degree 4 with sigma_min zero at t = 1.23, off
+    # the 11 samples: each local fit reproduces it, so the refined time is the
+    # zero itself (by bisection on the determinant for the diagonal block, by
+    # golden section on sigma_min for the rotation-scaling one)
+    times = np.linspace(0.2, 2.2, 11)
+    q = (times - 1.23) * (1.0 + times + 0.5 * times**3)
+    if block == "diagonal":
+        per_t = np.stack([np.diag([x, 2.0 + t]) for x, t in zip(q, times)])
+    else:
+        per_t = _rotation_scaling(q, 0.5 * q)
+    values = (times[:, None, None] * per_t)[:, None]
+    blocks = jacobi.PhiBlocks(times, [(np.array([[0, 1]]), values)])
+    report = jacobi.detect_conjugate(blocks)
+    assert len(report.detected) == 1
+    t_det, mult = report.detected[0]
+    assert abs(t_det - 1.23) < 1e-12
+    assert mult == (1 if block == "diagonal" else 2)
