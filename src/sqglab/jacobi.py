@@ -26,7 +26,8 @@ decoupled blocks of Phi (``PhiBlocks``: one 2x2 block per degree on the
 sphere, given as such by the sphere backend; a single block for a generic
 torus Phi, found from the support of the dense samples), so that zeros of
 different blocks do not hide one another; between samples a block is only
-interpolated near the minima of its sigma_min.  The singular values and
+interpolated near the minima of its sigma_min, and each such minimum is
+refined by golden section on that interpolant.  The singular values and
 determinants of 2x2 blocks are taken in closed form, larger blocks through
 LAPACK.
 """
@@ -432,19 +433,16 @@ def _det(a: np.ndarray) -> np.ndarray:
     return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
 
 
-def _steps(width: np.ndarray, rate: float) -> int:
-    """Iterations that shrink every bracket width below ``_XATOL`` at the given rate."""
-    return max(int(np.ceil(np.log(_XATOL / np.max(width)) / np.log(rate))), 0)
-
-
 def _golden(f, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Vectorized golden-section minimization of f over the brackets [a, b].
 
-    f maps one time per bracket to one value per bracket.
+    f maps one time per bracket to one value per bracket.  Every bracket
+    shrinks below ``_XATOL``.
     """
+    steps = max(int(np.ceil(np.log(_XATOL / np.max(b - a)) / np.log(_INVPHI))), 0)
     x1, x2 = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
     f1, f2 = f(x1), f(x2)
-    for _ in range(_steps(b - a, _INVPHI)):
+    for _ in range(steps):
         left = f1 < f2  # the minimum lies in [a, x2]
         a, b = np.where(left, a, x1), np.where(left, x2, b)
         kept, f_kept = np.where(left, x1, x2), np.where(left, f1, f2)
@@ -452,15 +450,6 @@ def _golden(f, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         f_new = f(new)
         x1, f1 = np.where(left, new, kept), np.where(left, f_new, f_kept)
         x2, f2 = np.where(left, kept, new), np.where(left, f_kept, f_new)
-    return 0.5 * (a + b)
-
-
-def _bisect(f, a: np.ndarray, b: np.ndarray, sign_a: np.ndarray) -> np.ndarray:
-    """Vectorized bisection on the sign of f, which is sign_a at a (one time per bracket)."""
-    for _ in range(_steps(b - a, 0.5)):
-        mid = 0.5 * (a + b)
-        same = np.sign(f(mid)) == sign_a
-        a, b = np.where(same, mid, a), np.where(same, b, mid)
     return 0.5 * (a + b)
 
 
@@ -494,12 +483,11 @@ def _poly_at(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     return p
 
 
-def _detect_group(times: np.ndarray, phi: np.ndarray, sig: np.ndarray,
-                  dets: np.ndarray, thr: float):
+def _detect_group(times: np.ndarray, phi: np.ndarray, sig: np.ndarray, thr: float):
     """Conjugate times of one group of equal-size blocks.
 
-    phi is Phi/t per block, (T, nb, s, s), with its sampled sigma_min and
-    determinant sign (T, nb).  Returns (t, multiplicity, block) arrays.
+    phi is Phi/t per block, (T, nb, s, s), with its sampled sigma_min (T, nb).
+    Returns (t, multiplicity, block) arrays.
     """
     nt, nb = sig.shape
     inf = np.full((1, nb), np.inf)
@@ -512,20 +500,9 @@ def _detect_group(times: np.ndarray, phi: np.ndarray, sig: np.ndarray,
     if not len(ti):
         return np.empty(0), np.empty(0, dtype=int), bi
 
-    lo, hi = np.maximum(ti - 1, 0), np.minimum(ti + 1, nt - 1)
-    a, b, t0 = times[lo], times[hi], times[ti]
-
-    def poly(sel, t):
-        return _poly_at(c[:, sel], (t - t0[sel]) / r[sel])
-
-    t_star = np.empty(len(ti))
-    cross = dets[lo, bi] != dets[hi, bi]
-    if np.any(cross):
-        t_star[cross] = _bisect(lambda t: _det(poly(cross, t)), a[cross], b[cross],
-                                dets[lo[cross], bi[cross]])
-    if not np.all(cross):
-        t_star[~cross] = _golden(lambda t: _svals(poly(~cross, t))[:, -1],
-                                 a[~cross], b[~cross])
+    t0 = times[ti]
+    t_star = _golden(lambda t: _svals(_poly_at(c, (t - t0) / r))[:, -1],
+                     times[np.maximum(ti - 1, 0)], times[np.minimum(ti + 1, nt - 1)])
     sv = _svals(_poly_at(c, (t_star - t0) / r))
     hit = sv[:, -1] < thr
     mult = np.maximum(np.sum(sv < thr, axis=1), 1)
@@ -550,13 +527,13 @@ def detect_conjugate(phi_samples: list[OperatorSample] | PhiBlocks,
     shifted inward at the ends of the trace, all samples if fewer), so blocks
     polynomial of degree <= 4 are reproduced.  Weyl's inequality with its
     drift over the bracket skips the candidate when sigma_min provably stays
-    above the threshold.  The others of a block size are refined together on
-    their polynomials: by bisection where the block determinant changes sign
-    across the bracket, by golden section on sigma_min elsewhere.  A refined
-    time whose sigma_min is below the threshold is reported with the number
-    of block singular values below it; within a block refined times closer
-    than 1e-9 count once, and across blocks such times merge and their
-    multiplicities add.  Singular values and determinants of 2x2 blocks are
+    above the threshold.  The others of a block size are refined together by
+    one rule: golden section on the sigma_min of each polynomial over its
+    bracket (a sign change of the determinant is a zero of sigma_min too).
+    A refined time whose sigma_min is below the threshold is reported with
+    the number of block singular values below it; within a block refined
+    times closer than 1e-9 count once, and across blocks such times merge and
+    their multiplicities add.  Singular values and determinants of 2x2 blocks are
     taken in closed form (``_svals``, ``_det``), larger ones through LAPACK.
     """
     blocks = phi_samples
@@ -569,18 +546,18 @@ def detect_conjugate(phi_samples: list[OperatorSample] | PhiBlocks,
         raise ValueError("need at least 3 samples with t > 0")
     if np.any(np.diff(times) <= 0):
         raise ValueError("sample times must be strictly increasing")
-    groups = []
+    groups, dets = [], np.ones(len(times))
     for _, values in blocks.groups:
         phi = values[keep] / times[:, None, None, None]
-        groups.append((phi, _svals(phi)[..., -1], np.sign(_det(phi))))
+        groups.append((phi, _svals(phi)[..., -1]))
+        dets = dets * np.prod(np.sign(_det(phi)), axis=1)
     sig = np.min(np.concatenate([g[1] for g in groups], axis=1), axis=1)
-    dets = np.prod(np.concatenate([g[2] for g in groups], axis=1), axis=1)
     thr = threshold if threshold is not None else THRESHOLD_FACTOR * float(np.median(sig))
 
     found = []  # (block, t, multiplicity), blocks numbered across the groups
     offset = 0
-    for phi, block_sig, block_dets in groups:
-        t, mult, blk = _detect_group(times, phi, block_sig, block_dets, thr)
+    for phi, block_sig in groups:
+        t, mult, blk = _detect_group(times, phi, block_sig, thr)
         found += zip((offset + blk).tolist(), t.tolist(), mult.tolist())
         offset += block_sig.shape[1]
     dedup = []  # refined times that collapsed together within a block count once

@@ -14,7 +14,9 @@ and the translated Jacobi amplitude
 vanishes exactly at T_n(beta) = (2 pi / n) (n(n+1)/2)^(1 - beta/2).  For
 beta = 1 these conjugate times accumulate at pi sqrt(2); for beta < 1 they
 spread out.  No spherical grid is built: everything is exact per mode, and
-Phi(t) is handed to the detection as its 2x2 blocks, one per degree.
+Phi(t) is handed to the detection as its 2x2 blocks, one per degree.  The
+RK4-integrated amplitudes (``first_sigma_zero``) go through the same
+detection, as one such block.
 """
 
 from __future__ import annotations
@@ -22,12 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
 
 from .euler_arnold import whole_steps
 from .flow import _rk4
-from .jacobi import PhiBlocks
+from .jacobi import PhiBlocks, detect_conjugate
 
 PI_SQRT2 = float(np.pi * np.sqrt(2.0))
 
@@ -102,46 +102,44 @@ def integrate_mode(mode: SphereMode, dt: float, t_final: float):
 def first_sigma_zero(mode: SphereMode, dt: float = 1e-4) -> float:
     """First positive zero of |sigma| from the integrated samples.
 
-    |sigma| does not change sign, so the zero is refined as a root of
-    d|sigma|^2/dt = 2 Re(conj(sigma) xi), bracketed around the first local
-    minimum of |sigma| below half its running maximum, searched up to 1.25
-    times the closed-form conjugate time.
+    The samples up to 1.25 times the closed-form conjugate time go to
+    ``jacobi.detect_conjugate`` as one 2x2 block, laid out as in
+    ``sphere_phi_samples``, and its first detected time is returned.
     """
     t_max = 1.25 * conjugate_time(mode.n, mode.beta)
     # t_max only bounds the search: round it up to whole steps
-    times, xi, sigma = integrate_mode(mode, dt, np.ceil(t_max / dt) * dt)
-    mag = np.abs(sigma)
-    peak = np.maximum.accumulate(mag)
-    deriv = 2.0 * np.real(np.conj(sigma) * xi)
-    for i in range(1, len(times) - 1):
-        if mag[i] <= mag[i - 1] and mag[i] <= mag[i + 1] and mag[i] < 0.5 * peak[i]:
-            sp = CubicSpline(times[i - 1:i + 2], deriv[i - 1:i + 2])
-            try:
-                return float(brentq(sp, times[i - 1], times[i + 1]))
-            except ValueError:
-                return float(times[i])
-    raise ValueError("no sigma zero found below t_max")
+    times, _, sigma = integrate_mode(mode, dt, np.ceil(t_max / dt) * dt)
+    detected = detect_conjugate(_phi_blocks(times, sigma[:, None])).detected
+    if not detected:
+        raise ValueError("no sigma zero found below t_max")
+    return float(detected[0][0])
+
+
+def _phi_blocks(times: np.ndarray, s: np.ndarray) -> PhiBlocks:
+    """Phi(t) from the (T, n) mode amplitudes s: one rotation-scaling block per mode.
+
+    The amplitude s_j becomes [[Re s, -Im s], [Im s, Re s]] (real/imaginary
+    Jacobi pair) on the indices 2j, 2j + 1.
+    """
+    blocks = np.empty(s.shape + (2, 2))
+    blocks[..., 0, 0] = blocks[..., 1, 1] = s.real
+    blocks[..., 0, 1] = -s.imag
+    blocks[..., 1, 0] = s.imag
+    return PhiBlocks(times, [(np.arange(2 * s.shape[1]).reshape(-1, 2), blocks)])
 
 
 def sphere_phi_samples(degrees, beta: float, times) -> PhiBlocks:
     """Phi(t) over the listed harmonic degrees, as its 2x2 blocks.
 
-    Each complex mode amplitude s(t) becomes the real rotation-scaling block
-    [[Re s, -Im s], [Im s, Re s]] (real/imaginary Jacobi pair) on the
-    indices 2j, 2j + 1 of the j-th degree.  The (T, n, 2, 2) blocks come
-    from one evaluation of the amplitudes; no dense (T, 2n, 2n) stack is
+    Each complex mode amplitude s(t) becomes a real rotation-scaling block
+    on the indices of its degree (``_phi_blocks``).  The (T, n, 2, 2) blocks
+    come from one evaluation of the amplitudes; no dense (T, 2n, 2n) stack is
     built, and ``jacobi.detect_conjugate`` takes them as they are.
     """
     modes = [SphereMode(n, beta) for n in degrees]
     times = np.asarray(times, dtype=float)
     _, s = _amplitudes(modes, times)
-    s = s.T  # (T, n)
-    blocks = np.empty(s.shape + (2, 2))
-    blocks[..., 0, 0] = blocks[..., 1, 1] = s.real
-    blocks[..., 0, 1] = -s.imag
-    blocks[..., 1, 0] = s.imag
-    idx = np.arange(2 * len(modes)).reshape(-1, 2)
-    return PhiBlocks(times, [(idx, blocks)])
+    return _phi_blocks(times, s.T)
 
 
 SCAN_HEADER = "n,beta,T_n"

@@ -21,28 +21,24 @@ from .spectral import (
 )
 
 
-def _random_field(g, seed, kmax=4):
-    return random_stream(g, seed, kmax)
-
-
 def run_all():
     """Returns a list of (name, passed, measured) tuples."""
     g = grid(32)
     out = []
 
-    f = _random_field(g, 1)
+    f = random_stream(g, 1, 4)
     a = frac_laplacian(frac_laplacian(f, 0.35), 0.4)
     b = frac_laplacian(f, 0.75)
     err = np.max(np.abs(a.coeff - b.coeff))
     out.append(("frac_laplacian_semigroup", err < 1e-12, err))
 
-    h = _random_field(g, 2)
+    h = random_stream(g, 2, 4)
     br = poisson_bracket(f, h) + poisson_bracket(h, f)
     err = np.max(np.abs(br.coeff))
     out.append(("bracket_antisymmetry", err < 1e-12, err))
 
     beta = 0.5
-    u, v, w = (gradient_perp(_random_field(g, s)) for s in (3, 4, 5))
+    u, v, w = (gradient_perp(random_stream(g, s, 4)) for s in (3, 4, 5))
     lhs = inner_product_beta(group_ops.coadjoint_algebra(u, v, beta).stream,
                              w.stream, beta)
     rhs = inner_product_beta(v.stream,

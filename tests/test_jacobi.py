@@ -608,8 +608,9 @@ def test_local_poly_drift_bounds_the_block_polynomials(random_record, densify, s
 def test_detect_conjugate_reproduces_a_quartic(block):
     # Phi/t is a polynomial of degree 4 with sigma_min zero at t = 1.23, off
     # the 11 samples: each local fit reproduces it, so the refined time is the
-    # zero itself (by bisection on the determinant for the diagonal block, by
-    # golden section on sigma_min for the rotation-scaling one)
+    # zero itself (by golden section on sigma_min, although the determinant
+    # of the diagonal block changes sign there and that of the rotation-scaling
+    # one does not)
     times = np.linspace(0.2, 2.2, 11)
     q = (times - 1.23) * (1.0 + times + 0.5 * times**3)
     if block == "diagonal":
@@ -623,3 +624,21 @@ def test_detect_conjugate_reproduces_a_quartic(block):
     t_det, mult = report.detected[0]
     assert abs(t_det - 1.23) < 1e-12
     assert mult == (1 if block == "diagonal" else 2)
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_detect_conjugate_finds_sign_changing_zeros_of_dense_blocks(n):
+    # Phi/t = A + (t - 1.5) B is singular where t - 1.5 is a real eigenvalue of
+    # -B^-1 A; each such zero is simple, so the determinant changes sign across it
+    times = np.linspace(0.0, 3.0, 301)
+    for seed in range(8):
+        a, b = np.random.default_rng([seed, n]).standard_normal((2, n, n))
+        ev = np.linalg.eigvals(-np.linalg.solve(b, a))
+        zeros = np.sort(ev[np.abs(ev.imag) < 1e-12].real + 1.5)
+        zeros = zeros[(zeros > 0.0) & (zeros < 3.0)]
+        phi = [jacobi.OperatorSample(t, t * (a + (t - 1.5) * b), "Phi") for t in times]
+        report = jacobi.detect_conjugate(phi)
+        assert len(report.detected) == len(zeros)
+        for (t_det, mult), z in zip(report.detected, zeros):
+            assert abs(t_det - z) < 1e-11
+            assert mult == 1

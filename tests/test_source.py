@@ -21,6 +21,28 @@ def _unused_imports(path: Path) -> list[str]:
     return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
 
 
+def _unread_private_definitions(paths: list[Path]) -> list[str]:
+    """Module-level private functions and classes that no module of the package reads."""
+    trees = {p: ast.parse(p.read_text()) for p in paths}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [f"{p.name}:{node.lineno} {node.name}" for p, tree in trees.items()
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and node.name not in read]
+
+
+def test_no_unread_private_definitions():
+    modules = sorted(Path(sqglab.__file__).parent.glob("*.py"))
+    assert modules
+    assert _unread_private_definitions(modules) == []
+
+
 def test_no_unused_imports():
     # __init__.py imports to re-export, so its names are read by callers
     modules = [p for p in sorted(Path(sqglab.__file__).parent.glob("*.py"))
