@@ -27,9 +27,10 @@ sphere, given as such by the sphere backend; a single block for a generic
 torus Phi, found from the support of the dense samples), so that zeros of
 different blocks do not hide one another; between samples a block is only
 interpolated near the minima of its sigma_min, and each such minimum is
-refined by golden section on that interpolant.  The singular values and
-determinants of 2x2 blocks are taken in closed form, larger blocks through
-LAPACK.
+refined on that interpolant by a batched grid zoom: a few rounds of one
+equispaced grid per bracket, each narrowing the bracket to the grid cells
+around its smallest value.  The singular values and determinants of 2x2
+blocks are taken in closed form, larger blocks through LAPACK.
 """
 
 from __future__ import annotations
@@ -356,13 +357,11 @@ class ConjugateReport:
     threshold: float
 
     def csv(self) -> str:
-        lines = ["t,sigma_min,det_sign"]
-        for t, s, d in zip(self.times, self.sigma_min, self.det_sign):
-            lines.append(f"{t:.17g},{s:.17g},{d:.0f}")
-        lines.append("t_conj,multiplicity")
-        for t, m in self.detected:
-            lines.append(f"{t:.17g},{m}")
-        return "\n".join(lines) + "\n"
+        # one format over Python floats: f-strings on numpy scalars cost more
+        rows = np.column_stack([self.times, self.sigma_min, self.det_sign]).ravel().tolist()
+        trace = ("%.17g,%.17g,%.0f\n" * len(self.times)) % tuple(rows)
+        tail = "".join(f"{t:.17g},{m}\n" for t, m in self.detected)
+        return f"t,sigma_min,det_sign\n{trace}t_conj,multiplicity\n{tail}"
 
 
 @dataclass(frozen=True)
@@ -381,8 +380,9 @@ class PhiBlocks:
 # the default detection threshold relative to the median of the sigma_min trace
 THRESHOLD_FACTOR = 1e-3
 
-# golden-section ratio and the width to which refinement brackets shrink
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
+# points per bracket in one round of the refinement zoom, and the width to
+# which refinement brackets shrink
+_ZOOM_POINTS = 33
 _XATOL = 1e-12
 
 
@@ -410,20 +410,35 @@ def _to_blocks(samples: list[OperatorSample]) -> PhiBlocks:
     return PhiBlocks(np.array([s.t for s in samples]), groups)
 
 
+def _blinn(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Q, R) of a stack of 2x2 blocks, whose singular values are Q + R and |Q - R|.
+
+    For [[a, b], [c, d]], Q = hypot((a + d)/2, (c - b)/2) and
+    R = hypot((a - d)/2, (c + b)/2) (J. Blinn, "Consider the lowly 2x2
+    matrix", IEEE CG&A 1996).  A rotation-scaling block has R = 0, so its two
+    singular values are equal bit for bit.
+    """
+    p, b, c, d = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
+    return np.hypot(0.5 * (p + d), 0.5 * (c - b)), np.hypot(0.5 * (p - d), 0.5 * (c + b))
+
+
 def _svals(a: np.ndarray) -> np.ndarray:
     """Singular values of a stack of square blocks, largest first, shaped a.shape[:-1].
 
-    2x2 blocks [[a, b], [c, d]] use the closed form (J. Blinn, "Consider the
-    lowly 2x2 matrix", IEEE CG&A 1996): with Q = hypot((a + d)/2, (c - b)/2)
-    and R = hypot((a - d)/2, (c + b)/2) they are Q + R and |Q - R|.  A
-    rotation-scaling block has R = 0, so its two are equal bit for bit.
+    2x2 blocks use the closed form of ``_blinn``, larger ones LAPACK.
     """
     if a.shape[-1] != 2:
         return np.linalg.svd(a, compute_uv=False)
-    p, b, c, d = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
-    q = np.hypot(0.5 * (p + d), 0.5 * (c - b))
-    r = np.hypot(0.5 * (p - d), 0.5 * (c + b))
+    q, r = _blinn(a)
     return np.stack([q + r, np.abs(q - r)], axis=-1)
+
+
+def _smin(a: np.ndarray) -> np.ndarray:
+    """Smallest singular value of each square block, ``_svals(a)[..., -1]`` alone."""
+    if a.shape[-1] != 2:
+        return np.linalg.svd(a, compute_uv=False)[..., -1]
+    q, r = _blinn(a)
+    return np.abs(q - r)
 
 
 def _det(a: np.ndarray) -> np.ndarray:
@@ -433,23 +448,26 @@ def _det(a: np.ndarray) -> np.ndarray:
     return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
 
 
-def _golden(f, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Vectorized golden-section minimization of f over the brackets [a, b].
+def _zoom(f, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Vectorized grid-zoom minimization of f over the brackets [a, b].
 
-    f maps one time per bracket to one value per bracket.  Every bracket
-    shrinks below ``_XATOL``.
+    f maps a (G, m) array of times, column j in bracket j, to values of the
+    same shape.  Each round evaluates f once on ``_ZOOM_POINTS`` = G
+    equispaced points of every bracket and narrows each bracket to the two
+    grid cells around its smallest value (one cell at an end), so a round
+    leaves each bracket at most 2 / (G - 1) of its width.  The round count is
+    fixed from the widest bracket, so every bracket shrinks below ``_XATOL``.
+    Returns the midpoints of the final brackets.
     """
-    steps = max(int(np.ceil(np.log(_XATOL / np.max(b - a)) / np.log(_INVPHI))), 0)
-    x1, x2 = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(steps):
-        left = f1 < f2  # the minimum lies in [a, x2]
-        a, b = np.where(left, a, x1), np.where(left, x2, b)
-        kept, f_kept = np.where(left, x1, x2), np.where(left, f1, f2)
-        new = np.where(left, b - _INVPHI * (b - a), a + _INVPHI * (b - a))
-        f_new = f(new)
-        x1, f1 = np.where(left, new, kept), np.where(left, f_new, f_kept)
-        x2, f2 = np.where(left, kept, new), np.where(left, f_kept, f_new)
+    shrink = 2.0 / (_ZOOM_POINTS - 1)
+    rounds = max(int(np.ceil(np.log(_XATOL / np.max(b - a)) / np.log(shrink))), 0)
+    s = np.linspace(0.0, 1.0, _ZOOM_POINTS)[:, None]
+    cols = np.arange(len(a))
+    for _ in range(rounds):
+        x = a + (b - a) * s
+        i = np.argmin(f(x), axis=0)
+        a = x[np.maximum(i - 1, 0), cols]
+        b = x[np.minimum(i + 1, _ZOOM_POINTS - 1), cols]
     return 0.5 * (a + b)
 
 
@@ -476,10 +494,16 @@ def _local_poly(times: np.ndarray, phi: np.ndarray, ti: np.ndarray, bi: np.ndarr
 
 
 def _poly_at(c: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_k c_k x^k by Horner, one x per polynomial of ``_local_poly`` coefficients c."""
+    """sum_k c_k x^k by Horner for ``_local_poly`` coefficients c (w, m, s, s).
+
+    x holds one point per polynomial on its last axis, (..., m); the result is
+    (..., m, s, s).  x is spread over the block entries once, since a
+    broadcast over the short trailing axes in every step costs more.
+    """
+    x = np.broadcast_to(x[..., None, None], x.shape + c.shape[-2:]).copy()
     p = c[-1]
     for ck in c[-2::-1]:
-        p = p * x[:, None, None] + ck
+        p = p * x + ck
     return p
 
 
@@ -501,8 +525,8 @@ def _detect_group(times: np.ndarray, phi: np.ndarray, sig: np.ndarray, thr: floa
         return np.empty(0), np.empty(0, dtype=int), bi
 
     t0 = times[ti]
-    t_star = _golden(lambda t: _svals(_poly_at(c, (t - t0) / r))[:, -1],
-                     times[np.maximum(ti - 1, 0)], times[np.minimum(ti + 1, nt - 1)])
+    t_star = _zoom(lambda t: _smin(_poly_at(c, (t - t0) / r)),
+                   times[np.maximum(ti - 1, 0)], times[np.minimum(ti + 1, nt - 1)])
     sv = _svals(_poly_at(c, (t_star - t0) / r))
     hit = sv[:, -1] < thr
     mult = np.maximum(np.sum(sv < thr, axis=1), 1)
@@ -516,10 +540,11 @@ def detect_conjugate(phi_samples: list[OperatorSample] | PhiBlocks,
     Detection runs on the decoupled blocks of Phi.  ``PhiBlocks`` (the
     sphere backend's form, one 2x2 block per degree) are used as given;
     dense samples are split into the connected components of the entries
-    non-zero in some sample (a generic torus Phi is one block).  Samples at
-    t <= 0 are dropped.  The reported trace is the smallest block sigma_min
-    and the determinant sign the product of the block signs.  The default
-    threshold is scale-free: ``THRESHOLD_FACTOR`` times the median of the trace.
+    non-zero in some sample (a generic torus Phi is one block).  Sample times
+    must strictly increase; the leading samples at t <= 0 are dropped.  The
+    reported trace is the smallest block sigma_min and the determinant sign
+    the product of the block signs.  The default threshold is scale-free:
+    ``THRESHOLD_FACTOR`` times the median of the trace.
 
     Each local minimum of a block's sampled sigma_min is a candidate,
     bracketed by its neighbouring samples.  Around it the block is the
@@ -528,28 +553,29 @@ def detect_conjugate(phi_samples: list[OperatorSample] | PhiBlocks,
     polynomial of degree <= 4 are reproduced.  Weyl's inequality with its
     drift over the bracket skips the candidate when sigma_min provably stays
     above the threshold.  The others of a block size are refined together by
-    one rule: golden section on the sigma_min of each polynomial over its
-    bracket (a sign change of the determinant is a zero of sigma_min too).
+    one rule, a grid zoom on the sigma_min of each polynomial over its
+    bracket (``_zoom``: each round samples 33 equispaced points per bracket
+    and keeps the two grid cells around the smallest value; a sign change of
+    the determinant is a zero of sigma_min too).
     A refined time whose sigma_min is below the threshold is reported with
     the number of block singular values below it; within a block refined
     times closer than 1e-9 count once, and across blocks such times merge and
     their multiplicities add.  Singular values and determinants of 2x2 blocks are
     taken in closed form (``_svals``, ``_det``), larger ones through LAPACK.
     """
-    blocks = phi_samples
-    if not isinstance(blocks, PhiBlocks):
-        pts = [s for s in blocks if s.t > 0]
-        blocks = _to_blocks(pts) if pts else PhiBlocks(np.empty(0), [])
-    keep = blocks.times > 0
-    times = blocks.times[keep]
-    if len(times) < 3:
-        raise ValueError("need at least 3 samples with t > 0")
+    dense = not isinstance(phi_samples, PhiBlocks)
+    times = np.array([s.t for s in phi_samples]) if dense else phi_samples.times
     if np.any(np.diff(times) <= 0):
         raise ValueError("sample times must be strictly increasing")
+    first = int(np.searchsorted(times, 0.0, side="right"))
+    times = times[first:]
+    if len(times) < 3:
+        raise ValueError("need at least 3 samples with t > 0")
+    blocks = _to_blocks(phi_samples[first:]) if dense else phi_samples
     groups, dets = [], np.ones(len(times))
     for _, values in blocks.groups:
-        phi = values[keep] / times[:, None, None, None]
-        groups.append((phi, _svals(phi)[..., -1]))
+        phi = values[-len(times):] / times[:, None, None, None]  # the samples at t > 0
+        groups.append((phi, _smin(phi)))
         dets = dets * np.prod(np.sign(_det(phi)), axis=1)
     sig = np.min(np.concatenate([g[1] for g in groups], axis=1), axis=1)
     thr = threshold if threshold is not None else THRESHOLD_FACTOR * float(np.median(sig))

@@ -401,10 +401,15 @@ def test_detect_conjugate_none_before_first():
     assert report.detected == []
 
 
-def test_detect_conjugate_rejects_unordered_times():
-    times = np.linspace(0.0, 1.0, 6)[[0, 1, 3, 2, 4, 5]]
-    with pytest.raises(ValueError, match="strictly increasing"):
-        jacobi.detect_conjugate(sphere.sphere_phi_samples([2], 1.0, times))
+def test_detect_conjugate_rejects_unordered_times(densify):
+    # the second puts a sample at t = -0.05 between positive times: dropping
+    # t <= 0 before the order check would leave an increasing trace
+    for times in (np.linspace(0.0, 1.0, 6)[[0, 1, 3, 2, 4, 5]],
+                  [0.0, 0.1, -0.05, 0.2, 0.3, 0.4]):
+        phi = sphere.sphere_phi_samples([2], 1.0, times)
+        for form in (phi, densify(phi)):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                jacobi.detect_conjugate(form)
 
 
 def test_conjugate_report_csv_schema():
@@ -419,6 +424,23 @@ def test_conjugate_report_csv_schema():
     t_val, mult = tail[0].split(",")
     assert abs(float(t_val) - t_star) < 1e-6
     assert int(mult) == 2
+
+
+def test_conjugate_report_csv_rows_are_exact_on_readme_scan():
+    times = np.linspace(0.0, 7.2, 801)
+    report = jacobi.detect_conjugate(sphere.sphere_phi_samples(range(1, 31), 1.0, times))
+    text = report.csv()
+    # the formatting of numpy scalars by f-string, row by row
+    rows = [f"{t:.17g},{s:.17g},{d:.0f}"
+            for t, s, d in zip(report.times, report.sigma_min, report.det_sign)]
+    tail = [f"{t:.17g},{m}" for t, m in report.detected]
+    assert text == "\n".join(["t,sigma_min,det_sign", *rows, "t_conj,multiplicity", *tail]) + "\n"
+    n = len(report.times)
+    assert n == len(times) - 1
+    parsed = np.array([[float(v) for v in row.split(",")] for row in text.split("\n")[1:n + 1]])
+    assert np.array_equal(parsed[:, 0], report.times)
+    assert np.array_equal(parsed[:, 1], report.sigma_min)
+    assert np.array_equal(parsed[:, 2], report.det_sign)
 
 
 def test_detect_conjugate_finds_every_t_n_on_readme_scan():
@@ -604,11 +626,50 @@ def test_local_poly_drift_bounds_the_block_polynomials(random_record, densify, s
             assert moved[4] == pytest.approx(drift[4], rel=1e-12)
 
 
+def _count_calls(f):
+    calls = []
+
+    def counted(x):
+        calls.append(x.shape)
+        return f(x)
+    return counted, calls
+
+
+def test_zoom_finds_the_lowest_of_two_minima():
+    # two V-shaped minima, the lower (0) at 0.8 and the higher (0.1) at 0.3:
+    # golden section assumes one minimum and returns 0.3 on this bracket; the
+    # zoom keeps the cells around the smallest grid value, which lie at 0.8
+    f, calls = _count_calls(lambda x: np.minimum(5.0 * np.abs(x - 0.8), 0.1 + np.abs(x - 0.3)))
+    t = jacobi._zoom(f, np.array([0.0]), np.array([1.0]))
+    assert abs(t[0] - 0.8) < 1e-12
+    assert 0 < len(calls) <= 10
+    assert all(shape == (jacobi._ZOOM_POINTS, 1) for shape in calls)
+
+
+def test_zoom_takes_nine_rounds_on_readme_scan_brackets(monkeypatch):
+    # every candidate bracket of the README scan is two sample spacings,
+    # 0.018, wide (one at the ends): 9 rounds shrink it below 1e-12
+    rounds, zoom = [], jacobi._zoom
+
+    def counted_zoom(f, a, b):
+        assert np.max(b - a) == pytest.approx(0.018)
+        g, calls = _count_calls(f)
+        out = zoom(g, a, b)
+        rounds.append(len(calls))
+        return out
+
+    monkeypatch.setattr(jacobi, "_zoom", counted_zoom)
+    times = np.linspace(0.0, 7.2, 801)
+    report = jacobi.detect_conjugate(sphere.sphere_phi_samples(range(1, 31), 1.0, times))
+    assert len(report.detected) == 30
+    assert rounds == [9]
+
+
 @pytest.mark.parametrize("block", ["diagonal", "rotation_scaling"])
 def test_detect_conjugate_reproduces_a_quartic(block):
     # Phi/t is a polynomial of degree 4 with sigma_min zero at t = 1.23, off
     # the 11 samples: each local fit reproduces it, so the refined time is the
-    # zero itself (by golden section on sigma_min, although the determinant
+    # zero itself (by the grid zoom on sigma_min, although the determinant
     # of the diagonal block changes sign there and that of the rotation-scaling
     # one does not)
     times = np.linspace(0.2, 2.2, 11)

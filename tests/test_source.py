@@ -21,20 +21,32 @@ def _unused_imports(path: Path) -> list[str]:
     return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
 
 
+def _module_definitions(tree: ast.Module):
+    """(line, name) of each module-level function, class and assigned name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.lineno, node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield node.lineno, name.id
+
+
 def _unread_private_definitions(paths: list[Path]) -> list[str]:
-    """Module-level private functions and classes that no module of the package reads."""
+    """Module-level private functions, classes and constants no module of the package reads."""
     trees = {p: ast.parse(p.read_text()) for p in paths}
     read = set()
     for tree in trees.values():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
-    return [f"{p.name}:{node.lineno} {node.name}" for p, tree in trees.items()
-            for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and node.name.startswith("_") and node.name not in read]
+    return [f"{p.name}:{line} {name}" for p, tree in trees.items()
+            for line, name in _module_definitions(tree)
+            if name.startswith("_") and not name.startswith("__") and name not in read]
 
 
 def test_no_unread_private_definitions():
