@@ -1,4 +1,9 @@
-"""Spectral laboratory for the generalized SQG family as geodesic flow."""
+"""Spectral laboratory for the generalized SQG family as geodesic flow.
+
+Importing the package loads numpy and the top-level ``scipy`` package only;
+each scipy submodule is imported inside the function that uses it, so a
+command loads only what it runs.
+"""
 
 from .spectral import (
     ScalarField,

@@ -3,7 +3,8 @@
 Configuration is plain ``key = value`` lines with ``#`` comments; every
 run writes its artifacts plus a ``manifest.txt`` recording the package,
 numpy and scipy versions, the git revision (``null`` outside a checkout),
-the resolved configuration and the SHA-256 of each emitted file.  Exit codes: 0 ok,
+the resolved configuration, the wall seconds of each timed phase and the
+SHA-256 of each emitted file.  Exit codes: 0 ok,
 2 configuration error, 3 numerical abort, 4 spectrum coverage too small.
 """
 
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+import time
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -138,7 +140,24 @@ def _git_revision(root: Path = Path(__file__).resolve().parents[2]) -> str | Non
     return None
 
 
-def _write_manifest(out: Path, command: str, cfg: RunConfig, artifacts: list[Path]):
+class Phases(dict):
+    """Wall seconds per phase of a command, keyed ``module.function``.
+
+    The keys are the span names of the benchmark's traced run
+    (``perfbench``), so the manifest and a bench file share one set of names.
+    """
+
+    def run(self, fn, *args, **kwargs):
+        """Call fn and add its wall time to the phase named after it."""
+        t0 = time.perf_counter()
+        result = fn(*args, **kwargs)
+        name = f"{fn.__module__.rsplit('.', 1)[-1]}.{fn.__name__}"
+        self[name] = self.get(name, 0.0) + time.perf_counter() - t0
+        return result
+
+
+def _write_manifest(out: Path, command: str, cfg: RunConfig, artifacts: list[Path],
+                    phases: Phases):
     lines = [f"command = {command}",
              f"sqglab = {__version__}",
              f"numpy = {np.__version__}",
@@ -146,6 +165,8 @@ def _write_manifest(out: Path, command: str, cfg: RunConfig, artifacts: list[Pat
              f"git_revision = {_git_revision() or 'null'}"]
     for f in fields(cfg):
         lines.append(f"{f.name} = {getattr(cfg, f.name)}")
+    for name, seconds in phases.items():
+        lines.append(f"phase {name} = {seconds:.6f}")
     for a in artifacts:
         lines.append(f"sha256 {a.name} = {_sha256(a)}")
     (out / "manifest.txt").write_text("\n".join(lines) + "\n")
@@ -173,7 +194,7 @@ def _solver_config(cfg: RunConfig) -> SolverConfig:
                         snapshot_stride=cfg.snapshot_stride)
 
 
-def cmd_simulate(cfg: RunConfig, out: Path) -> list[Path]:
+def cmd_simulate(cfg: RunConfig, out: Path, phases: Phases) -> list[Path]:
     g = grid(cfg.n)
     psi0 = initial_stream(cfg.ic, g)
     solver = _solver_config(cfg)
@@ -192,7 +213,8 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> list[Path]:
             f.write(euler_arnold.diagnostics_line(row) + "\n")
             f.flush()
 
-        record = simulate(psi0, solver, on_abort=on_abort, on_snapshot=on_snapshot)
+        record = phases.run(simulate, psi0, solver, on_abort=on_abort,
+                            on_snapshot=on_snapshot)
     theta_ck = out / "theta_final.gsqg"
     save_field(theta_ck, record.thetas[-1])
     flow_ck = out / "gamma_final.gsqgf"
@@ -200,39 +222,39 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> list[Path]:
     return [diag, theta_ck, flow_ck]
 
 
-def cmd_jacobi(cfg: RunConfig, out: Path) -> list[Path]:
+def cmd_jacobi(cfg: RunConfig, out: Path, phases: Phases) -> list[Path]:
     g = grid(cfg.n)
     psi0 = initial_stream(cfg.ic, g)
-    record = simulate(psi0, _solver_config(cfg))
-    basis = jacobi.make_basis(g, cfg.k_cutoff, cfg.beta)
-    lams = jacobi.lambda_samples(record, basis, cfg.beta)
-    k0 = jacobi.k0_matrix(record.u0(), cfg.beta, basis)
-    phi = jacobi.evolve_phi(record, basis, cfg.beta, lambdas=lams, k0=k0)
-    _, _, resid = jacobi.omega_gamma_split(record, basis, cfg.beta, phi, lambdas=lams,
-                                           k0=k0)
-    report = jacobi.detect_conjugate(phi)
+    record = phases.run(simulate, psi0, _solver_config(cfg))
+    basis = phases.run(jacobi.make_basis, g, cfg.k_cutoff, cfg.beta)
+    lams = phases.run(jacobi.lambda_samples, record, basis, cfg.beta)
+    k0 = phases.run(jacobi.k0_matrix, record.u0(), cfg.beta, basis)
+    phi = phases.run(jacobi.evolve_phi, record, basis, cfg.beta, lambdas=lams, k0=k0)
+    _, _, resid = phases.run(jacobi.omega_gamma_split, record, basis, cfg.beta, phi,
+                             lambdas=lams, k0=k0)
+    report = phases.run(jacobi.detect_conjugate, phi)
     conj = out / "conjugate.csv"
     conj.write_text(report.csv())
     (out / "decomposition_residual.txt").write_text(f"{resid:.17g}\n")
     return [conj, out / "decomposition_residual.txt"]
 
 
-def cmd_conjugate_scan(cfg: RunConfig, out: Path) -> list[Path]:
+def cmd_conjugate_scan(cfg: RunConfig, out: Path, phases: Phases) -> list[Path]:
     times = np.linspace(0.0, cfg.t_horizon, 801)
-    phi = sphere.sphere_phi_samples(range(1, cfg.n_max + 1), cfg.beta, times)
-    report = jacobi.detect_conjugate(phi)
+    phi = phases.run(sphere.sphere_phi_samples, range(1, cfg.n_max + 1), cfg.beta, times)
+    report = phases.run(jacobi.detect_conjugate, phi)
     conj = out / "conjugate.csv"
     conj.write_text(report.csv())
     return [conj]
 
 
-def cmd_sphere_example(cfg: RunConfig, out: Path) -> list[Path]:
+def cmd_sphere_example(cfg: RunConfig, out: Path, phases: Phases) -> list[Path]:
     scan = out / "scan.csv"
     scan.write_text(sphere.cluster_scan_csv(cfg.beta, cfg.n_max))
     return [scan]
 
 
-def cmd_morse_bound(cfg: RunConfig, out: Path) -> list[Path]:
+def cmd_morse_bound(cfg: RunConfig, out: Path, phases: Phases) -> list[Path]:
     if cfg.beta >= 1.0:
         raise ConfigError("morse-bound requires beta < 1")
     spectrum = _parse_spectrum(cfg.spectrum)
@@ -244,7 +266,7 @@ def cmd_morse_bound(cfg: RunConfig, out: Path) -> list[Path]:
     return [path]
 
 
-def cmd_verify(cfg: RunConfig, out: Path) -> list[Path]:
+def cmd_verify(cfg: RunConfig, out: Path, phases: Phases) -> list[Path]:
     """Fast invariant suite; prints one PASS/FAIL line per property."""
     from . import verify as verify_mod
 
@@ -309,8 +331,9 @@ def main(argv=None) -> int:
 
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
+    phases = Phases()
     try:
-        artifacts = _COMMANDS[args.command](cfg, out)
+        artifacts = _COMMANDS[args.command](cfg, out, phases)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -320,7 +343,7 @@ def main(argv=None) -> int:
     except (NumericalAbort, euler_arnold.CflViolation, np.linalg.LinAlgError) as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 3
-    _write_manifest(out, args.command, cfg, artifacts)
+    _write_manifest(out, args.command, cfg, artifacts, phases)
     return 0
 
 

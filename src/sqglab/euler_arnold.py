@@ -115,13 +115,17 @@ def max_speed(theta: ScalarField, beta: float) -> float:
     return gradient_perp(stream_of(theta, beta)).max_speed()
 
 
-def check_cfl(theta: ScalarField, beta: float, dt: float):
-    m = max_speed(theta, beta)
-    cfl = dt * m * theta.grid.n / TWO_PI
+def _check_speed(m: float, n: int, dt: float, where: str):
+    """Raise CflViolation if max|u| = m breaks the CFL limit on an n-point grid."""
+    cfl = dt * m * n / TWO_PI
     if cfl > CFL_LIMIT:
         raise CflViolation(
-            f"CFL {cfl:.3f} > {CFL_LIMIT} (max|u| = {m:.6g}, dt = {dt:.3g})"
+            f"CFL {cfl:.4f} > {CFL_LIMIT} {where} (max|u| = {m:.6g}, dt = {dt:.3g})"
         )
+
+
+def check_cfl(theta: ScalarField, beta: float, dt: float):
+    _check_speed(max_speed(theta, beta), theta.grid.n, dt, "at the start of the step")
 
 
 def step_rk4(theta: ScalarField, beta: float, dt: float) -> ScalarField:
@@ -140,15 +144,13 @@ def energy(theta: ScalarField, beta: float) -> float:
 
 
 def _stage_velocity(theta: ScalarField, beta: float):
-    """Velocity components of a stage theta and the spline of the packed ux + i uy.
+    """Velocity components of a stage theta and their packed spectrum ux + i uy.
 
-    The spline holds quintic coefficients on a grid ``SPLINE_UPSAMPLE``
-    times finer (the prefilter is folded into the spectral upsampling),
-    which the particle stages sample; this keeps particle advection cheap
-    without giving up spectral accuracy of the underlying field.
+    One inverse FFT of the packed spectrum gives ux + i uy on the grid, so
+    its modulus is the speed the stage's CFL check reads.
     """
     ux, uy = gradient_perp(stream_of(theta, beta)).component_fields()
-    return (ux, uy), _spline_coefficients(ux.coeff + 1j * uy.coeff)
+    return (ux, uy), ux.coeff + 1j * uy.coeff
 
 
 def simulate(psi0: ScalarField, config: SolverConfig,
@@ -199,16 +201,28 @@ def simulate(psi0: ScalarField, config: SolverConfig,
 
 
 def _joint_rk4_step(theta, fwd, labels, config):
-    """One RK4 step of theta; with flow maps, both maps take the same stages."""
+    """One RK4 step of theta; with flow maps, both maps take the same stages.
+
+    The CFL limit is checked at the start of the step and on the velocity
+    of every later stage.  With flow maps, each stage velocity is also
+    turned into quintic spline coefficients on a grid ``SPLINE_UPSAMPLE``
+    times finer (the prefilter folded into the spectral upsampling), which
+    the particle stages sample; this keeps particle advection cheap without
+    giving up spectral accuracy of the underlying field.
+    """
     beta, dt = config.beta, config.dt
+    n = theta.grid.n
     check_cfl(theta, beta, dt)
     stage_fields, coef = [], []
 
     def theta_rhs(i, y):
+        fields, packed = _stage_velocity(y[0], beta)
+        if i > 0:  # stage 0 is the start of the step, checked above
+            speed = float(np.max(np.abs(np.fft.ifft2(packed)))) * n**2
+            _check_speed(speed, n, dt, f"in RK4 stage {i}")
         if config.advance_flow:
-            fields, c = _stage_velocity(y[0], beta)
             stage_fields.append(fields)
-            coef.append(c)
+            coef.append(_spline_coefficients(packed))
         return (rhs(y[0], beta),)
 
     (theta_next,) = _rk4(theta_rhs, (theta,), dt)

@@ -38,9 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg as sla
-from scipy.integrate import cumulative_simpson
-from scipy.sparse.csgraph import connected_components
 
 from .euler_arnold import GeodesicRecord
 from .flow import RK4_NODES, _rk4
@@ -142,7 +139,8 @@ class GalerkinBasis:
             pair[0], pair[1] = z.real, z.imag
             half = np.fft.rfft(pair, axis=-1)[..., :c + 1]
             out[j] = _band(g, np.fft.fft(half, axis=-2))
-        return out.reshape(self.dim, 2 * c + 1, c + 1) / n**2
+        out /= n**2
+        return out.reshape(self.dim, 2 * c + 1, c + 1)
 
 
 def _band(g: SpectralGrid, a: np.ndarray) -> np.ndarray:
@@ -231,7 +229,8 @@ def lambda_matrix(d: DiffeoSample, beta: float, basis: GalerkinBasis) -> Operato
     symmetric positive-semidefinite by construction.
     """
     check_beta(beta)
-    a = basis.compose(d.inverse) * np.sqrt(_band_weight(basis.grid, 1.0 - beta / 2.0))
+    a = basis.compose(d.inverse)
+    a *= np.sqrt(_band_weight(basis.grid, 1.0 - beta / 2.0))  # in place: no second copy
     b = a.reshape(basis.dim, -1).view(float)  # real and imaginary parts side by side
     return OperatorSample(d.t, (b @ b.T) * TWO_PI**2, "Lambda")
 
@@ -259,6 +258,8 @@ def _segment_eigh(lam0: OperatorSample, lam1: OperatorSample) -> tuple[np.ndarra
     X^T Lambda(s) X = diag(1 - s + s mu), so Lambda(s)^-1 = X diag(1 / (1 - s + s mu)) X^T,
     symmetric positive-definite for s in [0, 1].
     """
+    from scipy import linalg as sla
+
     try:
         return sla.eigh(lam1.matrix, lam0.matrix)
     except np.linalg.LinAlgError as exc:
@@ -325,6 +326,8 @@ def omega_gamma_split(record: GeodesicRecord, basis: GalerkinBasis, beta: float,
     Returns (omega_samples, gamma_samples, residual) with
     residual = max_i ||Phi_i - Omega_i - Gamma_i|| / ||Phi_i|| over t_i > 0.
     """
+    from scipy.integrate import cumulative_simpson
+
     record.require_flow_maps("omega_gamma_split")
     if lambdas is None:
         lambdas = lambda_samples(record, basis, beta)
@@ -393,6 +396,8 @@ def _block_groups(mats: list[np.ndarray]) -> list[np.ndarray]:
     non-zero in some sample.  Returns one (nb, s) array per block size s,
     each row the sorted indices of one block.
     """
+    from scipy.sparse.csgraph import connected_components
+
     support = np.zeros(mats[0].shape, dtype=bool)
     for m in mats:
         support |= m != 0

@@ -21,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.interpolate import CubicSpline
 
 from .euler_arnold import GeodesicRecord
 from .jacobi import GalerkinBasis, k0_matrix, make_basis
@@ -222,6 +220,9 @@ def index_form(times, w_coords, k0: np.ndarray, ad_mats=None,
     ``ad_mats`` None the adjoint is the identity (steady isometric case or
     u0 = 0).
     """
+    from scipy.integrate import simpson
+    from scipy.interpolate import CubicSpline
+
     times = np.asarray(times, dtype=float)
     w = np.asarray(w_coords, dtype=float)
     v = w if v_coords is None else np.asarray(v_coords, dtype=float)

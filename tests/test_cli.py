@@ -1,8 +1,15 @@
 """Command-line interface: config parsing, artifacts, exit codes."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import sqglab
 from sqglab import cli, euler_arnold, morse, sphere
 from sqglab.cli import ConfigError, RunConfig, main, parse_config
 from sqglab.spectral import load_field
@@ -59,6 +66,14 @@ def test_exit_code_3_on_cfl_blowup(tmp_path, capsys):
     assert "numerical abort" in capsys.readouterr().err
 
 
+def test_exit_code_3_on_stage_cfl(tmp_path, capsys):
+    # the start of the step passes the CFL check and RK4 stage 1 trips it
+    rc = main(["simulate", "--set", "N=32", "--set", "beta=1", "--set", "dt=0.098",
+               "--set", "t_final=0.098", "--set", "ic=random:1:4", "--out", str(tmp_path)])
+    assert rc == 3
+    assert "in RK4 stage 1" in capsys.readouterr().err
+
+
 def test_aborted_simulate_keeps_streamed_diagnostics(tmp_path, monkeypatch, capsys):
     # snapshots at t = 0 and t = dt, then the second step aborts
     step, calls = euler_arnold._joint_rk4_step, []
@@ -106,8 +121,6 @@ def test_sphere_example_artifacts(tmp_path):
 def test_manifest_records_provenance(tmp_path):
     import scipy
 
-    import sqglab
-
     assert main(["sphere-example", "--out", str(tmp_path)]) == 0
     lines = (tmp_path / "manifest.txt").read_text().splitlines()
     entries = dict(line.split(" = ", 1) for line in lines)
@@ -116,6 +129,64 @@ def test_manifest_records_provenance(tmp_path):
     assert entries["scipy"] == scipy.__version__
     rev = cli._git_revision()
     assert entries["git_revision"] == (rev if rev is not None else "null")
+
+
+def test_manifest_phases_use_benchmark_layer_names(tmp_path):
+    # the benchmark declares its layers in BENCHMARK.json; read it, run nothing
+    bench = json.loads((Path(__file__).parents[1] / "BENCHMARK.json").read_text())
+    layers = {m["name"] for m in bench["per_layer"]}
+    short = ["--set", "N=32", "--set", "dt=5e-3", "--set", "t_final=0.05",
+             "--set", "ic=shear", "--set", "snapshot_stride=2", "--set", "K=3"]
+    runs = {
+        "simulate": (short, {"euler_arnold.simulate"}),
+        "jacobi": (short, {"euler_arnold.simulate", "jacobi.make_basis",
+                           "jacobi.lambda_samples", "jacobi.k0_matrix",
+                           "jacobi.evolve_phi", "jacobi.omega_gamma_split",
+                           "jacobi.detect_conjugate"}),
+        "conjugate-scan": (["--set", "n_max=5"], {"sphere.sphere_phi_samples",
+                                                  "jacobi.detect_conjugate"}),
+    }
+    for command, (args, expected) in runs.items():
+        out = tmp_path / command
+        assert main([command, "--out", str(out)] + args) == 0
+        phases = {}
+        for line in (out / "manifest.txt").read_text().splitlines():
+            if line.startswith("phase "):
+                name, seconds = line[len("phase "):].split(" = ")
+                phases[name] = float(seconds)
+        assert set(phases) == expected
+        assert all(s >= 0 for s in phases.values())
+        assert {f"{name}.self_s" for name in phases} <= layers
+
+
+SCIPY_SUBMODULES = ("scipy.ndimage", "scipy.linalg", "scipy.integrate", "scipy.interpolate",
+                    "scipy.sparse", "scipy.special", "scipy.optimize")
+
+
+def _scipy_loaded_by(tmp_path, runs) -> set[str]:
+    """The scipy submodules a fresh interpreter holds after ``cli.main`` runs each argv."""
+    script = "\n".join([
+        "import sys",
+        "from sqglab import cli",
+        f"for argv in {runs!r}:",
+        "    assert cli.main(argv) == 0, argv",
+        f"print(*(m for m in {SCIPY_SUBMODULES!r} if m in sys.modules))",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(Path(sqglab.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.split())
+
+
+def test_commands_load_only_the_scipy_submodules_they_use(tmp_path):
+    sphere_runs = [[c, "--out", str(tmp_path / c)]
+                   for c in ("conjugate-scan", "sphere-example", "morse-bound")]
+    assert _scipy_loaded_by(tmp_path, sphere_runs) == set()
+    simulate = [["simulate", "--set", "t_final=0.01", "--out", str(tmp_path / "simulate")]]
+    loaded = _scipy_loaded_by(tmp_path, simulate)
+    assert "scipy.ndimage" in loaded
+    assert not loaded & {"scipy.integrate", "scipy.interpolate", "scipy.optimize"}
 
 
 def test_git_revision_reads_refs_without_git(tmp_path):

@@ -21,6 +21,7 @@ from sqglab.spectral import (
     norm_beta,
     poisson_bracket,
     save_field,
+    _fourier_eval,
     _spline_coefficients,
     _spline_eval,
 )
@@ -138,6 +139,24 @@ def test_interpolate_fourier_is_exact_off_grid():
     assert np.allclose(vals, np.cos(3 * pts[:, 0] - 2 * pts[:, 1]), atol=1e-12)
 
 
+def test_fourier_eval_matches_the_untrimmed_sum():
+    # the 2/3 band of N = 64 (43 of 64 rows and columns summed) and a full
+    # spectrum (nothing trimmed), alone and stacked
+    g = grid(64)
+    band = random_field(g, 31, kmax=g.cutoff).coeff
+    full = np.random.default_rng(32).normal(size=(64, 64, 2)) @ np.array([1.0, 1j])
+    pts = np.random.default_rng(33).uniform(0, 2 * np.pi, size=(300, 2))
+    x, y = pts[:, 0], pts[:, 1]
+    k = np.fft.fftfreq(g.n, d=1.0 / g.n)
+    ex, ey = np.exp(1j * np.outer(k, x)), np.exp(1j * np.outer(k, y))
+    for c in (band, full, np.stack([band, full])):
+        want = np.einsum("ap,...ab,bp->...p", ex, c, ey).real
+        got = _fourier_eval(c, g, x, y)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-13
+    assert np.array_equal(_fourier_eval(np.zeros((64, 64)), g, x, y), np.zeros(x.size))
+
+
 def test_interpolate_bicubic_close_to_fourier():
     g = grid(64)
     f = random_field(g, 8, kmax=4)
@@ -188,7 +207,9 @@ def test_stage_sampler_matches_scipy_prefilter(n):
     g = grid(n)
     beta = 0.5
     theta = ScalarField.from_values(g, np.random.default_rng(2 * n).normal(size=(n, n)))
-    (ux, uy), coef = _stage_velocity(theta, beta)
+    (ux, uy), packed = _stage_velocity(theta, beta)
+    assert np.array_equal(packed, ux.coeff + 1j * uy.coeff)
+    coef = _spline_coefficients(packed)
     x, y = _spline_test_points(2 * n + 1)
     want = _prefiltered_reference(ux.coeff + 1j * uy.coeff, x, y)
     got = _spline_eval((coef.real, coef.imag), x, y)
