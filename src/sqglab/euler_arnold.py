@@ -203,8 +203,8 @@ def simulate(psi0: ScalarField, config: SolverConfig,
 def _joint_rk4_step(theta, fwd, labels, config):
     """One RK4 step of theta; with flow maps, both maps take the same stages.
 
-    The CFL limit is checked at the start of the step and on the velocity
-    of every later stage.  With flow maps, each stage velocity is also
+    The CFL limit is checked on the velocity of every stage, stage 0 being
+    the start of the step.  With flow maps, each stage velocity is also
     turned into quintic spline coefficients on a grid ``SPLINE_UPSAMPLE``
     times finer (the prefilter folded into the spectral upsampling), which
     the particle stages sample; this keeps particle advection cheap without
@@ -212,14 +212,12 @@ def _joint_rk4_step(theta, fwd, labels, config):
     """
     beta, dt = config.beta, config.dt
     n = theta.grid.n
-    check_cfl(theta, beta, dt)
     stage_fields, coef = [], []
 
     def theta_rhs(i, y):
         fields, packed = _stage_velocity(y[0], beta)
-        if i > 0:  # stage 0 is the start of the step, checked above
-            speed = float(np.max(np.abs(np.fft.ifft2(packed)))) * n**2
-            _check_speed(speed, n, dt, f"in RK4 stage {i}")
+        speed = float(np.max(np.abs(np.fft.ifft2(packed)))) * n**2
+        _check_speed(speed, n, dt, f"in RK4 stage {i}" if i else "at the start of the step")
         if config.advance_flow:
             stage_fields.append(fields)
             coef.append(_spline_coefficients(packed))

@@ -16,21 +16,21 @@ the same reason K0 is a lookup in the spectrum of (-Lap)^(1-b/2) psi_u0.
 The basis is its integer wavevector table alone, with no stack of grid
 coefficients: coordinates, streams and K0 are read from it in closed form.
 
-The solution operator Phi(t) of the linearized Cauchy problem is evolved
-as the first-order system m = Lambda w, m' = -K0 Lambda^-1 m, v' = w, in
-the frame of one generalized eigendecomposition per snapshot interval
-(no linear solves), and split into the absolutely-continuous part Omega = int
-Lambda^-1 and the compact remainder Gamma.  Conjugate points are flagged
-from the smallest singular value of Phi(t)/t, block by block over the
-decoupled blocks of Phi (``PhiBlocks``: one 2x2 block per degree on the
-sphere, given as such by the sphere backend; a single block for a generic
-torus Phi, found from the support of the dense samples), so that zeros of
-different blocks do not hide one another; between samples a block is only
-interpolated near the minima of its sigma_min, and each such minimum is
-refined on that interpolant by a batched grid zoom: a few rounds of one
-equispaced grid per bracket, each narrowing the bracket to the grid cells
-around its smallest value.  The singular values and determinants of 2x2
-blocks are taken in closed form, larger blocks through LAPACK.
+On one segment model, Lambda(t) linear between snapshots and each interval
+diagonalized once, the solution operator Phi(t) of the linearized Cauchy
+problem is evolved by RK4 with no linear solves and split into the
+absolutely-continuous part Omega = int Lambda^-1, in closed form, and the
+compact remainder Gamma = -int Lambda^-1 K0 Phi.  Conjugate points are
+flagged from the smallest singular value of Phi(t)/t, block by block over
+the decoupled blocks of Phi (``PhiBlocks``: one 2x2 block per degree on the
+sphere, given as such by the sphere backend; a single block for dense torus
+samples), so that zeros of different blocks do not hide one another;
+between samples a block is only interpolated near the minima of its
+sigma_min, and each such minimum is refined on that interpolant by a
+batched grid zoom: a few rounds of one equispaced grid per bracket, each
+narrowing the bracket to the grid cells around its smallest value.  The
+singular values and determinants of 2x2 blocks are taken in closed form,
+larger blocks through LAPACK.
 """
 
 from __future__ import annotations
@@ -269,6 +269,36 @@ def _segment_eigh(lam0: OperatorSample, lam1: OperatorSample) -> tuple[np.ndarra
         ) from exc
 
 
+def _segments(times: np.ndarray, lambdas: list[OperatorSample]):
+    """(h, mu, X) of each snapshot interval: its length and its ``_segment_eigh``."""
+    for i in range(len(times) - 1):
+        yield (times[i + 1] - times[i],) + _segment_eigh(lambdas[i], lambdas[i + 1])
+
+
+def _simpson_weights(t: np.ndarray) -> np.ndarray:
+    """Weights W, (T, T), of int_(t_0)^(t_i) y = sum_j W_ij y_j by scipy's cumulative Simpson.
+
+    The intervals pair up as (0, 1), (2, 3), ..., each integrated on the
+    quadratic through the three nodes of its pair, an odd last interval on
+    the one through the last three nodes; two samples take the trapezoid rule.
+    """
+    dt = np.diff(t)
+    k = np.arange(len(dt))
+    w = np.zeros((len(dt), len(t)))
+    if len(t) < 3:
+        w[k, k] = w[k, k + 1] = 0.5 * dt
+    else:
+        j = np.minimum(k - k % 2, len(t) - 3)  # the first node of interval k's quadratic
+        second = k > j                         # interval k is the later of the two
+        near, far = np.where(second, j + 2, j), np.where(second, j, j + 2)
+        p, q = dt[k], np.where(second, dt[j], dt[j + 1])  # its width, the other's width
+        r = p / (p + q)
+        w[k, near] = p / 6 * (3 - r)
+        w[k, j + 1] = p / 6 * (3 + r + r * p / q)
+        w[k, far] = -p / 6 * r * p / q
+    return np.vstack([np.zeros(len(t)), np.cumsum(w, axis=0)])
+
+
 PHI_SUBSTEPS = 10
 
 
@@ -277,11 +307,11 @@ def evolve_phi(record: GeodesicRecord, basis: GalerkinBasis, beta: float,
                k0: OperatorSample | None = None) -> list[OperatorSample]:
     """Phi(t_i) at the record snapshot times; Phi(0) = 0, Phi'(0) = I.
 
-    Lambda(t) is linear in time between snapshots, so each interval is
-    diagonalized once (``_segment_eigh``) and ``PHI_SUBSTEPS`` RK4 steps run
-    in its eigenframe q = X^T m, where m' = -K0 Lambda^-1 m reads
-    q' = -(X^T K0 X) D(s)^-1 q and v' = X D(s)^-1 q: one matmul per stage
-    and no solve.  RK4 is linear, so this is the same step as RK4 on (m, v).
+    m = Lambda Phi', m' = -K0 Phi', m(0) = I keep m + K0 Phi = I, so Phi is
+    the one state: Phi' = Lambda^-1 (I - K0 Phi).  Over an interval
+    Lambda(s)^-1 = X D(s)^-1 X^T (``_segment_eigh``), and ``PHI_SUBSTEPS`` RK4
+    steps run on Phi = Phi_i + X u, u' = D^-1 (X^T (I - K0 Phi_i) - X^T K0 X u):
+    one matmul per stage and no solve.
     """
     check_beta(beta)
     record.require_flow_maps("evolve_phi")
@@ -292,28 +322,18 @@ def evolve_phi(record: GeodesicRecord, basis: GalerkinBasis, beta: float,
     times = np.asarray(record.times)
     d = basis.dim
 
-    m = np.eye(d)       # m = Lambda w, m(0) = Lambda(0) w0 = w0
-    v = np.zeros((d, d))
-    out = [OperatorSample(0.0, v.copy(), "Phi")]
-
-    for i in range(len(times) - 1):
-        mu, x = _segment_eigh(lambdas[i], lambdas[i + 1])
-        a = x.T @ k0.matrix @ x
-        q = x.T @ m
-        u = np.zeros((d, d))  # v gains X u over the interval
-
-        def deriv(s, q_):
-            r = q_ / (1.0 - s + s * mu)[:, None]  # X^T Lambda(s)^-1 m = X^-1 w
-            return -a @ r, r
-
-        h = (times[i + 1] - times[i]) / PHI_SUBSTEPS
-        ds = 1.0 / PHI_SUBSTEPS
+    phi = np.zeros((d, d))
+    out = [OperatorSample(0.0, phi, "Phi")]
+    for t, (h, mu, x) in zip(times[1:], _segments(times, lambdas)):
+        xk = x.T @ k0.matrix
+        a, b = xk @ x, x.T - xk @ phi  # X^T K0 X and X^T (I - K0 Phi_i)
+        u = np.zeros((d, d))  # Phi gains X u over the interval
         for j in range(PHI_SUBSTEPS):
-            q, u = _rk4(lambda stage, y: deriv(j * ds + RK4_NODES[stage] * ds, y[0]),
-                        (q, u), h)
-        m = lambdas[i].matrix @ (x @ q)  # X^-T = Lambda_0 X
-        v = v + x @ u
-        out.append(OperatorSample(times[i + 1], v.copy(), "Phi"))
+            s = (j + np.array(RK4_NODES)) / PHI_SUBSTEPS  # the stage positions in the interval
+            (u,) = _rk4(lambda i, y: ((b - a @ y[0]) / (1.0 - s[i] + s[i] * mu)[:, None],),
+                        (u,), h / PHI_SUBSTEPS)
+        phi = phi + x @ u
+        out.append(OperatorSample(t, phi, "Phi"))
     return out
 
 
@@ -323,11 +343,14 @@ def omega_gamma_split(record: GeodesicRecord, basis: GalerkinBasis, beta: float,
                       k0: OperatorSample | None = None):
     """Omega/Gamma quadratures and the decomposition residual.
 
-    Returns (omega_samples, gamma_samples, residual) with
+    Omega = int Lambda^-1 is exact on the segment model of ``evolve_phi``: an
+    interval adds h X diag(L(mu)) X^T, L(mu) = log(mu) / (mu - 1) > 0, as the
+    Gram product Y Y^T, Y = X sqrt(h L), so it is symmetric positive-definite
+    by construction.  Gamma = -int Lambda^-1 K0 Phi is the cumulative Simpson
+    rule over the snapshots (``_simpson_weights``).  Returns
+    (omega_samples, gamma_samples, residual) with
     residual = max_i ||Phi_i - Omega_i - Gamma_i|| / ||Phi_i|| over t_i > 0.
     """
-    from scipy.integrate import cumulative_simpson
-
     record.require_flow_maps("omega_gamma_split")
     if lambdas is None:
         lambdas = lambda_samples(record, basis, beta)
@@ -336,11 +359,14 @@ def omega_gamma_split(record: GeodesicRecord, basis: GalerkinBasis, beta: float,
     times = np.asarray(record.times)
     if len(phi_samples) != len(times):
         raise ValueError("phi samples do not match the record sampling")
-    lam_inv = np.array([lambda_inverse(s) for s in lambdas])
     phi = np.array([s.matrix for s in phi_samples])
-    omega = cumulative_simpson(lam_inv, x=times, axis=0, initial=0.0)
-    integrand = lam_inv @ k0.matrix @ phi
-    gamma = -cumulative_simpson(integrand, x=times, axis=0, initial=0.0)
+    integrand = np.array([lambda_inverse(s) for s in lambdas]) @ k0.matrix @ phi
+    gamma = -np.tensordot(_simpson_weights(times), integrand, axes=1)
+    omega = [np.zeros_like(phi[0])]
+    for h, mu, x in _segments(times, lambdas):
+        dm = mu - 1.0
+        y = x * np.sqrt(h * np.divide(np.log1p(dm), dm, out=np.ones_like(dm), where=dm != 0))
+        omega.append(omega[-1] + y @ y.T)
     resid = 0.0
     for i in range(1, len(times)):
         denom = np.linalg.norm(phi[i])
@@ -387,32 +413,6 @@ THRESHOLD_FACTOR = 1e-3
 # which refinement brackets shrink
 _ZOOM_POINTS = 33
 _XATOL = 1e-12
-
-
-def _block_groups(mats: list[np.ndarray]) -> list[np.ndarray]:
-    """Index arrays of the decoupled blocks of Phi, grouped by block size.
-
-    The blocks are the connected components of the entries that are
-    non-zero in some sample.  Returns one (nb, s) array per block size s,
-    each row the sorted indices of one block.
-    """
-    from scipy.sparse.csgraph import connected_components
-
-    support = np.zeros(mats[0].shape, dtype=bool)
-    for m in mats:
-        support |= m != 0
-    n, labels = connected_components(support | support.T, directed=False)
-    blocks = [np.flatnonzero(labels == k) for k in range(n)]
-    sizes = sorted({len(b) for b in blocks})
-    return [np.array([b for b in blocks if len(b) == s]) for s in sizes]
-
-
-def _to_blocks(samples: list[OperatorSample]) -> PhiBlocks:
-    """The blocks of dense Phi samples, gathered along ``_block_groups``."""
-    mats = [s.matrix for s in samples]
-    groups = [(idx, np.array([m[idx[:, :, None], idx[:, None, :]] for m in mats]))
-              for idx in _block_groups(mats)]
-    return PhiBlocks(np.array([s.t for s in samples]), groups)
 
 
 def _blinn(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -544,11 +544,10 @@ def detect_conjugate(phi_samples: list[OperatorSample] | PhiBlocks,
 
     Detection runs on the decoupled blocks of Phi.  ``PhiBlocks`` (the
     sphere backend's form, one 2x2 block per degree) are used as given;
-    dense samples are split into the connected components of the entries
-    non-zero in some sample (a generic torus Phi is one block).  Sample times
-    must strictly increase; the leading samples at t <= 0 are dropped.  The
-    reported trace is the smallest block sigma_min and the determinant sign
-    the product of the block signs.  The default threshold is scale-free:
+    dense samples are one block (a computed torus Phi has no zero entry).
+    Sample times must strictly increase; the leading samples at t <= 0 are
+    dropped.  The reported trace is the smallest block sigma_min and the
+    determinant sign the product of the block signs.  The default threshold is scale-free:
     ``THRESHOLD_FACTOR`` times the median of the trace.
 
     Each local minimum of a block's sampled sigma_min is a candidate,
@@ -568,17 +567,18 @@ def detect_conjugate(phi_samples: list[OperatorSample] | PhiBlocks,
     their multiplicities add.  Singular values and determinants of 2x2 blocks are
     taken in closed form (``_svals``, ``_det``), larger ones through LAPACK.
     """
-    dense = not isinstance(phi_samples, PhiBlocks)
-    times = np.array([s.t for s in phi_samples]) if dense else phi_samples.times
+    if not isinstance(phi_samples, PhiBlocks):  # a dense Phi is one block
+        stack = np.array([s.matrix for s in phi_samples])
+        phi_samples = PhiBlocks(np.array([s.t for s in phi_samples]),
+                                [(np.arange(stack.shape[-1])[None], stack[:, None])])
+    times = phi_samples.times
     if np.any(np.diff(times) <= 0):
         raise ValueError("sample times must be strictly increasing")
-    first = int(np.searchsorted(times, 0.0, side="right"))
-    times = times[first:]
+    times = times[np.searchsorted(times, 0.0, side="right"):]
     if len(times) < 3:
         raise ValueError("need at least 3 samples with t > 0")
-    blocks = _to_blocks(phi_samples[first:]) if dense else phi_samples
     groups, dets = [], np.ones(len(times))
-    for _, values in blocks.groups:
+    for _, values in phi_samples.groups:
         phi = values[-len(times):] / times[:, None, None, None]  # the samples at t > 0
         groups.append((phi, _smin(phi)))
         dets = dets * np.prod(np.sign(_det(phi)), axis=1)

@@ -187,6 +187,11 @@ def test_commands_load_only_the_scipy_submodules_they_use(tmp_path):
     loaded = _scipy_loaded_by(tmp_path, simulate)
     assert "scipy.ndimage" in loaded
     assert not loaded & {"scipy.integrate", "scipy.interpolate", "scipy.optimize"}
+    jacobi = [["jacobi", "--set", "t_final=0.004", "--set", "snapshot_stride=1",
+               "--out", str(tmp_path / "jacobi")]]
+    loaded = _scipy_loaded_by(tmp_path, jacobi)
+    assert "scipy.linalg" in loaded
+    assert not loaded & {"scipy.integrate", "scipy.sparse", "scipy.optimize", "scipy.interpolate"}
 
 
 def test_git_revision_reads_refs_without_git(tmp_path):

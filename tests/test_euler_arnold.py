@@ -42,9 +42,12 @@ def test_cos_y_is_steady(beta):
 
 def test_cfl_violation_raised():
     g = grid(32)
-    theta = theta_from_stream(random_stream(g, 3, 4), 0.0)
+    psi = random_stream(g, 3, 4)
     with pytest.raises(ea.CflViolation):
-        ea.step_rk4(theta, 0.0, 1.0)
+        ea.step_rk4(theta_from_stream(psi, 0.0), 0.0, 1.0)
+    cfg = ea.SolverConfig(beta=0.0, dt=1.0, t_final=1.0, n=32)
+    with pytest.raises(ea.CflViolation, match="at the start of the step"):
+        ea.simulate(psi, cfg)
 
 
 @pytest.mark.parametrize("advance_flow", (True, False))

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_simpson
 from scipy.interpolate import CubicSpline
 from scipy.optimize import minimize_scalar
 
@@ -375,6 +376,67 @@ def test_phi_trivial_geodesic_is_linear():
     assert resid < 1e-12
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 9])
+def test_simpson_weights_match_scipy_cumulative_simpson(n):
+    rng = np.random.default_rng(n)
+    t = np.cumsum(rng.uniform(0.1, 1.0, n))  # uneven spacing
+    y = rng.standard_normal((n, 3, 2))
+    want = cumulative_simpson(y, x=t, axis=0, initial=0.0)
+    got = np.tensordot(jacobi._simpson_weights(t), y, axes=1)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class _SegmentRecord:
+    """What ``omega_gamma_split`` reads of a record given Lambda and K0: its times."""
+
+    def __init__(self, times):
+        self.times = times
+
+    def require_flow_maps(self, user):
+        pass
+
+
+def _segment_omega(lam0, lam1, h):
+    """Omega(h) of ``omega_gamma_split`` on the single interval [0, h]."""
+    d = len(lam0)
+    lams = [jacobi.OperatorSample(0.0, lam0, "Lambda"), jacobi.OperatorSample(h, lam1, "Lambda")]
+    k0 = jacobi.OperatorSample(0.0, np.zeros((d, d)), "K0")
+    phi = [jacobi.OperatorSample(t, t * np.eye(d), "Phi") for t in (0.0, h)]
+    omega, _, _ = jacobi.omega_gamma_split(_SegmentRecord([0.0, h]), None, 0.5, phi,
+                                           lambdas=lams, k0=k0)
+    return omega[-1].matrix
+
+
+def _random_spd(rng, d):
+    a = rng.standard_normal((d, d))
+    return a @ a.T + d * np.eye(d)
+
+
+def test_omega_is_exact_on_a_segment_with_spread_mu():
+    # Lambda_1 = R^T V diag(mu) V^T R for Lambda_0 = R^T R: generalized
+    # eigenvalues mu from 0.25 to 4, so 1 / (1 - s + s mu) varies fourfold
+    rng = np.random.default_rng(7)
+    d, h = 8, 0.3
+    lam0 = _random_spd(rng, d)
+    r = np.linalg.cholesky(lam0).T
+    v = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    lam1 = r.T @ v @ np.diag(np.geomspace(0.25, 4.0, d)) @ v.T @ r
+    omega = _segment_omega(lam0, lam1, h)
+    x, w = np.polynomial.legendre.leggauss(20)
+    want = sum(0.5 * h * wk * np.linalg.inv((1 - s) * lam0 + s * lam1)
+               for s, wk in zip(0.5 * (x + 1), w))
+    assert np.array_equal(omega, omega.T)
+    assert np.linalg.norm(omega - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_omega_of_a_constant_lambda_is_h_lambda_inverse():
+    lam = _random_spd(np.random.default_rng(8), 8)
+    omega = _segment_omega(lam, lam, 0.3)
+    want = 0.3 * np.linalg.inv(lam)
+    assert np.array_equal(omega, omega.T)
+    assert np.linalg.norm(omega - want) <= 1e-12 * np.linalg.norm(want)
+
+
 def test_phi_initial_conditions(shear_phi, shear_basis):
     assert np.max(np.abs(shear_phi[0].matrix)) < 1e-14
     h = shear_phi[1].t
@@ -473,24 +535,6 @@ def test_detect_conjugate_matches_reference_on_dense_phi(random_record):
     _assert_detection_matches_reference(phi)
 
 
-def test_detect_conjugate_support_spans_all_samples(densify):
-    # one entry coupling degrees 1 and 3 is non-zero at a single interior
-    # sample only, next to the first conjugate time
-    times = np.linspace(0.0, 1.3 * sphere.conjugate_time(2, 1.0), 401)
-    phi = densify(sphere.sphere_phi_samples([1, 2, 3], 1.0, times))
-    plain = jacobi.detect_conjugate(phi)
-    i = int(np.searchsorted(times, plain.detected[0][0]))
-    m = phi[i].matrix.copy()
-    m[0, 5] = 0.5 * np.max(np.abs(m))
-    phi[i] = jacobi.OperatorSample(phi[i].t, m, "Phi")
-    groups = jacobi._block_groups([s.matrix for s in phi[1:]])
-    assert [g.tolist() for g in groups] == [[[2, 3]], [[0, 1, 4, 5]]]
-    report = jacobi.detect_conjugate(phi)
-    assert report.sigma_min[i - 1] != plain.sigma_min[i - 1]  # the trace skips t = 0
-    # the coupled block is block-triangular, so its zeros are those of its parts
-    assert report.detected == plain.detected
-
-
 def test_detect_conjugate_merges_coinciding_blocks():
     times = np.linspace(0.0, 1.3 * sphere.conjugate_time(2, 1.0), 401)
     report = jacobi.detect_conjugate(sphere.sphere_phi_samples([2, 2], 1.0, times))
@@ -498,29 +542,6 @@ def test_detect_conjugate_merges_coinciding_blocks():
     t_det, mult = report.detected[0]
     assert abs(t_det - sphere.conjugate_time(2, 1.0)) < 1e-6
     assert mult == 4
-
-
-_SCAN_STACKS = {
-    # the README scan, the criterion-10 stacks and two coinciding degrees
-    "readme": (range(1, 31), 1.0, 7.2, 801),
-    "beta0": (range(1, 31), 0.0, 1.1 * sphere.conjugate_time(1, 0.0), 801),
-    "beta0.5": (range(1, 31), 0.5, 1.1 * sphere.conjugate_time(1, 0.5), 801),
-    "beta0.75": (range(1, 31), 0.75, 1.1 * sphere.conjugate_time(1, 0.75), 801),
-    "2,2": ([2, 2], 1.0, 1.3 * sphere.conjugate_time(2, 1.0), 401),
-}
-
-
-@pytest.mark.parametrize("stack", list(_SCAN_STACKS))
-def test_detect_conjugate_block_route_equals_dense_route(densify, stack):
-    degrees, beta, horizon, samples = _SCAN_STACKS[stack]
-    blocks = sphere.sphere_phi_samples(degrees, beta, np.linspace(0.0, horizon, samples))
-    report = jacobi.detect_conjugate(blocks)
-    dense = jacobi.detect_conjugate(densify(blocks))
-    assert np.array_equal(report.times, dense.times)
-    assert np.array_equal(report.sigma_min, dense.sigma_min)
-    assert np.array_equal(report.det_sign, dense.det_sign)
-    assert report.detected == dense.detected
-    assert report.threshold == dense.threshold
 
 
 _TWO_BY_TWO = {
@@ -590,28 +611,27 @@ def test_detect_conjugate_skips_only_proven_minima(random_record, monkeypatch):
 
 
 @pytest.mark.parametrize("stack", ["sphere", "dense", "monomial"])
-def test_local_poly_drift_bounds_the_block_polynomials(random_record, densify, stack):
+def test_local_poly_drift_bounds_the_block_polynomials(random_record, stack):
     # the skip rule is only sound if the drift bounds how far each local
     # polynomial moves from its centre sample over the bracket; the fit is
     # taken around every sample, so every minimum, skipped or refined, is covered
     if stack == "sphere":
-        phi = densify(sphere.sphere_phi_samples(range(1, 6), 1.0,
-                                                np.linspace(0.0, 7.2, 81)))[1:]
-        times = np.array([s.t for s in phi])
-        mats = [s.matrix / s.t for s in phi]
+        blocks = sphere.sphere_phi_samples(range(1, 6), 1.0, np.linspace(0.0, 7.2, 81))
+        times = blocks.times[1:]
+        groups = [values[1:] / times[:, None, None, None] for _, values in blocks.groups]
     elif stack == "dense":
         phi = jacobi.evolve_phi(random_record, jacobi.make_basis(grid(64), 4, 0.5), 0.5)[1:]
         times = np.array([s.t for s in phi])
-        mats = [s.matrix / s.t for s in phi]
+        groups = [np.array([s.matrix / s.t for s in phi])[:, None]]
     else:
         # a quartic monomial centred at sample 4 times a rank-one matrix: the
         # fit is exact, and on that bracket the bound is attained by its top term
         times = np.linspace(0.0, 1.0, 9)
-        mats = [(t - times[4])**4 * np.array([[1.0, 2.0], [0.0, 0.0]]) for t in times]
+        groups = [np.array([(t - times[4])**4 * np.array([[1.0, 2.0], [0.0, 0.0]])
+                            for t in times])[:, None]]
     nt = len(times)
-    for idx in jacobi._block_groups(mats):
-        blocks = np.array([m[idx[:, :, None], idx[:, None, :]] for m in mats])
-        ti, bi = (a.ravel() for a in np.meshgrid(np.arange(nt), np.arange(len(idx)),
+    for blocks in groups:
+        ti, bi = (a.ravel() for a in np.meshgrid(np.arange(nt), np.arange(blocks.shape[1]),
                                                  indexing="ij"))
         c, r, drift = jacobi._local_poly(times, blocks, ti, bi)
         lo, hi = np.maximum(ti - 1, 0), np.minimum(ti + 1, nt - 1)
