@@ -1,11 +1,13 @@
 """Command-line front end: configuration, run orchestration, CSV artifacts.
 
-Configuration is plain ``key = value`` lines with ``#`` comments; every
-run writes its artifacts plus a ``manifest.txt`` recording the package,
-numpy and scipy versions, the git revision (``null`` outside a checkout),
-the resolved configuration, the wall seconds of each timed phase and the
-SHA-256 of each emitted file.  Exit codes: 0 ok,
-2 configuration error, 3 numerical abort, 4 spectrum coverage too small.
+Configuration is plain ``key = value`` lines with ``#`` comments, whose
+keys are the fields of ``RunConfig``; every run writes its artifacts plus a
+``manifest.txt`` recording the package, numpy and scipy versions, the git
+revision (``null`` outside a checkout), the resolved configuration under
+the config keys (so those lines can be read back with ``--config``), the
+wall seconds of each timed phase and the SHA-256 of each emitted file.
+Exit codes: 0 ok, 2 configuration error, 3 numerical abort, 4 spectrum
+coverage too small.
 """
 
 from __future__ import annotations
@@ -33,56 +35,34 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
+    """Configuration of one run; the field names are the config keys."""
+
     beta: float = 0.0
-    n: int = 64
+    N: int = 64
     dt: float = 1e-3
     t_final: float = 1.0
-    k_cutoff: int = 6
+    K: int = 6
     ic: str = "cosy"
     snapshot_stride: int = 50
     n_max: int = 30
     spectrum: str = "torus:16"
-    c_const: float = 16.0
+    C: float = 16.0
     delta: float = 1.0
-    t_horizon: float = float(np.pi)
-
-
-_KEYS = {
-    "beta": ("beta", float),
-    "N": ("n", int),
-    "dt": ("dt", float),
-    "t_final": ("t_final", float),
-    "K": ("k_cutoff", int),
-    "ic": ("ic", str),
-    "snapshot_stride": ("snapshot_stride", int),
-    "n_max": ("n_max", int),
-    "spectrum": ("spectrum", str),
-    "C": ("c_const", float),
-    "delta": ("delta", float),
-    "T": ("t_horizon", float),
-}
+    T: float = float(np.pi)
 
 
 def _validate(cfg: RunConfig):
-    if not 0.0 <= cfg.beta <= 1.0:
-        raise ConfigError("beta out of range [0, 1]")
-    if cfg.n < 16 or cfg.n % 2:
+    if cfg.N < 16 or cfg.N % 2:
         raise ConfigError("N must be an even integer >= 16")
-    if cfg.dt <= 0:
-        raise ConfigError("dt must be positive")
-    if cfg.t_final <= 0:
-        raise ConfigError("t_final must be positive")
-    if cfg.k_cutoff < 2:
+    if cfg.K < 2:
         raise ConfigError("K must be >= 2")
-    if cfg.snapshot_stride < 1:
-        raise ConfigError("snapshot_stride must be >= 1")
     if cfg.n_max < 2:
         raise ConfigError("n_max must be >= 2")
     if cfg.delta <= 0:
         raise ConfigError("delta must be positive")
-    if cfg.c_const < 0:
+    if cfg.C < 0:
         raise ConfigError("C must be nonnegative")
-    if cfg.t_horizon <= 0:
+    if cfg.T <= 0:
         raise ConfigError("T must be positive")
     try:
         _solver_config(cfg).validate()
@@ -90,12 +70,17 @@ def _validate(cfg: RunConfig):
         raise ConfigError(str(exc)) from None
 
 
-def _apply_kv(cfg: RunConfig, key: str, value: str, where: str):
-    if key not in _KEYS:
+def _apply_line(cfg: RunConfig, line: str, where: str):
+    """Set one ``key = value`` line; the key is a RunConfig field, the value
+    is converted with the type of that field's default."""
+    if "=" not in line:
+        raise ConfigError(f"{where}: expected 'key = value', got {line!r}")
+    key, value = (s.strip() for s in line.split("=", 1))
+    defaults = {f.name: f.default for f in fields(RunConfig)}
+    if key not in defaults:
         raise ConfigError(f"unknown key {key!r} ({where})")
-    attr, typ = _KEYS[key]
     try:
-        setattr(cfg, attr, typ(value))
+        setattr(cfg, key, type(defaults[key])(value))
     except ValueError:
         raise ConfigError(f"bad value {value!r} for key {key!r} ({where})") from None
 
@@ -105,12 +90,8 @@ def parse_config(text: str, cfg: RunConfig | None = None) -> RunConfig:
     cfg = cfg if cfg is not None else RunConfig()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, value = (s.strip() for s in line.split("=", 1))
-        _apply_kv(cfg, key, value, f"line {lineno}")
+        if line:
+            _apply_line(cfg, line, f"line {lineno}")
     _validate(cfg)
     return cfg
 
@@ -179,23 +160,25 @@ def _parse_spectrum(spec: str) -> morse.Spectrum:
     except ValueError:
         raise ConfigError(f"bad spectrum spec {spec!r}, want torus:KMAX or sphere:NMAX") \
             from None
-    if kind == "torus":
-        return morse.Spectrum.torus(num)
-    if kind == "sphere":
-        return morse.Spectrum.sphere(num)
-    raise ConfigError(f"unknown spectrum kind {kind!r}")
+    build = {"torus": morse.Spectrum.torus, "sphere": morse.Spectrum.sphere}
+    if kind not in build:
+        raise ConfigError(f"unknown spectrum kind {kind!r}")
+    try:
+        return build[kind](num)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 def _solver_config(cfg: RunConfig) -> SolverConfig:
-    return SolverConfig(beta=cfg.beta, dt=cfg.dt, t_final=cfg.t_final, n=cfg.n,
+    return SolverConfig(beta=cfg.beta, dt=cfg.dt, t_final=cfg.t_final, n=cfg.N,
                         snapshot_stride=cfg.snapshot_stride)
 
 
 def cmd_simulate(cfg: RunConfig, out: Path, phases: Phases) -> list[Path]:
-    g = grid(cfg.n)
+    g = grid(cfg.N)
     psi0 = initial_stream(cfg.ic, g)
     solver = _solver_config(cfg)
 
@@ -223,10 +206,10 @@ def cmd_simulate(cfg: RunConfig, out: Path, phases: Phases) -> list[Path]:
 
 
 def cmd_jacobi(cfg: RunConfig, out: Path, phases: Phases) -> list[Path]:
-    g = grid(cfg.n)
+    g = grid(cfg.N)
     psi0 = initial_stream(cfg.ic, g)
     record = phases.run(simulate, psi0, _solver_config(cfg))
-    basis = phases.run(jacobi.make_basis, g, cfg.k_cutoff, cfg.beta)
+    basis = phases.run(jacobi.make_basis, g, cfg.K, cfg.beta)
     lams = phases.run(jacobi.lambda_samples, record, basis, cfg.beta)
     k0 = phases.run(jacobi.k0_matrix, record.u0(), cfg.beta, basis)
     phi = phases.run(jacobi.evolve_phi, record, basis, cfg.beta, lambdas=lams, k0=k0)
@@ -240,7 +223,7 @@ def cmd_jacobi(cfg: RunConfig, out: Path, phases: Phases) -> list[Path]:
 
 
 def cmd_conjugate_scan(cfg: RunConfig, out: Path, phases: Phases) -> list[Path]:
-    times = np.linspace(0.0, cfg.t_horizon, 801)
+    times = np.linspace(0.0, cfg.T, 801)
     phi = phases.run(sphere.sphere_phi_samples, range(1, cfg.n_max + 1), cfg.beta, times)
     report = phases.run(jacobi.detect_conjugate, phi)
     conj = out / "conjugate.csv"
@@ -258,11 +241,11 @@ def cmd_morse_bound(cfg: RunConfig, out: Path, phases: Phases) -> list[Path]:
     if cfg.beta >= 1.0:
         raise ConfigError("morse-bound requires beta < 1")
     spectrum = _parse_spectrum(cfg.spectrum)
-    inp = morse.MorseInput(cfg.delta, cfg.c_const, cfg.t_horizon, cfg.beta, spectrum)
+    inp = morse.MorseInput(cfg.delta, cfg.C, cfg.T, cfg.beta, spectrum)
     bound = morse.morse_bound(inp)
     path = out / "bound.csv"
     path.write_text(morse.bound_csv_rows(
-        [(cfg.beta, cfg.t_horizon, cfg.delta, cfg.c_const, bound)]))
+        [(cfg.beta, cfg.T, cfg.delta, cfg.C, bound)]))
     return [path]
 
 
@@ -293,19 +276,20 @@ _COMMANDS = {
     "verify": cmd_verify,
 }
 
-_DEFAULTS_HELP = """\
-config keys (defaults): beta (0), N (64), dt (1e-3), t_final (1), K (6),
-ic (cosy | shear | random:SEED:KMAX), snapshot_stride (50), n_max (30),
-spectrum (torus:16), C (16), delta (1), T (pi)
-"""
+
+def _keys_help() -> str:
+    """The config keys, which are RunConfig's fields, with their defaults."""
+    keys = (f"{f.name} ({f.default if isinstance(f.default, str) else format(f.default, 'g')})"
+            for f in fields(RunConfig))
+    return ("config keys (defaults): " + ", ".join(keys)
+            + "; ic is cosy, shear or random:SEED:KMAX, spectrum is torus:KMAX or sphere:NMAX")
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="sqglab",
         description="Generalized SQG geodesic laboratory",
-        epilog=_DEFAULTS_HELP,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
+        epilog=_keys_help(),
     )
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", type=Path, help="key = value config file")
@@ -320,10 +304,7 @@ def main(argv=None) -> int:
         if args.config is not None:
             cfg = parse_config(args.config.read_text(), cfg)
         for item in args.set:
-            if "=" not in item:
-                raise ConfigError(f"--set needs KEY=VALUE, got {item!r}")
-            key, value = (s.strip() for s in item.split("=", 1))
-            _apply_kv(cfg, key, value, "--set")
+            _apply_line(cfg, item, "--set")
         _validate(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -66,7 +66,6 @@ class SolverConfig:
     t_final: float = 1.0
     n: int = 64
     snapshot_stride: int = 50
-    advance_flow: bool = True
 
     def validate(self):
         check_beta(self.beta)
@@ -93,12 +92,6 @@ class GeodesicRecord:
 
     def u0(self) -> VectorFieldExact:
         return gradient_perp(self.psi0)
-
-    def require_flow_maps(self, user: str):
-        """Raise ValueError if the diffeos are identity placeholders."""
-        if not self.config.advance_flow:
-            raise ValueError(f"{user} needs the flow maps, but the record was "
-                             f"simulated with advance_flow=False")
 
 
 def stream_of(theta: ScalarField, beta: float) -> ScalarField:
@@ -201,14 +194,14 @@ def simulate(psi0: ScalarField, config: SolverConfig,
 
 
 def _joint_rk4_step(theta, fwd, labels, config):
-    """One RK4 step of theta; with flow maps, both maps take the same stages.
+    """One RK4 step of theta; both flow maps take the same stages.
 
     The CFL limit is checked on the velocity of every stage, stage 0 being
-    the start of the step.  With flow maps, each stage velocity is also
-    turned into quintic spline coefficients on a grid ``SPLINE_UPSAMPLE``
-    times finer (the prefilter folded into the spectral upsampling), which
-    the particle stages sample; this keeps particle advection cheap without
-    giving up spectral accuracy of the underlying field.
+    the start of the step.  Each stage velocity is also turned into quintic
+    spline coefficients on a grid ``SPLINE_UPSAMPLE`` times finer (the
+    prefilter folded into the spectral upsampling), which the particle
+    stages sample; this keeps particle advection cheap without giving up
+    spectral accuracy of the underlying field.
     """
     beta, dt = config.beta, config.dt
     n = theta.grid.n
@@ -218,16 +211,14 @@ def _joint_rk4_step(theta, fwd, labels, config):
         fields, packed = _stage_velocity(y[0], beta)
         speed = float(np.max(np.abs(np.fft.ifft2(packed)))) * n**2
         _check_speed(speed, n, dt, f"in RK4 stage {i}" if i else "at the start of the step")
-        if config.advance_flow:
-            stage_fields.append(fields)
-            coef.append(_spline_coefficients(packed))
+        stage_fields.append(fields)
+        coef.append(_spline_coefficients(packed))
         return (rhs(y[0], beta),)
 
     (theta_next,) = _rk4(theta_rhs, (theta,), dt)
-    if config.advance_flow:
-        fwd = advance_forward(
-            fwd, lambda i, x, y: _spline_eval((coef[i].real, coef[i].imag), x, y), dt)
-        labels = advance_back_to_labels(labels, stage_fields, dt)
+    fwd = advance_forward(
+        fwd, lambda i, x, y: _spline_eval((coef[i].real, coef[i].imag), x, y), dt)
+    labels = advance_back_to_labels(labels, stage_fields, dt)
     return theta_next, fwd, labels
 
 

@@ -247,7 +247,6 @@ def lambda_inverse(sample: OperatorSample) -> np.ndarray:
 
 def lambda_samples(record: GeodesicRecord, basis: GalerkinBasis,
                    beta: float) -> list[OperatorSample]:
-    record.require_flow_maps("lambda_samples")
     return [lambda_matrix(d, beta, basis) for d in record.diffeos]
 
 
@@ -314,7 +313,6 @@ def evolve_phi(record: GeodesicRecord, basis: GalerkinBasis, beta: float,
     one matmul per stage and no solve.
     """
     check_beta(beta)
-    record.require_flow_maps("evolve_phi")
     if lambdas is None:
         lambdas = lambda_samples(record, basis, beta)
     if k0 is None:
@@ -351,7 +349,6 @@ def omega_gamma_split(record: GeodesicRecord, basis: GalerkinBasis, beta: float,
     (omega_samples, gamma_samples, residual) with
     residual = max_i ||Phi_i - Omega_i - Gamma_i|| / ||Phi_i|| over t_i > 0.
     """
-    record.require_flow_maps("omega_gamma_split")
     if lambdas is None:
         lambdas = lambda_samples(record, basis, beta)
     if k0 is None:

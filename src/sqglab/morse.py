@@ -44,6 +44,8 @@ class Spectrum:
     @classmethod
     def torus(cls, k_max: int):
         """Lattice eigenvalues |k|^2, k in Z^2 \\ {0}, complete to k_max^2."""
+        if k_max < 1:
+            raise ValueError(f"torus spectrum cutoff must be >= 1, got {k_max}")
         r = np.arange(-k_max, k_max + 1)
         k2 = (r[:, None] ** 2 + r[None, :] ** 2).ravel()
         k2 = k2[(k2 > 0) & (k2 <= k_max**2)]
@@ -54,6 +56,8 @@ class Spectrum:
     @classmethod
     def sphere(cls, n_max: int):
         """n(n+1) with multiplicity 2n+1 on the unit sphere."""
+        if n_max < 1:
+            raise ValueError(f"sphere spectrum cutoff must be >= 1, got {n_max}")
         n = np.arange(1, n_max + 1)
         return cls("sphere", (n * (n + 1)).astype(float), 2 * n + 1,
                    float(n_max * (n_max + 1)), float(4.0 * np.pi))
@@ -103,7 +107,6 @@ def delta_inf(record: GeodesicRecord, cutoff: int = 6) -> float:
     Uses the beta = 0 (L2 velocity) inner product regardless of the
     geodesic's beta, matching the constant's beta-independence.
     """
-    record.require_flow_maps("delta_inf")
     basis = make_basis(record.psi0.grid, cutoff, beta=0.0)
     best = np.inf
     for d in record.diffeos:
@@ -211,34 +214,23 @@ def bound_csv_rows(entries) -> str:
 # ---------------------------------------------------------------------------
 # index form
 
-def index_form(times, w_coords, k0: np.ndarray, ad_mats=None,
-               v_coords=None, endpoint_tol: float = 1e-10) -> float:
-    """Quadrature of the rewritten index form in beta-orthonormal coordinates.
+def index_form(times, w_coords, k0: np.ndarray) -> float:
+    """Quadrature of the index form I(w, w) in beta-orthonormal coordinates.
 
-    I(v, w) = int_0^T (Ad w')...(Ad v') + (K0 v) . w' dt with trajectories
-    sampled on ``times`` and required to vanish at both endpoints.  With
-    ``ad_mats`` None the adjoint is the identity (steady isometric case or
-    u0 = 0).
+    I(w, w) = int_0^T w'.w' + (K0 w) . w' dt along a geodesic whose adjoint
+    is the identity (steady isometric case or u0 = 0), with the trajectory
+    sampled on ``times`` and required to vanish at both endpoints.
     """
     from scipy.integrate import simpson
     from scipy.interpolate import CubicSpline
 
     times = np.asarray(times, dtype=float)
     w = np.asarray(w_coords, dtype=float)
-    v = w if v_coords is None else np.asarray(v_coords, dtype=float)
-    for traj, name in ((w, "w"), (v, "v")):
-        if np.linalg.norm(traj[0]) > endpoint_tol or np.linalg.norm(traj[-1]) > endpoint_tol:
-            raise ValueError(f"trajectory {name} must vanish at the endpoints")
+    if np.linalg.norm(w[0]) > 1e-10 or np.linalg.norm(w[-1]) > 1e-10:
+        raise ValueError("trajectory must vanish at the endpoints")
     dw = CubicSpline(times, w, axis=0)(times, 1)
-    dv = CubicSpline(times, v, axis=0)(times, 1)
-    if ad_mats is not None:
-        a = np.asarray(ad_mats)
-        adw = np.einsum("tij,tj->ti", a, dw)
-        adv = np.einsum("tij,tj->ti", a, dv)
-    else:
-        adw, adv = dw, dv
-    kin = np.einsum("ti,ti->t", adv, adw)
-    rot = np.einsum("ij,tj,ti->t", k0, v, dw)
+    kin = np.einsum("ti,ti->t", dw, dw)
+    rot = np.einsum("ij,tj,ti->t", k0, w, dw)
     return float(simpson(kin + rot, x=times))
 
 

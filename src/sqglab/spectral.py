@@ -137,10 +137,6 @@ class ScalarField:
     def dealiased(self) -> "ScalarField":
         return ScalarField(self.grid, self.coeff * self.grid.dealias_mask)
 
-    def reality_error(self) -> float:
-        c = self.coeff
-        return float(np.max(np.abs(c - np.conj(c[_reflect(self.grid.n)]))))
-
     def __add__(self, other):
         _check_same_grid(self, other)
         return ScalarField(self.grid, self.coeff + other.coeff)
@@ -156,12 +152,6 @@ class ScalarField:
 
     def __neg__(self):
         return ScalarField(self.grid, -self.coeff)
-
-
-def _reflect(n: int):
-    """Index arrays mapping coefficient (k) to (-k) in FFT layout."""
-    idx = (-np.arange(n)) % n
-    return np.ix_(idx, idx)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from sqglab.flow import NumericalAbort, load_flowmap
 def test_parse_config_basic():
     cfg = parse_config("beta = 0.5\nN = 32\n# comment\ndt=2e-3\n\nic = shear\n")
     assert cfg.beta == 0.5
-    assert cfg.n == 32
+    assert cfg.N == 32
     assert cfg.dt == 2e-3
     assert cfg.ic == "shear"
 
@@ -101,6 +102,32 @@ def test_exit_code_4_on_coverage(tmp_path, capsys):
                "--out", str(tmp_path)])
     assert rc == 4
     assert "coverage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["torus:0", "torus:-3", "sphere:0"])
+def test_exit_code_2_on_spectrum_cutoff_below_one(tmp_path, capsys, spec):
+    rc = main(["morse-bound", "--set", f"spectrum={spec}", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "cutoff must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sphere-example", "morse-bound", "conjugate-scan"])
+def test_manifest_configuration_reads_back_with_config(tmp_path, command):
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main([command, "--out", str(first)]) == 0
+    keys = {f.name for f in fields(RunConfig)}
+    manifest = (first / "manifest.txt").read_text().splitlines()
+    config_lines = [line for line in manifest if line.split(" = ")[0] in keys]
+    assert len(config_lines) == len(keys)
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("\n".join(config_lines) + "\n")
+    assert main([command, "--config", str(cfgfile), "--out", str(second)]) == 0
+
+    def digests(out):
+        return [line for line in (out / "manifest.txt").read_text().splitlines()
+                if line.startswith("sha256 ")]
+
+    assert digests(first) and digests(first) == digests(second)
 
 
 def test_sphere_example_artifacts(tmp_path):
@@ -275,7 +302,7 @@ def test_config_file_plus_override(tmp_path):
 def test_defaults_match_documented_values():
     cfg = RunConfig()
     assert cfg.beta == 0.0
-    assert cfg.n == 64
+    assert cfg.N == 64
     assert cfg.dt == 1e-3
     assert cfg.t_final == 1.0
-    assert cfg.k_cutoff == 6
+    assert cfg.K == 6

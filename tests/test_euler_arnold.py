@@ -50,12 +50,11 @@ def test_cfl_violation_raised():
         ea.simulate(psi, cfg)
 
 
-@pytest.mark.parametrize("advance_flow", (True, False))
-def test_cfl_checked_on_every_rk4_stage(advance_flow):
+def test_cfl_checked_on_every_rk4_stage():
     # random:1:4 speeds up within a step: at beta = 1, dt = 0.098 and N = 32 the
     # start of the step reads CFL 0.4991 and RK4 stage 1 reads 0.5002
     psi = initial_stream("random:1:4", grid(32))
-    cfg = ea.SolverConfig(beta=1.0, dt=0.098, t_final=0.098, n=32, advance_flow=advance_flow)
+    cfg = ea.SolverConfig(beta=1.0, dt=0.098, t_final=0.098, n=32)
     ea.check_cfl(theta_from_stream(psi, cfg.beta), cfg.beta, cfg.dt)  # the start passes
     with pytest.raises(ea.CflViolation, match="in RK4 stage 1"):
         ea.simulate(psi, cfg)

@@ -344,24 +344,6 @@ def test_k0_passed_once_gives_identical_phi_and_residual(random_record):
     assert resid == resid_k0
 
 
-def test_record_without_flow_maps_rejected():
-    g = grid(32)
-    cfg = SolverConfig(beta=0.5, dt=1e-2, t_final=0.05, n=32, snapshot_stride=1,
-                       advance_flow=False)
-    rec = simulate(initial_stream("shear", g), cfg)
-    basis = jacobi.make_basis(g, 3, 0.5)
-    with pytest.raises(ValueError, match="advance_flow=False"):
-        jacobi.lambda_samples(rec, basis, 0.5)
-    lams = [jacobi.lambda_matrix(d, 0.5, basis) for d in rec.diffeos]
-    with pytest.raises(ValueError, match="advance_flow=False"):
-        jacobi.evolve_phi(rec, basis, 0.5, lambdas=lams)
-    phi = [jacobi.OperatorSample(t, t * np.eye(basis.dim), "Phi") for t in rec.times]
-    with pytest.raises(ValueError, match="advance_flow=False"):
-        jacobi.omega_gamma_split(rec, basis, 0.5, phi, lambdas=lams)
-    with pytest.raises(ValueError, match="advance_flow=False"):
-        morse.delta_inf(rec)
-
-
 def test_phi_trivial_geodesic_is_linear():
     # u0 = 0 keeps gamma = id, so Phi(t) = t I exactly
     g = grid(32)
@@ -391,9 +373,6 @@ class _SegmentRecord:
 
     def __init__(self, times):
         self.times = times
-
-    def require_flow_maps(self, user):
-        pass
 
 
 def _segment_omega(lam0, lam1, h):
