@@ -2,7 +2,8 @@
 
 A geodesic of the beta metric is integrated from a random low-mode stream
 function.  Along the way the solver advances the forward particle map and
-the back-to-labels map; the diagnostics table reports energy, the L2 norm
+builds its inverse at each snapshot by Newton inversion; the diagnostics
+table reports energy, the L2 norm
 of theta (a Casimir), the volume distortion of the flow map, and the
 transport residual ||theta(t) o gamma(t) - theta_0|| / ||theta_0|| that
 expresses the coadjoint conservation law.

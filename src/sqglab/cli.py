@@ -25,7 +25,7 @@ import scipy
 from . import __version__, euler_arnold, jacobi, morse, sphere
 from .euler_arnold import SolverConfig, simulate
 from .flow import NumericalAbort, save_flowmap
-from .presets import initial_stream
+from .presets import check_spec, initial_stream
 from .spectral import grid, save_field
 
 
@@ -65,6 +65,7 @@ def _validate(cfg: RunConfig):
     if cfg.T <= 0:
         raise ConfigError("T must be positive")
     try:
+        check_spec(cfg.ic)
         _solver_config(cfg).validate()
     except ValueError as exc:
         raise ConfigError(str(exc)) from None

@@ -3,8 +3,9 @@
 The evolved quantity is the active scalar theta with velocity
 u = grad_perp (-Lap)^(beta/2 - 1) theta; this is exactly the Euler-Arnold
 geodesic equation reduced to the Lie algebra, and the transport form makes
-the L2 Casimir of theta conservation free.  The forward flow map and the
-back-to-labels map are advanced jointly with the same RK4 stages.  The
+the L2 Casimir of theta conservation free.  The forward flow map is
+advanced jointly with theta on the same RK4 stages; its inverse is built
+only at the snapshots, by Newton inversion (``flow.invert``).  The
 conservation and volume diagnostics of a snapshot are computed when it is
 taken, so they can be streamed out while the run goes.
 """
@@ -19,10 +20,9 @@ from .flow import (
     FlowMap,
     NumericalAbort,
     _rk4,
-    advance_back_to_labels,
     advance_forward,
+    invert,
     jacobian_det_error,
-    labels_to_flowmap,
     transport_check,
 )
 from .group_ops import DiffeoSample
@@ -136,23 +136,30 @@ def energy(theta: ScalarField, beta: float) -> float:
     return 0.5 * inner_product_beta(psi, psi, beta)
 
 
-def _stage_velocity(theta: ScalarField, beta: float):
+def _stage_velocity(theta: ScalarField, beta: float, psi: ScalarField | None = None):
     """Velocity components of a stage theta and their packed spectrum ux + i uy.
 
-    One inverse FFT of the packed spectrum gives ux + i uy on the grid, so
-    its modulus is the speed the stage's CFL check reads.
+    ``psi`` is the stream of theta when the caller already has it.  One
+    inverse FFT of the packed spectrum gives ux + i uy on the grid, so its
+    modulus is the speed the stage's CFL check reads.
     """
-    ux, uy = gradient_perp(stream_of(theta, beta)).component_fields()
+    if psi is None:
+        psi = stream_of(theta, beta)
+    ux, uy = gradient_perp(psi).component_fields()
     return (ux, uy), ux.coeff + 1j * uy.coeff
 
 
 def simulate(psi0: ScalarField, config: SolverConfig,
              on_abort=None, on_snapshot=None) -> GeodesicRecord:
-    """Advance theta, gamma and gamma^-1 jointly; record snapshots.
+    """Advance theta and gamma jointly; record snapshots with gamma^-1.
 
-    Each snapshot's diagnostics row is computed when the snapshot is taken
-    and passed to ``on_snapshot(row)``, so a caller can stream it out.  On a
-    numerical abort the last good snapshot is kept in the record and
+    gamma^-1 is built only at a snapshot, by ``flow.invert`` warm-started
+    from the previous snapshot's inverse; its residual is kept in the
+    ``DiffeoSample`` and checked by the consumers of the inverse, so a run
+    past the invertibility of gamma is not stopped here.  Each snapshot's
+    diagnostics row is computed when the snapshot is taken and passed to
+    ``on_snapshot(row)``, so a caller can stream it out.  On a numerical
+    abort the last good snapshot is kept in the record and
     ``on_abort(record)`` is invoked before the exception propagates.
     """
     config.validate()
@@ -162,30 +169,30 @@ def simulate(psi0: ScalarField, config: SolverConfig,
     beta = config.beta
     theta = frac_laplacian(psi0, 1.0 - beta / 2.0)
     fwd = FlowMap.identity(g)
-    labels = (ScalarField.zero(g), ScalarField.zero(g))
     record = GeodesicRecord(config=config, psi0=psi0)
     nsteps = whole_steps(config.t_final, config.dt)
 
-    def snapshot(t, th, fw, lab):
-        inv = labels_to_flowmap(lab)
+    def snapshot(t, th, fw):
+        guess = record.diffeos[-1].inverse if record.diffeos else FlowMap.identity(g)
+        inv, residual = invert(fw, guess)
         record.times.append(t)
         record.thetas.append(th)
-        record.diffeos.append(DiffeoSample(fw, inv, t))
+        record.diffeos.append(DiffeoSample(fw, inv, t, residual))
         row = diagnostics(t, th, fw, record.thetas[0], beta)
         record.diagnostics_rows.append(row)
         if on_snapshot is not None:
             on_snapshot(row)
 
-    snapshot(0.0, theta, fwd, labels)
+    snapshot(0.0, theta, fwd)
     try:
         for step in range(nsteps):
-            theta, fwd, labels = _joint_rk4_step(theta, fwd, labels, config)
+            theta, fwd = _joint_rk4_step(theta, fwd, config)
             t = (step + 1) * config.dt
             if not np.all(np.isfinite(theta.coeff)):
                 raise NumericalAbort(f"non-finite theta at t = {t:.6g}")
             if (step + 1) % config.snapshot_stride == 0 or step == nsteps - 1:
                 if not record.times or record.times[-1] != t:
-                    snapshot(t, theta, fwd, labels)
+                    snapshot(t, theta, fwd)
     except NumericalAbort:
         if on_abort is not None:
             on_abort(record)
@@ -193,33 +200,33 @@ def simulate(psi0: ScalarField, config: SolverConfig,
     return record
 
 
-def _joint_rk4_step(theta, fwd, labels, config):
-    """One RK4 step of theta; both flow maps take the same stages.
+def _joint_rk4_step(theta, fwd, config):
+    """One RK4 step of theta; the particle map takes the same stages.
 
-    The CFL limit is checked on the velocity of every stage, stage 0 being
-    the start of the step.  Each stage velocity is also turned into quintic
-    spline coefficients on a grid ``SPLINE_UPSAMPLE`` times finer (the
-    prefilter folded into the spectral upsampling), which the particle
-    stages sample; this keeps particle advection cheap without giving up
-    spectral accuracy of the underlying field.
+    Each stage computes the stream of its theta once, for its velocity and
+    its bracket.  The CFL limit is checked on the velocity of every stage,
+    stage 0 being the start of the step.  Each stage velocity is also
+    turned into quintic spline coefficients on a grid ``SPLINE_UPSAMPLE``
+    times finer (the prefilter folded into the spectral upsampling), which
+    the particle stages sample; this keeps particle advection cheap without
+    giving up spectral accuracy of the underlying field.
     """
     beta, dt = config.beta, config.dt
     n = theta.grid.n
-    stage_fields, coef = [], []
+    coef = []
 
     def theta_rhs(i, y):
-        fields, packed = _stage_velocity(y[0], beta)
+        psi = stream_of(y[0], beta)
+        _, packed = _stage_velocity(y[0], beta, psi)
         speed = float(np.max(np.abs(np.fft.ifft2(packed)))) * n**2
         _check_speed(speed, n, dt, f"in RK4 stage {i}" if i else "at the start of the step")
-        stage_fields.append(fields)
         coef.append(_spline_coefficients(packed))
-        return (rhs(y[0], beta),)
+        return (poisson_bracket(psi, y[0]),)
 
     (theta_next,) = _rk4(theta_rhs, (theta,), dt)
     fwd = advance_forward(
         fwd, lambda i, x, y: _spline_eval((coef[i].real, coef[i].imag), x, y), dt)
-    labels = advance_back_to_labels(labels, stage_fields, dt)
-    return theta_next, fwd, labels
+    return theta_next, fwd
 
 
 DIAG_HEADER = "t,energy,theta_l2,max_u,det_jac_err,transport_residual"

@@ -1,9 +1,12 @@
-"""Flow map, back-to-labels map and Jacobian of a time-dependent velocity.
+"""Flow map, its inverse and Jacobian of a time-dependent velocity.
 
 The forward map gamma(t) is advanced as particles seeded at the grid
-points, gamma_dot(t, x) = u(t, gamma(t, x)); the inverse map is obtained
-by transporting the label displacement fields with the same velocity.
-Both are stored as periodic displacement fields on the fixed grid.
+points, gamma_dot(t, x) = u(t, gamma(t, x)).  The inverse map is not
+stepped: ``invert`` solves gamma(x) = y for x at the grid points y by
+damped Newton on the quintic spline of gamma's displacement, when a
+snapshot needs it.  Both maps are stored as periodic displacement fields
+on the fixed grid.  The label transport of gamma^-1 (``label_rhs``,
+``advance_back_to_labels``) is kept only as the test oracle of ``invert``.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ from .spectral import (
     ScalarField,
     SpectralGrid,
     TWO_PI,
+    _spline_coefficients,
+    _spline_eval,
     grid,
     interpolate,
     read_checkpoint,
@@ -108,9 +113,75 @@ def advance_forward(fm: FlowMap, velocity, dt: float) -> FlowMap:
     return FlowMap(fm.grid, ndx, ndy)
 
 
+# Newton stops once every grid point's residual is below this; an inverse
+# whose largest residual exceeds INVERSE_TOL is not used (``DiffeoSample``)
+NEWTON_TOL = 1e-13
+INVERSE_TOL = 1e-12
+NEWTON_MAX_ITER = 40
+NEWTON_HALVINGS = 8
+
+
+def invert(fwd: FlowMap, guess: FlowMap) -> tuple[FlowMap, float]:
+    """gamma^-1 on the grid points by damped Newton on x + d(x) = y.
+
+    d is the displacement of ``fwd``; it and its four derivatives are
+    sampled through the quintic spline of ``_spline_coefficients`` (d_x +
+    i d_y, d_x,x + i d_x,y and d_y,x + i d_y,y as three packed arrays).
+    Newton starts at the points of ``guess``, in a run the previous
+    snapshot's inverse.  A point whose step does not lower its residual
+    |x + d(x) - y| halves it, up to ``NEWTON_HALVINGS`` times, and Newton
+    stops when every residual is below ``NEWTON_TOL``, when no point moved,
+    or after ``NEWTON_MAX_ITER`` steps.  Returns the inverse map and the
+    largest final residual, large where gamma is not invertible.
+    """
+    g = fwd.grid
+    fx, fy = fwd.displacement_fields()
+    packed = (fx.coeff + 1j * fy.coeff,
+              g.ikx * fx.coeff + 1j * g.iky * fx.coeff,
+              g.ikx * fy.coeff + 1j * g.iky * fy.coeff)
+    parts = [p for c in map(_spline_coefficients, packed) for p in (c.real, c.imag)]
+    y = np.stack([g.x.ravel(), g.y.ravel()])
+    x = y + np.stack([guess.disp_x.ravel(), guess.disp_y.ravel()])
+
+    def residual(pts, target):
+        r = pts + np.stack(_spline_eval(parts[:2], pts[0], pts[1])) - target
+        return r, np.hypot(r[0], r[1])
+
+    r, res = residual(x, y)
+    for _ in range(NEWTON_MAX_ITER):
+        act = np.flatnonzero(res > NEWTON_TOL)
+        if not act.size:
+            break
+        a, b, c, d = _spline_eval(parts[2:], x[0, act], x[1, act])
+        a, d = a + 1.0, d + 1.0
+        rx, ry = r[:, act]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.stack([d * rx - b * ry, a * ry - c * rx]) / -(a * d - b * c)
+        step[:, ~np.isfinite(step).all(axis=0)] = 0.0  # a singular Jacobian: no move
+        moved = False
+        for _ in range(NEWTON_HALVINGS + 1):
+            trial = x[:, act] + step
+            rt, rest = residual(trial, y[:, act])
+            ok = rest < res[act]
+            if ok.any():
+                moved = True
+                i = act[ok]
+                x[:, i], r[:, i], res[i] = trial[:, ok], rt[:, ok], rest[ok]
+            act, step = act[~ok], step[:, ~ok] / 2
+            if not act.size:
+                break
+        if not moved:
+            break
+    disp = (x - y).reshape(2, g.n, g.n)
+    return FlowMap(g, disp[0], disp[1]), float(np.max(res))
+
+
 def label_rhs(labels: tuple[ScalarField, ScalarField], ux: ScalarField,
               uy: ScalarField) -> tuple[ScalarField, ScalarField]:
     """d_t a_i = -u . grad(a_i) - u_i for both label displacement components.
+
+    No stepping code calls it: it stays public as the test oracle of
+    ``invert`` while the benchmark's per-layer table names it.
 
     The masked stack (ux, uy, d_x a1, d_y a1, d_x a2, d_y a2) goes through
     one batched inverse FFT and the two advection products through one
@@ -131,15 +202,13 @@ def advance_back_to_labels(labels: tuple[ScalarField, ScalarField], stage_fields
                            dt: float) -> tuple[ScalarField, ScalarField]:
     """One RK4 step of the label transport equations d_t A + u . grad A = 0.
 
+    No stepping code calls it: it stays public as the test oracle of
+    ``invert`` while the benchmark's per-layer table names it.
+
     ``labels`` holds the displacement parts (A - id); ``stage_fields[i]``
     holds the RK4 stage-i velocity component ScalarFields on the grid.
     """
     return _rk4(lambda i, a: label_rhs(a, *stage_fields[i]), labels, dt)
-
-
-def labels_to_flowmap(labels: tuple[ScalarField, ScalarField]) -> FlowMap:
-    a1, a2 = labels
-    return FlowMap(a1.grid, a1.values(), a2.values())
 
 
 def inverse_consistency(fwd: FlowMap, inv: FlowMap) -> float:

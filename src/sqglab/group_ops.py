@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import FlowMap
+from .flow import INVERSE_TOL, FlowMap, NumericalAbort
 from .spectral import (
     ScalarField,
     VectorFieldExact,
@@ -30,15 +30,29 @@ from .spectral import (
 
 @dataclass(frozen=True)
 class DiffeoSample:
-    """Forward and inverse flow maps at a fixed geodesic time."""
+    """Forward and inverse flow maps at a fixed geodesic time.
+
+    ``residual`` is the largest |gamma(gamma^-1(y)) - y| over the grid
+    points y that ``flow.invert`` left; ``check_invertible`` refuses a
+    sample whose residual exceeds ``INVERSE_TOL``.
+    """
 
     forward: FlowMap
     inverse: FlowMap
     t: float
+    residual: float = 0.0
 
     @classmethod
     def identity(cls, g):
         return cls(FlowMap.identity(g), FlowMap.identity(g), 0.0)
+
+    def check_invertible(self):
+        """Raise NumericalAbort if the inverse's residual exceeds INVERSE_TOL."""
+        if not self.residual <= INVERSE_TOL:
+            raise NumericalAbort(
+                f"gamma^-1 at t = {self.t:.6g} (N = {self.inverse.grid.n}) has residual "
+                f"{self.residual:.3e} > {INVERSE_TOL:g}: gamma is not invertible on "
+                f"the grid there")
 
 
 def compose_stream(psi: ScalarField, fm: FlowMap) -> ScalarField:

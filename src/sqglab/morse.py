@@ -92,12 +92,18 @@ def _count_below(spectrum: Spectrum, lam: float) -> int:
 # run-dependent constants
 
 def ad_inverse_matrix(d, basis: GalerkinBasis) -> np.ndarray:
-    """Matrix of Ad_{gamma^-1} v = grad_perp(psi_v o gamma) in basis coords."""
+    """Matrix of Ad_{gamma^-1} v = grad_perp(psi_v o gamma) in basis coords.
+
+    NumericalAbort where gamma is not invertible on the grid
+    (``DiffeoSample.check_invertible``), as for ``ad_matrix``.
+    """
+    d.check_invertible()
     return basis.coords_half(basis.compose(d.forward))
 
 
 def ad_matrix(d, basis: GalerkinBasis) -> np.ndarray:
     """Matrix of Ad_gamma v = grad_perp(psi_v o gamma^-1) in basis coords."""
+    d.check_invertible()
     return basis.coords_half(basis.compose(d.inverse))
 
 

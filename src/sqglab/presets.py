@@ -12,19 +12,36 @@ def initial_stream(spec: str, g: SpectralGrid) -> ScalarField:
 
     Supported: "cosy" (steady shear), "shear" (cosy with a 0.1 cos x
     perturbation, non-steady), and "random:SEED:KMAX" (seeded low-mode
-    field normalized to unit maximum speed).
+    field normalized to unit maximum speed).  ValueError for any other
+    spec (``check_spec``).
     """
     if spec == "cosy":
         return ScalarField.from_function(g, lambda x, y: -np.cos(y))
     if spec == "shear":
         return ScalarField.from_function(g, lambda x, y: -np.cos(y) + 0.1 * np.cos(x))
-    if spec.startswith("random:"):
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"bad random preset {spec!r}, want random:SEED:KMAX")
-        seed, kmax = int(parts[1]), int(parts[2])
-        return random_stream(g, seed, kmax)
-    raise ValueError(f"unknown initial condition {spec!r}")
+    return random_stream(g, *_random_args(spec))
+
+
+def check_spec(spec: str):
+    """Raise ValueError unless ``initial_stream`` accepts spec."""
+    if spec not in ("cosy", "shear"):
+        _random_args(spec)
+
+
+def _random_args(spec: str) -> tuple[int, int]:
+    """(SEED, KMAX) of "random:SEED:KMAX", with SEED >= 0 and KMAX >= 1."""
+    kind, *args = spec.split(":")
+    if kind != "random":
+        raise ValueError(f"unknown initial condition {spec!r}, want cosy, shear "
+                         f"or random:SEED:KMAX")
+    try:
+        seed, kmax = map(int, args)
+    except ValueError:
+        raise ValueError(f"bad random preset {spec!r}, want random:SEED:KMAX "
+                         f"with integers SEED and KMAX") from None
+    if seed < 0 or kmax < 1:
+        raise ValueError(f"bad random preset {spec!r}: SEED must be >= 0 and KMAX >= 1")
+    return seed, kmax
 
 
 def random_stream(g: SpectralGrid, seed: int, kmax: int,

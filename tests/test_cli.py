@@ -60,6 +60,17 @@ def test_exit_code_2_on_t_final_not_multiple_of_dt(tmp_path, capsys):
     assert not (tmp_path / "diagnostics.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "jacobi"])
+@pytest.mark.parametrize("ic", ["random:1", "random:x:4", "bogus", "random:1:0", "random:-1:4"])
+def test_exit_code_2_on_malformed_ic(tmp_path, capsys, command, ic):
+    rc = main([command, "--set", "N=32", "--set", "t_final=0.004", "--set", f"ic={ic}",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and repr(ic) in err
+    assert not any(tmp_path.iterdir())
+
+
 def test_exit_code_3_on_cfl_blowup(tmp_path, capsys):
     rc = main(["simulate", "--set", "dt=1", "--set", "t_final=2",
                "--set", "N=32", "--set", "ic=shear", "--out", str(tmp_path)])

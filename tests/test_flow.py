@@ -1,8 +1,10 @@
-"""Flow maps: particle advection, back-to-labels transport, checkpoints."""
+"""Flow maps: particle advection, Newton inversion against the label-transport
+oracle, checkpoints."""
 
 import numpy as np
 import pytest
 
+from sqglab import euler_arnold as ea
 from sqglab.flow import (
     RK4_NODES,
     FlowMap,
@@ -11,16 +13,16 @@ from sqglab.flow import (
     advance_back_to_labels,
     advance_forward,
     inverse_consistency,
+    invert,
     jacobian,
     jacobian_det_error,
     label_rhs,
-    labels_to_flowmap,
     load_flowmap,
     save_flowmap,
     transport_check,
 )
-from sqglab.presets import random_stream
-from sqglab.spectral import ScalarField, gradient_perp, grid, multiply_dealiased
+from sqglab.presets import initial_stream, random_stream
+from sqglab.spectral import ScalarField, frac_laplacian, gradient_perp, grid, multiply_dealiased
 
 
 def shear_velocity(i, x, y):
@@ -32,6 +34,11 @@ def shear_fields(g):
     """The shear as the grid fields of all four RK4 stages."""
     ux = ScalarField.from_function(g, lambda x, y: np.sin(y))
     return [(ux, ScalarField.zero(g))] * 4
+
+
+def labels_to_flowmap(labels: tuple[ScalarField, ScalarField]) -> FlowMap:
+    a1, a2 = labels
+    return FlowMap(a1.grid, a1.values(), a2.values())
 
 
 def test_rk4_fourth_order_on_nonautonomous_ode():
@@ -85,6 +92,53 @@ def test_back_to_labels_shear_inverse():
     assert np.max(np.abs(inv.disp_x + t * np.sin(g.y))) < 1e-10
     assert np.max(np.abs(inv.disp_y)) < 1e-10
     assert inverse_consistency(fwd, inv) < 1e-9
+
+
+def test_invert_exact_shear():
+    # gamma(x, y) = (x + t sin y, y), so gamma^-1(x, y) = (x - t sin y, y)
+    g = grid(32)
+    t = 0.7
+    fwd = FlowMap(g, t * np.sin(g.y), np.zeros((g.n, g.n)))
+    inv, residual = invert(fwd, FlowMap.identity(g))
+    assert np.max(np.abs(inv.disp_x + t * np.sin(g.y))) < 1e-12
+    assert np.max(np.abs(inv.disp_y)) < 1e-12
+    assert residual < 1e-12
+
+
+def _label_oracle(psi0, beta, dt, nsteps, stride):
+    """gamma^-1 by label transport on theta's RK4 stages, every ``stride`` steps."""
+    g = psi0.grid
+    theta = frac_laplacian(psi0, 1.0 - beta / 2.0)
+    labels = (ScalarField.zero(g), ScalarField.zero(g))
+    out = []
+    for step in range(nsteps):
+        stages = []
+
+        def f(i, y):
+            stages.append(gradient_perp(ea.stream_of(y[0], beta)).component_fields())
+            return (ea.rhs(y[0], beta),)
+
+        (theta,) = _rk4(f, (theta,), dt)
+        labels = advance_back_to_labels(labels, stages, dt)
+        if (step + 1) % stride == 0:
+            out.append(labels_to_flowmap(labels))
+    return out
+
+
+def test_invert_beats_label_transport_along_a_geodesic():
+    g = grid(64)
+    psi0 = initial_stream("random:1:4", g)
+    # both errors are spatial: dt = 2e-3 gives the same figures from t = 0.4 on
+    cfg = ea.SolverConfig(beta=0.5, dt=1e-2, t_final=1.0, n=64, snapshot_stride=10)
+    rec = ea.simulate(psi0, cfg)
+    oracle = _label_oracle(psi0, cfg.beta, cfg.dt, 100, cfg.snapshot_stride)
+    assert len(oracle) == len(rec.diffeos) - 1
+    for d, labels in zip(rec.diffeos[1:], oracle):
+        assert d.residual < 1e-12
+        newton = inverse_consistency(d.forward, d.inverse)
+        if d.t >= 0.4:
+            assert newton < inverse_consistency(d.forward, labels), d.t
+    assert rec.times[-1] == 1.0 and newton <= 1e-6
 
 
 def test_label_rhs_matches_two_dealiased_products():

@@ -9,7 +9,8 @@ from scipy.interpolate import CubicSpline
 from scipy.optimize import minimize_scalar
 
 from sqglab import jacobi, morse, sphere
-from sqglab.euler_arnold import SolverConfig, simulate
+from sqglab.euler_arnold import GeodesicRecord, SolverConfig, simulate
+from sqglab.flow import FlowMap, NumericalAbort, invert
 from sqglab.group_ops import DiffeoSample, coadjoint_algebra
 from sqglab.presets import initial_stream, random_stream
 from sqglab.spectral import (
@@ -288,6 +289,25 @@ def test_lambda_matrix_matches_two_composition_reference(random_record):
     for d in (random_record.diffeos[-1], DiffeoSample.identity(g)):
         lam = jacobi.lambda_matrix(d, 0.5, basis)
         assert _rel_err(lam.matrix, _lambda_reference(d, 0.5, basis)) < 1e-10
+
+
+def test_non_invertible_map_refused():
+    # x + 1.5 sin x folds back where 1 + 1.5 cos x < 0: Newton leaves a large residual
+    g = grid(32)
+    fwd = FlowMap(g, 1.5 * np.sin(g.x), np.zeros((g.n, g.n)))
+    inv, residual = invert(fwd, FlowMap.identity(g))
+    assert residual > 1e-3
+    d = DiffeoSample(fwd, inv, 1.0, residual)
+    record = GeodesicRecord(SolverConfig(n=32), random_stream(g, 1, 4), [0.0, 1.0],
+                            diffeos=[DiffeoSample.identity(g), d])
+    basis = jacobi.make_basis(g, 4, 0.5)
+    match = rf"t = 1 \(N = 32\) has residual {residual:.3e}"
+    with pytest.raises(NumericalAbort, match=match):
+        jacobi.lambda_samples(record, basis, 0.5)
+    with pytest.raises(NumericalAbort, match=match):
+        morse.ad_inverse_matrix(d, basis)
+    with pytest.raises(NumericalAbort, match=match):
+        morse.delta_inf(record, cutoff=4)
 
 
 def test_adjoint_matrices_match_fourier_composition(random_record):
