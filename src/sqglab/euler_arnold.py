@@ -224,9 +224,12 @@ def _joint_rk4_step(theta, fwd, config):
         return (poisson_bracket(psi, y[0]),)
 
     (theta_next,) = _rk4(theta_rhs, (theta,), dt)
-    fwd = advance_forward(
-        fwd, lambda i, x, y: _spline_eval((coef[i].real, coef[i].imag), x, y), dt)
-    return theta_next, fwd
+
+    def velocity(i, x, y):
+        (u,) = _spline_eval((coef[i],), x, y)
+        return u.real, u.imag
+
+    return theta_next, advance_forward(fwd, velocity, dt)
 
 
 DIAG_HEADER = "t,energy,theta_l2,max_u,det_jac_err,transport_residual"

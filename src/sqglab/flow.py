@@ -126,7 +126,8 @@ def invert(fwd: FlowMap, guess: FlowMap) -> tuple[FlowMap, float]:
 
     d is the displacement of ``fwd``; it and its four derivatives are
     sampled through the quintic spline of ``_spline_coefficients`` (d_x +
-    i d_y, d_x,x + i d_x,y and d_y,x + i d_y,y as three packed arrays).
+    i d_y, d_x,x + i d_x,y and d_y,x + i d_y,y as three packed grids; the
+    two derivative grids share the taps of each ``_spline_eval`` call).
     Newton starts at the points of ``guess``, in a run the previous
     snapshot's inverse.  A point whose step does not lower its residual
     |x + d(x) - y| halves it, up to ``NEWTON_HALVINGS`` times, and Newton
@@ -139,12 +140,13 @@ def invert(fwd: FlowMap, guess: FlowMap) -> tuple[FlowMap, float]:
     packed = (fx.coeff + 1j * fy.coeff,
               g.ikx * fx.coeff + 1j * g.iky * fx.coeff,
               g.ikx * fy.coeff + 1j * g.iky * fy.coeff)
-    parts = [p for c in map(_spline_coefficients, packed) for p in (c.real, c.imag)]
+    disp, dx, dy = map(_spline_coefficients, packed)
     y = np.stack([g.x.ravel(), g.y.ravel()])
     x = y + np.stack([guess.disp_x.ravel(), guess.disp_y.ravel()])
 
     def residual(pts, target):
-        r = pts + np.stack(_spline_eval(parts[:2], pts[0], pts[1])) - target
+        (d,) = _spline_eval((disp,), pts[0], pts[1])
+        r = pts + np.stack([d.real, d.imag]) - target
         return r, np.hypot(r[0], r[1])
 
     r, res = residual(x, y)
@@ -152,8 +154,8 @@ def invert(fwd: FlowMap, guess: FlowMap) -> tuple[FlowMap, float]:
         act = np.flatnonzero(res > NEWTON_TOL)
         if not act.size:
             break
-        a, b, c, d = _spline_eval(parts[2:], x[0, act], x[1, act])
-        a, d = a + 1.0, d + 1.0
+        jx, jy = _spline_eval((dx, dy), x[0, act], x[1, act])
+        a, b, c, d = jx.real + 1.0, jx.imag, jy.real, jy.imag + 1.0
         rx, ry = r[:, act]
         with np.errstate(divide="ignore", invalid="ignore"):
             step = np.stack([d * rx - b * ry, a * ry - c * rx]) / -(a * d - b * c)

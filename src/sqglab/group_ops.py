@@ -63,9 +63,11 @@ def compose_stream(psi: ScalarField, fm: FlowMap) -> ScalarField:
 
 
 def adjoint(eta: DiffeoSample, v: VectorFieldExact) -> VectorFieldExact:
-    """Ad_eta v: stream function pushed forward, psi_v o eta^-1."""
-    if eta.inverse is None:
-        raise ValueError("adjoint needs the inverse map")
+    """Ad_eta v: stream function pushed forward, psi_v o eta^-1.
+
+    Raises NumericalAbort if eta's inverse did not converge.
+    """
+    eta.check_invertible()
     return gradient_perp(compose_stream(v.stream, eta.inverse))
 
 
@@ -92,8 +94,12 @@ def coadjoint_group(eta: DiffeoSample, u: VectorFieldExact, beta: float) -> Vect
 
 
 def lambda_apply(d: DiffeoSample, v: VectorFieldExact, beta: float) -> VectorFieldExact:
-    """Lambda(t) v = Ad*_gamma Ad_gamma v as one multiplier/composition chain."""
+    """Lambda(t) v = Ad*_gamma Ad_gamma v as one multiplier/composition chain.
+
+    Raises NumericalAbort if the inverse map of d did not converge.
+    """
     check_beta(beta)
+    d.check_invertible()
     s = compose_stream(v.stream, d.inverse)
     s = frac_laplacian(s, 1.0 - beta / 2.0)
     s = compose_stream(s, d.forward)
@@ -101,8 +107,12 @@ def lambda_apply(d: DiffeoSample, v: VectorFieldExact, beta: float) -> VectorFie
 
 
 def lambda_inverse_apply(d: DiffeoSample, v: VectorFieldExact, beta: float) -> VectorFieldExact:
-    """Lambda(t)^-1 v = Ad_{gamma^-1} Ad*_{gamma^-1} v."""
+    """Lambda(t)^-1 v = Ad_{gamma^-1} Ad*_{gamma^-1} v.
+
+    Raises NumericalAbort if the inverse map of d did not converge.
+    """
     check_beta(beta)
+    d.check_invertible()
     s = frac_laplacian(v.stream, 1.0 - beta / 2.0)
     s = compose_stream(s, d.inverse)
     s = frac_laplacian(s, beta / 2.0 - 1.0)

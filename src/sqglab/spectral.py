@@ -18,6 +18,8 @@ Sign convention fixed once for the whole package:
 
 from __future__ import annotations
 
+import functools
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -62,6 +64,8 @@ class SpectralGrid:
         dkx[nyq] = 0.0
         self.ikx = 1j * dkx[:, None] * np.ones((1, n))
         self.iky = 1j * np.ones((n, 1)) * dkx[None, :]
+        # the masked gradient packed as one spectrum: f_x + i f_y
+        self.packed_gradient = (self.ikx + 1j * self.iky) * mask
         x = TWO_PI * np.arange(n) / n
         self.x = x[:, None] * np.ones((1, n))
         self.y = np.ones((n, 1)) * x[None, :]
@@ -213,15 +217,15 @@ def multiply_dealiased(f: ScalarField, g_: ScalarField) -> ScalarField:
 def poisson_bracket(f: ScalarField, g_: ScalarField) -> ScalarField:
     """{f, g} = grad_perp(g) . grad(f), dealiased, mean forced to zero.
 
-    The four masked derivatives go through one batched inverse FFT and
-    fy gx - fx gy through one forward FFT.
+    Each operand's masked gradient is packed into one complex spectrum,
+    f_x + i f_y, so one batched inverse FFT of two fields gives
+    a = f_x + i f_y and b = g_x + i g_y on the grid, and
+    {f, g} = f_y g_x - f_x g_y = Im(a conj(b)) takes one forward FFT.
     """
     _check_same_grid(f, g_)
     g = f.grid
-    n2 = g.n**2
-    d = np.stack([g.ikx * f.coeff, g.iky * f.coeff, g.ikx * g_.coeff, g.iky * g_.coeff])
-    fx, fy, gx, gy = np.fft.ifft2(d * g.dealias_mask, axes=(-2, -1)).real * n2
-    c = np.fft.fft2(fy * gx - fx * gy) * (g.dealias_mask / n2)
+    a, b = np.fft.ifft2(np.stack([f.coeff, g_.coeff]) * g.packed_gradient, axes=(-2, -1))
+    c = np.fft.fft2((a * b.conj()).imag) * (g.dealias_mask * g.n**2)
     c[0, 0] = 0.0
     return ScalarField(g, c)
 
@@ -286,11 +290,10 @@ def _spline_coefficients(coeff: np.ndarray) -> np.ndarray:
 
     The N x N spectrum is zero-padded to m = SPLINE_UPSAMPLE * N and divided
     by the separable B-spline symbol, so the spline through the refined
-    samples is evaluated by ``map_coordinates(order=5, prefilter=False)``.
-    Only N of the m rows carry modes: the inverse transform runs along axis
-    1 on those rows, then along axis 0.  Complex (m, m) result; a packed
-    field a + i b gives the coefficients of a in the real and of b in the
-    imaginary part.
+    samples is evaluated by ``_spline_eval``.  Only N of the m rows carry
+    modes: the inverse transform runs along axis 1 on those rows, then
+    along axis 0.  Complex (m, m) result; a packed field a + i b gives the
+    coefficients of a in the real and of b in the imaginary part.
     """
     n = coeff.shape[-1]
     m = SPLINE_UPSAMPLE * n
@@ -304,14 +307,127 @@ def _spline_coefficients(coeff: np.ndarray) -> np.ndarray:
     return np.fft.ifft(full, axis=0, norm="forward")
 
 
-def _spline_eval(parts, x: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
-    """Sample real spline coefficient grids (from ``_spline_coefficients``) at points."""
-    from scipy import ndimage
+# points per pass of the spline sampler; its workspace, about 1.5 kB per
+# point, is allocated once and reused by every call
+SPLINE_CHUNK = 1024
 
-    m = parts[0].shape[0]
-    coords = np.vstack([np.mod(x, TWO_PI) / TWO_PI * m, np.mod(y, TWO_PI) / TWO_PI * m])
-    return [ndimage.map_coordinates(p, coords, order=5, mode="grid-wrap", prefilter=False)
-            for p in parts]
+# row j: the quintic B-spline weight of tap floor(u) - 2 + j as the
+# coefficients of 1, t, ..., t^5, t = u - floor(u) in [0, 1)
+_QUINTIC_TAPS = np.array([[1, -5, 10, -10, 5, -1],
+                          [26, -50, 20, 20, -20, 5],
+                          [66, 0, -60, 0, 30, -10],
+                          [26, 50, 20, -20, -20, 10],
+                          [1, 5, 10, 10, 5, -5],
+                          [0, 0, 0, 0, 0, 1]]) / 120.0
+
+_WRAPPED_TAPS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _wrapped_taps(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat row and column offsets, (6, m + 1), of the taps of each floor(u) in 0..m.
+
+    floor(u) = m occurs when mod(x, 2 pi) rounds up to 2 pi; it wraps to 0.
+    """
+    taps = _WRAPPED_TAPS.get(m)
+    if taps is None:
+        col = np.mod(np.arange(-2, 4)[:, None] + np.arange(m + 1), m)
+        taps = _WRAPPED_TAPS[m] = (col * m, col)
+    return taps
+
+
+class _SplineWork:
+    """Reused buffers of the spline sampler for up to ``size`` points.
+
+    Each buffer is flat; a call on s points works on the contiguous first
+    part of it.  Each coordinate and weight is stored twice, once for the
+    real and once for the imaginary part of a complex grid value, so the
+    contraction runs on the float view of the gathered values.
+    """
+
+    def __init__(self, size: int):
+        self.size = size
+        self.u = np.empty(4 * size)
+        self.powers = np.empty(24 * size)
+        self.weights = np.empty(24 * size)
+        self.base = np.empty(2 * size, dtype=np.intp)
+        self.rows = np.empty(6 * size, dtype=np.intp)
+        self.cols = np.empty(6 * size, dtype=np.intp)
+        self.index = np.empty(36 * size, dtype=np.intp)
+        self.values = np.empty(36 * size, dtype=complex)
+        self.partial = np.empty(12 * size)
+
+    @staticmethod
+    def _part(buf: np.ndarray, *shape) -> np.ndarray:
+        return buf[:math.prod(shape)].reshape(shape)
+
+    def taps(self, x: np.ndarray, y: np.ndarray, m: int):
+        """Weights (6, 2, 2 s) and flat grid indices (6, 6, s) of the s points."""
+        s = x.size
+        u = self._part(self.u, 2, s, 2)
+        # the second copy of each coordinate holds floor(u) until t is known
+        t, t_again = u[:, :, 0], u[:, :, 1]
+        np.mod(x, TWO_PI, out=t[0])
+        np.mod(y, TWO_PI, out=t[1])
+        t /= TWO_PI
+        t *= m
+        np.floor(t, out=t_again)
+        base = self._part(self.base, 2, s)
+        base[...] = t_again
+        t -= t_again
+        t_again[...] = t
+        pw = self._part(self.powers, 6, 2, s, 2)
+        pw[0] = 1.0
+        pw[1] = u
+        np.multiply(u, u, out=pw[2])
+        np.multiply(pw[2], u, out=pw[3])
+        np.multiply(pw[2], pw[2], out=pw[4])
+        np.multiply(pw[4], u, out=pw[5])
+        w = self._part(self.weights, 6, 4 * s)
+        np.matmul(_QUINTIC_TAPS, pw.reshape(6, 4 * s), out=w)
+        # mode="clip" writes straight into ``out``; the indices are in range
+        row_taps, col_taps = _wrapped_taps(m)
+        rows, cols = self._part(self.rows, 6, s), self._part(self.cols, 6, s)
+        np.take(row_taps, base[0], axis=1, out=rows, mode="clip")
+        np.take(col_taps, base[1], axis=1, out=cols, mode="clip")
+        index = self._part(self.index, 6, 6, s)
+        np.add(rows[:, None], cols[None], out=index)
+        return w.reshape(6, 2, 2 * s), index
+
+    def contract(self, grid_: np.ndarray, weights: np.ndarray, index: np.ndarray,
+                 out: np.ndarray):
+        """out = sum over the 6 x 6 taps of weight times grid value (complex)."""
+        s = index.shape[-1]
+        vals = self._part(self.values, 6, 6, s)
+        np.take(grid_.ravel(), index, out=vals, mode="clip")
+        partial = self._part(self.partial, 6, 2 * s)
+        np.einsum("abp,bp->ap", vals.view(float), weights[:, 1], out=partial)
+        np.einsum("ap,ap->p", partial, weights[:, 0], out=out.view(float))
+
+
+@functools.cache
+def _spline_work() -> _SplineWork:
+    return _SplineWork(SPLINE_CHUNK)
+
+
+def _spline_eval(grids, x: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
+    """Sample complex spline coefficient grids (from ``_spline_coefficients``) at points.
+
+    Returns one complex array per grid.  The six taps per axis are
+    floor(u) - 2 .. floor(u) + 3, u = mod(x, 2 pi) m / 2 pi on the m-point
+    grid, wrapped periodically; their weights and indices are computed
+    once per chunk of ``SPLINE_CHUNK`` points and shared by every grid.
+    The workspace is one per process, so calls must not overlap in threads.
+    """
+    work = _spline_work()
+    x, y = np.ravel(x), np.ravel(y)
+    m = grids[0].shape[0]
+    out = [np.empty(x.size, dtype=complex) for _ in grids]
+    for p0 in range(0, x.size, work.size):
+        chunk = slice(p0, p0 + work.size)
+        weights, index = work.taps(x[chunk], y[chunk], m)
+        for c, o in zip(grids, out):
+            work.contract(c, weights, index, o[chunk])
+    return out
 
 
 def interpolate(f: ScalarField, points: np.ndarray) -> np.ndarray:

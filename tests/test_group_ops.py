@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sqglab.flow import jacobian
+from sqglab.flow import FlowMap, NumericalAbort, invert, jacobian
 from sqglab.group_ops import (
     DiffeoSample,
     ad_bracket,
@@ -167,3 +167,20 @@ def test_lambda_at_identity_is_identity():
     v = gradient_perp(random_stream(g, 43, 4))
     out = lambda_apply(d, v, 0.5)
     assert np.max(np.abs(out.stream.coeff - v.stream.coeff)) < 1e-12
+
+
+def test_field_operators_refuse_an_unconverged_inverse():
+    # x + 1.5 sin x folds back where 1 + 1.5 cos x < 0: Newton leaves a large residual
+    g = grid(32)
+    fwd = FlowMap(g, 1.5 * np.sin(g.x), np.zeros((g.n, g.n)))
+    inv, residual = invert(fwd, FlowMap.identity(g))
+    assert residual > 1e-3
+    d = DiffeoSample(fwd, inv, 1.0, residual)
+    v = gradient_perp(random_stream(g, 7, 4))
+    match = rf"t = 1 \(N = 32\) has residual {residual:.3e}"
+    with pytest.raises(NumericalAbort, match=match):
+        adjoint(d, v)
+    with pytest.raises(NumericalAbort, match=match):
+        lambda_apply(d, v, 0.5)
+    with pytest.raises(NumericalAbort, match=match):
+        lambda_inverse_apply(d, v, 0.5)

@@ -6,6 +6,7 @@ from scipy import ndimage
 
 from sqglab.euler_arnold import _stage_velocity
 from sqglab.spectral import (
+    SPLINE_CHUNK,
     SPLINE_UPSAMPLE,
     TWO_PI,
     GridMismatchError,
@@ -157,15 +158,16 @@ def test_fourier_eval_matches_the_untrimmed_sum():
     assert np.array_equal(_fourier_eval(np.zeros((64, 64)), g, x, y), np.zeros(x.size))
 
 
-def test_interpolate_bicubic_close_to_fourier():
+@pytest.mark.parametrize("kmax, tol", [(4, 1e-9), (21, 1e-5)], ids=["kmax4", "band"])
+def test_quintic_spline_close_to_fourier(kmax, tol):
+    # kmax = 21 fills the 2/3 band of N = 64
     g = grid(64)
-    f = random_field(g, 8, kmax=4)
+    f = random_field(g, 8, kmax=kmax)
     rng = np.random.default_rng(9)
     pts = rng.uniform(0, 2 * np.pi, size=(200, 2))
     a = interpolate(f, pts)
-    b = _spline_eval((_spline_coefficients(f.coeff).real,), pts[:, 0], pts[:, 1])[0]
-    scale = np.max(np.abs(a))
-    assert np.max(np.abs(a - b)) / scale < 1e-5
+    (b,) = _spline_eval((_spline_coefficients(f.coeff),), pts[:, 0], pts[:, 1])
+    assert np.max(np.abs(a - b.real)) / np.max(np.abs(a)) < tol
 
 
 def _prefiltered_reference(coeff, x, y):
@@ -181,12 +183,21 @@ def _prefiltered_reference(coeff, x, y):
             for part in (fine.real, fine.imag)]
 
 
-def _spline_test_points(seed):
+def _spline_test_points(seed, m):
+    """More points than one sampler chunk holds, not a multiple of it.
+
+    The edge values include -1e-17 and -1e-300, where mod(x, 2 pi) rounds
+    up to 2 pi, so the spline coordinate mod(x, 2 pi) m / 2 pi is m itself.
+    """
     rng = np.random.default_rng(seed)
-    edge = np.array([0.0, 1e-14, 1e-9, -1e-12, TWO_PI - 1e-9, TWO_PI - 1e-14, TWO_PI,
-                     TWO_PI + 1e-12])
-    x = np.concatenate([rng.uniform(0, TWO_PI, 500), edge, rng.uniform(0, TWO_PI, 8)])
-    y = np.concatenate([rng.uniform(0, TWO_PI, 500), rng.uniform(0, TWO_PI, 8), edge])
+    edge = np.array([0.0, 1e-14, 1e-9, -1e-12, -1e-17, -1e-300, TWO_PI - 1e-9,
+                     TWO_PI - 1e-14, TWO_PI, TWO_PI + 1e-12])
+    count = SPLINE_CHUNK + 517
+    x = np.concatenate([rng.uniform(0, TWO_PI, count), edge, rng.uniform(0, TWO_PI, edge.size)])
+    y = np.concatenate([rng.uniform(0, TWO_PI, count), rng.uniform(0, TWO_PI, edge.size), edge])
+    assert x.size > SPLINE_CHUNK and x.size % SPLINE_CHUNK
+    for c in (x, y):
+        assert np.any(np.mod(c, TWO_PI) / TWO_PI * m == m)
     return x, y
 
 
@@ -195,26 +206,38 @@ def test_spline_coefficients_match_scipy_prefilter(n):
     # every mode up to the Nyquist line carries energy
     g = grid(n)
     f = ScalarField.from_values(g, np.random.default_rng(n).normal(size=(n, n)))
-    x, y = _spline_test_points(n + 1)
+    x, y = _spline_test_points(n + 1, SPLINE_UPSAMPLE * n)
     want = _prefiltered_reference(f.coeff, x, y)[0]
-    got = _spline_eval((_spline_coefficients(f.coeff).real,), x, y)[0]
-    assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-13
+    (got,) = _spline_eval((_spline_coefficients(f.coeff),), x, y)
+    assert np.max(np.abs(got.real - want)) / np.max(np.abs(want)) < 1e-13
 
 
 @pytest.mark.parametrize("n", [32, 64])
 def test_stage_sampler_matches_scipy_prefilter(n):
-    # the packed stage field ux + i uy of a random theta
+    # the packed stage field ux + i uy of a random theta, one gather for both
     g = grid(n)
     beta = 0.5
     theta = ScalarField.from_values(g, np.random.default_rng(2 * n).normal(size=(n, n)))
     (ux, uy), packed = _stage_velocity(theta, beta)
     assert np.array_equal(packed, ux.coeff + 1j * uy.coeff)
-    coef = _spline_coefficients(packed)
-    x, y = _spline_test_points(2 * n + 1)
+    x, y = _spline_test_points(2 * n + 1, SPLINE_UPSAMPLE * n)
     want = _prefiltered_reference(ux.coeff + 1j * uy.coeff, x, y)
-    got = _spline_eval((coef.real, coef.imag), x, y)
-    for a, b in zip(got, want):
+    (got,) = _spline_eval((_spline_coefficients(packed),), x, y)
+    for a, b in zip((got.real, got.imag), want):
         assert np.max(np.abs(a - b)) / np.max(np.abs(b)) < 1e-13
+
+
+def test_spline_grids_sampled_together_equal_one_at_a_time():
+    # the shared taps change nothing: bit for bit, across chunk boundaries
+    g = grid(32)
+    grids = [_spline_coefficients(random_field(g, s, kmax=10).coeff
+                                  + 1j * random_field(g, s + 1, kmax=10).coeff)
+             for s in (42, 44, 46)]
+    x, y = _spline_test_points(47, SPLINE_UPSAMPLE * 32)
+    together = _spline_eval(grids, x, y)
+    for c, got in zip(grids, together):
+        (alone,) = _spline_eval((c,), x, y)
+        assert np.array_equal(got, alone)
 
 
 def test_poisson_bracket_matches_two_dealiased_products():
