@@ -320,19 +320,14 @@ _QUINTIC_TAPS = np.array([[1, -5, 10, -10, 5, -1],
                           [1, 5, 10, 10, 5, -5],
                           [0, 0, 0, 0, 0, 1]]) / 120.0
 
-_WRAPPED_TAPS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _wrapped_taps(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Flat row and column offsets, (6, m + 1), of the taps of each floor(u) in 0..m.
 
     floor(u) = m occurs when mod(x, 2 pi) rounds up to 2 pi; it wraps to 0.
     """
-    taps = _WRAPPED_TAPS.get(m)
-    if taps is None:
-        col = np.mod(np.arange(-2, 4)[:, None] + np.arange(m + 1), m)
-        taps = _WRAPPED_TAPS[m] = (col * m, col)
-    return taps
+    col = np.mod(np.arange(-2, 4)[:, None] + np.arange(m + 1), m)
+    return col * m, col
 
 
 class _SplineWork:
