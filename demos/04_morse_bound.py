@@ -8,10 +8,13 @@ is matched to a pair (k, n) with Laplacian eigenvalue below the threshold
 
 so the count aleph_beta is a finite sum of exact eigenvalue counts.  The
 exponent 1/(1 - beta) makes the bound diverge as beta -> 1, consistent with
-the clustering of sphere conjugate times at criticality.
+the clustering of sphere conjugate times at criticality.  On the sphere the
+Morse index of the second variation, a sine-basis eigenvalue count, checks
+the detected conjugate points independently of the sampling.
 """
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from sqglab import jacobi, morse, sphere
 
@@ -22,25 +25,17 @@ for beta in (0.0, 0.25, 0.5, 0.75):
     b = morse.morse_bound(morse.MorseInput(1.0, 16.0, np.pi, beta, sp))
     print(f"{beta:6.2f} {b.k_max:6d} {b.aleph:8d} {b.aleph_weyl:12.1f}")
 
-print("\nsphere rotation: detected conjugate points vs the bound")
+print("\nsphere rotation, degrees 1..30: Morse index = detected count <= bound")
+degrees = range(1, 31)
 for beta in (0.0, 0.5, 0.75):
     horizon = 1.1 * sphere.conjugate_time(1, beta)
     times = np.linspace(0.0, horizon, 801)
-    report = jacobi.detect_conjugate(
-        sphere.sphere_phi_samples(range(1, 31), beta, times))
+    report = jacobi.detect_conjugate(sphere.sphere_phi_samples(degrees, beta, times))
     detected = sum(m for _, m in report.detected)
+    k0 = block_diag(*[morse.sphere_mode_k0(sphere.SphereMode(n, beta)) for n in degrees])
+    index = morse.morse_index(k0, horizon)
     delta, c = morse.sphere_rotation_constants(beta, 50)
     aleph = morse.morse_bound(
         morse.MorseInput(delta, c, horizon, beta, morse.Spectrum.sphere(30))).aleph
-    print(f"  beta = {beta:4.2f}: detected {detected:3d} <= bound {aleph:3d} "
+    print(f"  beta = {beta:4.2f}: index {index:3d}, detected {detected:3d} <= bound {aleph:3d} "
           f"(delta = {delta}, C = {c:.3f}, T = {horizon:.3f})")
-
-print("\nindex form sanity check (degree-2 sphere mode, beta = 1):")
-mode = sphere.SphereMode(2, 1.0)
-k0 = morse.sphere_mode_k0(mode)
-t_star = sphere.conjugate_time(2, 1.0)
-for frac in (0.8, 1.2):
-    t, w = morse.sphere_negative_direction(mode, frac * t_star)
-    val = morse.index_form(t, w, k0)
-    side = "before" if frac < 1 else "after"
-    print(f"  I(z, z) = {val:+.4f} {side} the conjugate time")

@@ -39,6 +39,6 @@ from .jacobi import (
     omega_gamma_split,
 )
 from .sphere import SphereMode, closed_form, cluster_scan, conjugate_time, integrate_mode
-from .morse import MorseInput, Spectrum, c_constant, delta_inf, index_form, morse_bound, weyl_count
+from .morse import MorseInput, Spectrum, c_constant, delta_inf, morse_bound, morse_index, weyl_count
 
 __version__ = "0.1.0"

@@ -87,9 +87,6 @@ class GeodesicRecord:
     diffeos: list[DiffeoSample] = field(default_factory=list)
     diagnostics_rows: list[dict] = field(default_factory=list)
 
-    def theta0(self) -> ScalarField:
-        return frac_laplacian(self.psi0, 1.0 - self.config.beta / 2.0)
-
     def u0(self) -> VectorFieldExact:
         return gradient_perp(self.psi0)
 

@@ -1,8 +1,8 @@
 """Conjugate-point counting machinery: spectra, thresholds and the bound.
 
-The count works entirely with exact truncated spectra (torus lattice or
-sphere n(n+1) values); the Weyl asymptotic is reported alongside for
-comparison only.  The two run-dependent constants are
+The counts are closed-form counts of the integer spectra (torus lattice |k|^2,
+sphere n(n+1)), with no stored eigenvalues; the Weyl asymptotic is reported
+alongside for comparison only.  The two run-dependent constants are
 
     delta = inf_t ||Ad_{gamma(t)}^-1||_{L2}^-2      (beta-independent)
     C     = sharpest constant with ||K0 v||_{-b/2}^2 <= C ||psi_v||_{b/2}^2
@@ -18,6 +18,8 @@ number of conjugate points in [0, T].
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,64 +30,72 @@ from .spectral import TWO_PI, VectorFieldExact
 
 
 class CoverageError(ValueError):
-    """Stored spectrum does not reach the requested eigenvalue range."""
+    """Requested eigenvalue range lies beyond the spectrum's cutoff."""
+
+
+_ROW_CHUNK = 1 << 16  # torus lattice rows per counting pass: bounded memory at any lambda
 
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Laplacian eigenvalues with multiplicities on a reference surface."""
+    """Integer Laplacian spectrum of a reference surface, counted in closed form."""
 
     source: str
-    eigenvalues: np.ndarray   # sorted ascending, strictly positive
-    multiplicities: np.ndarray
     coverage: float           # counts are exact for lambda <= coverage
     area: float
 
     @classmethod
     def torus(cls, k_max: int):
-        """Lattice eigenvalues |k|^2, k in Z^2 \\ {0}, complete to k_max^2."""
-        if k_max < 1:
-            raise ValueError(f"torus spectrum cutoff must be >= 1, got {k_max}")
-        r = np.arange(-k_max, k_max + 1)
-        k2 = (r[:, None] ** 2 + r[None, :] ** 2).ravel()
-        k2 = k2[(k2 > 0) & (k2 <= k_max**2)]
-        vals, counts = np.unique(k2, return_counts=True)
-        return cls("torus", vals.astype(float), counts, float(k_max**2),
-                   float(TWO_PI**2))
+        """Lattice eigenvalues |k|^2, k in Z^2 \\ {0}, up to k_max^2 < 2^52."""
+        if not 1 <= k_max < 2**26:
+            raise ValueError(f"torus spectrum cutoff must be >= 1 and < 2^26, got {k_max}")
+        return cls("torus", float(k_max**2), float(TWO_PI**2))
 
     @classmethod
     def sphere(cls, n_max: int):
         """n(n+1) with multiplicity 2n+1 on the unit sphere."""
         if n_max < 1:
             raise ValueError(f"sphere spectrum cutoff must be >= 1, got {n_max}")
-        n = np.arange(1, n_max + 1)
-        return cls("sphere", (n * (n + 1)).astype(float), 2 * n + 1,
-                   float(n_max * (n_max + 1)), float(4.0 * np.pi))
+        return cls("sphere", float(n_max * (n_max + 1)), float(4.0 * np.pi))
+
+
+def _count_at_most(spectrum: Spectrum, top: int) -> int:
+    """#{n : lambda_n <= top} with multiplicity, for an integer top.
+
+    Sphere: M(M + 2) = sum_{n <= M} (2n + 1), M(M + 1) <= top < (M + 1)(M + 2).
+    Torus: 2 floor(sqrt(top - kx^2)) + 1 points per row kx, exact in float64
+    below 2^52, rows symmetric in kx, k = 0 left out, chunk sums as Python ints.
+    """
+    if top < 1:
+        return 0
+    if spectrum.source == "sphere":
+        m = (math.isqrt(4 * top + 1) - 1) // 2
+        return m * (m + 2)
+    r = math.isqrt(top)
+    total = 2 * r  # row kx = 0 without k = 0
+    for lo in range(1, r + 1, _ROW_CHUNK):
+        kx = np.arange(lo, min(lo + _ROW_CHUNK, r + 1), dtype=np.int64)
+        total += int(np.sum(4 * np.sqrt(top - kx * kx).astype(np.int64) + 2))
+    return total
+
+
+def _check_coverage(spectrum: Spectrum, lam: float, what: str):
+    if lam > spectrum.coverage:
+        raise CoverageError(f"{what} {lam:.6g} exceeds spectrum coverage "
+                            f"{spectrum.coverage:.6g}; rebuild with a larger cutoff")
 
 
 def weyl_count(spectrum: Spectrum, lam: float) -> int:
     """Exact N(lambda) = #{n : lambda_n <= lambda} with multiplicity."""
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    if lam > spectrum.coverage:
-        raise CoverageError(
-            f"lambda = {lam:.6g} exceeds spectrum coverage {spectrum.coverage:.6g}; "
-            f"rebuild with a larger cutoff"
-        )
-    return int(np.sum(spectrum.multiplicities[spectrum.eigenvalues <= lam]))
+    _check_coverage(spectrum, lam, "lambda =")
+    return _count_at_most(spectrum, math.floor(lam))
 
 
 def weyl_asymptotic(spectrum: Spectrum, lam: float) -> float:
     """The asymptotic device N(lambda) ~ (area / 2 pi) lambda."""
     return spectrum.area / (2.0 * np.pi) * lam
-
-
-def _count_below(spectrum: Spectrum, lam: float) -> int:
-    if lam > spectrum.coverage:
-        raise CoverageError(
-            f"threshold {lam:.6g} exceeds spectrum coverage {spectrum.coverage:.6g}"
-        )
-    return int(np.sum(spectrum.multiplicities[spectrum.eigenvalues < lam]))
 
 
 # ---------------------------------------------------------------------------
@@ -184,26 +194,17 @@ def threshold(inp: MorseInput, k: int) -> float:
 
 def morse_bound(inp: MorseInput) -> MorseBound:
     """aleph_beta = #{(k, n) : lambda_n below the k-threshold}."""
-    if inp.c == 0.0:
-        return MorseBound(0, [], 0, 0.0)
-    lam1 = float(inp.spectrum.eigenvalues[0])
-    per_k = []
-    total = 0
-    weyl_total = 0.0
-    k = 1
-    while True:
+    per_k, total, weyl_total = [], 0, 0.0
+    for k in itertools.count(1):
         th = threshold(inp, k)
-        if th <= lam1:
-            break
-        cnt = _count_below(inp.spectrum, th)
+        _check_coverage(inp.spectrum, th, "threshold")
+        # the eigenvalues are integers, so lambda < th means lambda <= ceil(th) - 1
+        cnt = _count_at_most(inp.spectrum, math.ceil(th) - 1)
         if cnt == 0:
-            break
+            return MorseBound(total, per_k, len(per_k), weyl_total)
         per_k.append((k, th, cnt))
         total += cnt
         weyl_total += weyl_asymptotic(inp.spectrum, th)
-        k += 1
-    k_max = per_k[-1][0] if per_k else 0
-    return MorseBound(total, per_k, k_max, weyl_total)
 
 
 BOUND_HEADER = "beta,T,delta,C,k_max,aleph_exact,aleph_weyl"
@@ -218,42 +219,40 @@ def bound_csv_rows(entries) -> str:
 
 
 # ---------------------------------------------------------------------------
-# index form
+# Morse index
 
-def index_form(times, w_coords, k0: np.ndarray) -> float:
-    """Quadrature of the index form I(w, w) in beta-orthonormal coordinates.
+def _index_matrix(k0: np.ndarray, t_horizon: float, n_sines: int) -> np.ndarray:
+    """Index form I(v, v) = int_0^T v'.v' + (K0 v).v' dt (Lambda = I) as a matrix.
 
-    I(w, w) = int_0^T w'.w' + (K0 w) . w' dt along a geodesic whose adjoint
-    is the identity (steady isometric case or u0 = 0), with the trajectory
-    sampled on ``times`` and required to vanish at both endpoints.
+    v = sum_j a_j sin(j pi t / T), j = 1..J, a = (a_1, ..., a_J) stacked.  The
+    kinetic block is diagonal, (j pi / T)^2 T / 2; the rotation block pairs a_j
+    with K0 a_l through (j pi / T) S_lj, S_lj = int_0^T sin(l pi t / T)
+    cos(j pi t / T) dt = (T / pi) l (1 - (-1)^(l + j)) / (l^2 - j^2) (0 at l = j).
     """
-    from scipy.integrate import simpson
-    from scipy.interpolate import CubicSpline
+    j = np.arange(1, n_sines + 1)
+    freq = j * np.pi / t_horizon
+    l_, j_ = np.meshgrid(j, j)  # S_lj at row j, column l; the numerator vanishes at l = j
+    s = (t_horizon / np.pi) * l_ * (1.0 - (-1.0) ** (l_ + j_)) \
+        / np.where(l_ == j_, 1, l_**2 - j_**2)
+    rot = np.kron(freq[:, None] * s, k0)
+    kin = np.kron(np.diag(freq**2 * t_horizon / 2.0), np.eye(k0.shape[0]))
+    return kin + 0.5 * (rot + rot.T)
 
-    times = np.asarray(times, dtype=float)
-    w = np.asarray(w_coords, dtype=float)
-    if np.linalg.norm(w[0]) > 1e-10 or np.linalg.norm(w[-1]) > 1e-10:
-        raise ValueError("trajectory must vanish at the endpoints")
-    dw = CubicSpline(times, w, axis=0)(times, 1)
-    kin = np.einsum("ti,ti->t", dw, dw)
-    rot = np.einsum("ij,tj,ti->t", k0, w, dw)
-    return float(simpson(kin + rot, x=times))
+
+def morse_index(k0: np.ndarray, t_horizon: float) -> int:
+    """Number of negative eigenvalues of the index form on [0, T], Lambda = I.
+
+    By the Morse index theorem (Milnor, Morse Theory, 1963, section 15) this is
+    the number of conjugate points in (0, T) with multiplicity, along a geodesic
+    whose adjoint is the identity (steady isometric case or u0 = 0).  Past the
+    frequency ||K0||_2 the form is positive; J = 2 ceil(T ||K0||_2 / pi) + 2 sines
+    reach twice that frequency, and doubling J changes no tested count.
+    """
+    n_sines = 2 * math.ceil(t_horizon * np.linalg.norm(k0, 2) / np.pi) + 2
+    return int(np.sum(np.linalg.eigvalsh(_index_matrix(k0, t_horizon, n_sines)) < 0.0))
 
 
 def sphere_mode_k0(mode) -> np.ndarray:
     """K0 block of a sphere mode in its real Jacobi-pair coordinates."""
     w = mode.omega
     return np.array([[0.0, -w], [w, 0.0]])
-
-
-def sphere_negative_direction(mode, t_horizon: float, samples: int = 2001):
-    """Endpoint-vanishing trajectory with negative index past T_n.
-
-    z(t) = sin(pi t / T) exp(-i omega t / 2): the sine envelope enforces
-    the endpoints and the half-frequency phase twist aligns with the
-    Jacobi rotation, giving I = (T/2)(pi^2/T^2 - omega^2/4) < 0 exactly
-    when T exceeds the first conjugate time.
-    """
-    t = np.linspace(0.0, t_horizon, samples)
-    z = np.sin(np.pi * t / t_horizon) * np.exp(-0.5j * mode.omega * t)
-    return t, np.column_stack([z.real, z.imag])

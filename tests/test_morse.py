@@ -1,10 +1,14 @@
-"""Spectra, counting bound, extracted constants, index form."""
+"""Spectra, counting bound, extracted constants, Morse index."""
+
+import math
+import time
 
 import numpy as np
 import pytest
 from scipy import linalg as sla
+from scipy.integrate import simpson
 
-from sqglab import morse, sphere
+from sqglab import jacobi, morse, sphere
 from sqglab.euler_arnold import SolverConfig, simulate
 from sqglab.jacobi import k0_matrix, make_basis
 from sqglab.presets import initial_stream, random_stream
@@ -25,6 +29,38 @@ def brute_force_torus_count(lam, strict=False):
     return count
 
 
+def stored_torus_spectrum(k_max):
+    """The lattice enumerated into sorted eigenvalues and multiplicities."""
+    r = np.arange(-k_max, k_max + 1)
+    k2 = (r[:, None] ** 2 + r[None, :] ** 2).ravel()
+    k2 = k2[(k2 > 0) & (k2 <= k_max**2)]
+    return np.unique(k2, return_counts=True)
+
+
+def test_torus_counts_match_stored_spectrum():
+    vals, mult = stored_torus_spectrum(1025)
+    sp = morse.Spectrum.torus(1025)
+    rng = np.random.default_rng(5)
+    lams = np.concatenate([rng.uniform(0.0, 1025.0**2, 40),
+                           rng.choice(vals, 40).astype(float),  # sums of squares
+                           [0.0, 0.5, 1.0, 2.0, 3.0, 1025.0**2]])
+    for lam in lams:
+        assert morse.weyl_count(sp, lam) == int(np.sum(mult[vals <= lam]))
+        # the strict count the bound takes at a threshold lam
+        strict = morse._count_at_most(sp, math.ceil(lam) - 1)
+        assert strict == int(np.sum(mult[vals < lam]))
+
+
+def test_torus_cutoff_keeps_row_square_roots_exact():
+    # the row counts floor float64 square roots, exact for integers below 2^52
+    with pytest.raises(ValueError):
+        morse.Spectrum.torus(2**26)
+    assert morse.Spectrum.torus(2**26 - 1).coverage < 2.0**52
+    m = np.arange(2**26 - 1000, 2**26, dtype=np.int64)
+    for v in (m * m - 1, m * m):
+        assert list(np.sqrt(v).astype(np.int64)) == [math.isqrt(int(x)) for x in v]
+
+
 def test_torus_spectrum_counts():
     sp = morse.Spectrum.torus(8)
     for lam in (1.0, 2.0, 4.0, 10.0, 25.0):
@@ -39,6 +75,15 @@ def test_sphere_spectrum_counts():
     assert morse.weyl_count(sp, 2.0) == 3
     assert morse.weyl_count(sp, 6.0) == 8
     assert morse.weyl_count(sp, 12.0) == 15
+    # both counts against the degree sum of 2n + 1
+    n = np.arange(1, 201)
+    vals, mult = n * (n + 1), 2 * n + 1
+    sp = morse.Spectrum.sphere(200)
+    rng = np.random.default_rng(6)
+    for lam in np.concatenate([rng.uniform(0.0, 200 * 201, 40), vals[:60]]):
+        assert morse.weyl_count(sp, lam) == int(np.sum(mult[vals <= lam]))
+        strict = morse._count_at_most(sp, math.ceil(lam) - 1)
+        assert strict == int(np.sum(mult[vals < lam]))
 
 
 def test_coverage_error():
@@ -123,6 +168,21 @@ def test_morse_bound_monotone_in_t():
         prev = b
 
 
+def test_morse_bound_at_shear_horizon():
+    # beta 0.5, T = 21.26 with the truncated shear C and delta's closed-form
+    # lower bound 4 / (T + sqrt(T^2 + 4))^2: the k = 1 threshold is about 4.5e12
+    horizon = 21.26
+    inp = morse.MorseInput(0.0022027, 0.903, horizon, 0.5,
+                           morse.Spectrum.torus(2_200_000))
+    start = time.perf_counter()
+    bound = morse.morse_bound(inp)
+    assert time.perf_counter() - start < 10.0
+    assert bound.k_max == len(bound.per_k) > 1000
+    # each count is pi th_k up to the lattice-point error O(th_k^(1/3))
+    circle = sum(np.pi * th for _, th, _ in bound.per_k)
+    assert abs(bound.aleph / circle - 1.0) < 1e-6
+
+
 def test_morse_bound_rejects_beta_one():
     with pytest.raises(ValueError):
         morse.MorseInput(1.0, 16.0, np.pi, 1.0, morse.Spectrum.torus(8))
@@ -137,25 +197,58 @@ def test_sphere_rotation_constants():
     assert np.isclose(c1, 2.0 * 50 / 51)
 
 
-def test_index_form_sign_flips_at_conjugate_time():
-    mode = sphere.SphereMode(2, 1.0)
-    k0 = morse.sphere_mode_k0(mode)
+def _sphere_k0(degrees, beta):
+    """Block-diagonal K0 of the listed sphere modes."""
+    return sla.block_diag(*[morse.sphere_mode_k0(sphere.SphereMode(n, beta)) for n in degrees])
+
+
+def test_morse_index_single_sphere_mode():
+    # 2 floor(T / T_n): the index form turns negative past the conjugate time
+    k0 = _sphere_k0([2], 1.0)
     t_star = sphere.conjugate_time(2, 1.0)
-    for frac, sign in ((0.8, 1.0), (1.2, -1.0)):
-        t, w = morse.sphere_negative_direction(mode, frac * t_star)
-        val = morse.index_form(t, w, k0)
-        assert np.sign(val) == sign
-        # closed form (T/2)(pi^2/T^2 - omega^2/4)
-        horizon = frac * t_star
-        want = 0.5 * horizon * ((np.pi / horizon) ** 2 - mode.omega**2 / 4.0)
-        assert np.isclose(val, want, rtol=1e-6)
+    got = [morse.morse_index(k0, f * t_star) for f in (0.5, 0.99, 1.01, 1.5, 2.5, 3.2)]
+    assert got == [0, 0, 2, 2, 4, 6]
 
 
-def test_index_form_requires_vanishing_endpoints():
-    t = np.linspace(0.0, 1.0, 11)
-    w = np.ones((11, 2))
-    with pytest.raises(ValueError):
-        morse.index_form(t, w, np.zeros((2, 2)))
+@pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+def test_morse_index_matches_closed_form_and_detection(beta):
+    degrees = range(1, 9)
+    k0 = _sphere_k0(degrees, beta)
+    for frac in (1.1, 2.3, 3.7):
+        horizon = frac * sphere.conjugate_time(1, beta)
+        closed = sum(2 * math.floor(horizon / sphere.conjugate_time(n, beta))
+                     for n in degrees)
+        report = jacobi.detect_conjugate(
+            sphere.sphere_phi_samples(degrees, beta, np.linspace(0.0, horizon, 801)))
+        detected = sum(m for _, m in report.detected)
+        assert morse.morse_index(k0, horizon) == closed == detected
+
+
+def test_index_matrix_matches_simpson_quadrature():
+    rng = np.random.default_rng(11)
+    horizon, n_sines = 3.3, 6
+    k0 = rng.normal(size=(3, 3))
+    a = rng.normal(size=(n_sines, 3))
+    t = np.linspace(0.0, horizon, 20001)
+    freq = np.arange(1, n_sines + 1) * np.pi / horizon
+    v = np.sin(np.outer(t, freq)) @ a
+    dv = (np.cos(np.outer(t, freq)) * freq) @ a
+    quad = simpson(np.einsum("ti,ti->t", dv, dv)
+                   + np.einsum("ij,tj,ti->t", k0, v, dv), x=t)
+    form = a.ravel() @ morse._index_matrix(k0, horizon, n_sines) @ a.ravel()
+    assert abs(form - quad) <= 1e-12 * abs(quad)
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+def test_morse_index_unchanged_when_sines_double(beta):
+    k0 = _sphere_k0(range(1, 9), beta)
+    for frac in (1.1, 2.3, 3.7):
+        horizon = frac * sphere.conjugate_time(1, beta)
+        # the sine count morse_index works out from T and ||K0||_2
+        n_sines = 2 * math.ceil(horizon * np.linalg.norm(k0, 2) / np.pi) + 2
+        counts = [int(np.sum(np.linalg.eigvalsh(morse._index_matrix(k0, horizon, j)) < 0))
+                  for j in (n_sines, 2 * n_sines)]
+        assert counts == [morse.morse_index(k0, horizon)] * 2
 
 
 def test_bound_csv_schema():

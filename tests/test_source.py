@@ -61,3 +61,26 @@ def test_no_unused_imports():
                if p.name != "__init__.py"]
     assert modules
     assert [u for p in modules for u in _unused_imports(p)] == []
+
+
+def _scipy_submodules(path: Path) -> set[str]:
+    """scipy submodules a module imports, at any depth of its AST."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module == "scipy":
+            names = [f"scipy.{a.name}" for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        found.update(n for n in names if n.startswith("scipy."))
+    return found
+
+
+def test_scipy_linalg_is_the_only_scipy_submodule():
+    modules = sorted(Path(sqglab.__file__).parent.glob("*.py"))
+    assert modules
+    imported = {p.name: _scipy_submodules(p) for p in modules}
+    assert set().union(*imported.values()) == {"scipy.linalg"}, imported
