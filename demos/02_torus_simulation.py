@@ -1,9 +1,9 @@
 """Simulate the transport equation on the torus and check its invariants.
 
 A geodesic of the beta metric is integrated from a random low-mode stream
-function.  Along the way the solver advances the forward particle map and
-builds its inverse at each snapshot by Newton inversion; the diagnostics
-table reports energy, the L2 norm
+function.  Along the way the solver advances the forward particle map;
+its inverse is built by Newton inversion when first read, here for the
+consistency check at the end.  The diagnostics table reports energy, the L2 norm
 of theta (a Casimir), the volume distortion of the flow map, and the
 transport residual ||theta(t) o gamma(t) - theta_0|| / ||theta_0|| that
 expresses the coadjoint conservation law.

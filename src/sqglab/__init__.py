@@ -23,8 +23,6 @@ from .group_ops import (
     adjoint,
     coadjoint_algebra,
     coadjoint_group,
-    lambda_apply,
-    lambda_inverse_apply,
 )
 from .euler_arnold import GeodesicRecord, SolverConfig, rhs, simulate, step_rk4
 from .jacobi import (

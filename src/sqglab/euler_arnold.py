@@ -4,10 +4,11 @@ The evolved quantity is the active scalar theta with velocity
 u = grad_perp (-Lap)^(beta/2 - 1) theta; this is exactly the Euler-Arnold
 geodesic equation reduced to the Lie algebra, and the transport form makes
 the L2 Casimir of theta conservation free.  The forward flow map is
-advanced jointly with theta on the same RK4 stages; its inverse is built
-only at the snapshots, by Newton inversion (``flow.invert``).  The
-conservation and volume diagnostics of a snapshot are computed when it is
-taken, so they can be streamed out while the run goes.
+advanced jointly with theta on the same RK4 stages; the record stores it
+at each snapshot, and its inverse is built only where a reader of the
+record first needs it (``group_ops.DiffeoSample``).  The conservation
+and volume diagnostics of a snapshot are computed when it is taken, so
+they can be streamed out while the run goes.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .flow import (
     NumericalAbort,
     _rk4,
     advance_forward,
-    invert,
     jacobian_det_error,
     transport_check,
 )
@@ -148,12 +148,11 @@ def _stage_velocity(theta: ScalarField, beta: float, psi: ScalarField | None = N
 
 def simulate(psi0: ScalarField, config: SolverConfig,
              on_abort=None, on_snapshot=None) -> GeodesicRecord:
-    """Advance theta and gamma jointly; record snapshots with gamma^-1.
+    """Advance theta and gamma jointly; record snapshots of theta and gamma.
 
-    gamma^-1 is built only at a snapshot, by ``flow.invert`` warm-started
-    from the previous snapshot's inverse; its residual is kept in the
-    ``DiffeoSample`` and checked by the consumers of the inverse, so a run
-    past the invertibility of gamma is not stopped here.  Each snapshot's
+    No gamma^-1 is built here: each ``DiffeoSample`` builds its inverse
+    when first read, and its readers check it, so a run past the
+    invertibility of gamma is not stopped here.  Each snapshot's
     diagnostics row is computed when the snapshot is taken and passed to
     ``on_snapshot(row)``, so a caller can stream it out.  On a numerical
     abort the last good snapshot is kept in the record and
@@ -170,11 +169,9 @@ def simulate(psi0: ScalarField, config: SolverConfig,
     nsteps = whole_steps(config.t_final, config.dt)
 
     def snapshot(t, th, fw):
-        guess = record.diffeos[-1].inverse if record.diffeos else FlowMap.identity(g)
-        inv, residual = invert(fw, guess)
         record.times.append(t)
         record.thetas.append(th)
-        record.diffeos.append(DiffeoSample(fw, inv, t, residual))
+        record.diffeos.append(DiffeoSample(fw, t))
         row = diagnostics(t, th, fw, record.thetas[0], beta)
         record.diagnostics_rows.append(row)
         if on_snapshot is not None:

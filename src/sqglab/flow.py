@@ -3,10 +3,11 @@
 The forward map gamma(t) is advanced as particles seeded at the grid
 points, gamma_dot(t, x) = u(t, gamma(t, x)).  The inverse map is not
 stepped: ``invert`` solves gamma(x) = y for x at the grid points y by
-damped Newton on the quintic spline of gamma's displacement, when a
-snapshot needs it.  Both maps are stored as periodic displacement fields
-on the fixed grid.  The label transport of gamma^-1 (``label_rhs``,
-``advance_back_to_labels``) is kept only as the test oracle of ``invert``.
+damped Newton on the quintic spline of gamma's displacement, started at
+x = y, when a reader of gamma^-1 first needs it (``DiffeoSample``).  Both
+maps are stored as periodic displacement fields on the fixed grid.  The
+label transport of gamma^-1 (``label_rhs``, ``advance_back_to_labels``)
+is kept only as the test oracle of ``invert``.
 """
 
 from __future__ import annotations
@@ -70,11 +71,15 @@ def jacobian(fm: FlowMap) -> np.ndarray:
     return out
 
 
+def _jacobian_det(fm: FlowMap) -> np.ndarray:
+    """det D gamma on the grid."""
+    j = jacobian(fm)
+    return j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0]
+
+
 def jacobian_det_error(fm: FlowMap) -> float:
     """max |det D gamma - 1| over the grid."""
-    j = jacobian(fm)
-    det = j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0]
-    return float(np.max(np.abs(det - 1.0)))
+    return float(np.max(np.abs(_jacobian_det(fm) - 1.0)))
 
 
 RK4_NODES = (0, 0.5, 0.5, 1)
@@ -121,19 +126,20 @@ NEWTON_MAX_ITER = 40
 NEWTON_HALVINGS = 8
 
 
-def invert(fwd: FlowMap, guess: FlowMap) -> tuple[FlowMap, float]:
+def invert(fwd: FlowMap) -> tuple[FlowMap, float]:
     """gamma^-1 on the grid points by damped Newton on x + d(x) = y.
 
     d is the displacement of ``fwd``; it and its four derivatives are
     sampled through the quintic spline of ``_spline_coefficients`` (d_x +
     i d_y, d_x,x + i d_x,y and d_y,x + i d_y,y as three packed grids; the
     two derivative grids share the taps of each ``_spline_eval`` call).
-    Newton starts at the points of ``guess``, in a run the previous
-    snapshot's inverse.  A point whose step does not lower its residual
+    Newton starts at x = y.  A point whose step does not lower its residual
     |x + d(x) - y| halves it, up to ``NEWTON_HALVINGS`` times, and Newton
     stops when every residual is below ``NEWTON_TOL``, when no point moved,
     or after ``NEWTON_MAX_ITER`` steps.  Returns the inverse map and the
-    largest final residual, large where gamma is not invertible.
+    largest final residual.  A gamma that folds (det D gamma <= 0
+    somewhere) can still leave a small residual, so a small residual
+    alone does not make gamma invertible (``DiffeoSample.check_invertible``).
     """
     g = fwd.grid
     fx, fy = fwd.displacement_fields()
@@ -142,7 +148,7 @@ def invert(fwd: FlowMap, guess: FlowMap) -> tuple[FlowMap, float]:
               g.ikx * fy.coeff + 1j * g.iky * fy.coeff)
     disp, dx, dy = map(_spline_coefficients, packed)
     y = np.stack([g.x.ravel(), g.y.ravel()])
-    x = y + np.stack([guess.disp_x.ravel(), guess.disp_y.ravel()])
+    x = y.copy()
 
     def residual(pts, target):
         (d,) = _spline_eval((disp,), pts[0], pts[1])

@@ -2,21 +2,20 @@
 
 Compositions with gamma and gamma^-1 are computed by interpolation at the
 mapped grid points followed by re-projection onto the truncated spectral
-space (dealias mask, mean forced to zero).  The Lambda operator family
-from the Jacobi analysis,
-
-    Lambda(t) w = Ad*_gamma Ad_gamma w,
-
-is applied as a single multiplier/composition chain.
+space (dealias mask, mean forced to zero).  A ``DiffeoSample`` stores
+gamma only; gamma^-1, which only Ad_gamma and through it the Jacobi
+operator Lambda(t) = Ad*_gamma Ad_gamma read, is built by Newton inversion
+the first time it is read and kept on the sample.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .flow import INVERSE_TOL, FlowMap, NumericalAbort
+from .flow import INVERSE_TOL, FlowMap, NumericalAbort, _jacobian_det, invert
 from .spectral import (
     ScalarField,
     VectorFieldExact,
@@ -30,29 +29,52 @@ from .spectral import (
 
 @dataclass(frozen=True)
 class DiffeoSample:
-    """Forward and inverse flow maps at a fixed geodesic time.
+    """The flow map gamma at a fixed geodesic time t, with gamma^-1 built on first read.
 
-    ``residual`` is the largest |gamma(gamma^-1(y)) - y| over the grid
-    points y that ``flow.invert`` left; ``check_invertible`` refuses a
-    sample whose residual exceeds ``INVERSE_TOL``.
+    The first read of ``inverse``, ``residual`` or ``min_det`` runs
+    ``flow.invert`` on ``forward`` (Newton from x = y) and ``flow.jacobian``
+    once, and the sample keeps all three.  ``residual`` is the largest
+    |gamma(gamma^-1(y)) - y| over the grid points y that Newton left and
+    ``min_det`` the smallest det D gamma on the grid; ``check_invertible``
+    refuses a sample whose residual exceeds ``INVERSE_TOL`` or whose
+    min_det is not positive.
     """
 
     forward: FlowMap
-    inverse: FlowMap
     t: float
-    residual: float = 0.0
 
     @classmethod
     def identity(cls, g):
-        return cls(FlowMap.identity(g), FlowMap.identity(g), 0.0)
+        return cls(FlowMap.identity(g), 0.0)
+
+    @cached_property
+    def _inversion(self) -> tuple[FlowMap, float, float]:
+        inv, residual = invert(self.forward)
+        return inv, residual, float(np.min(_jacobian_det(self.forward)))
+
+    @property
+    def inverse(self) -> FlowMap:
+        return self._inversion[0]
+
+    @property
+    def residual(self) -> float:
+        return self._inversion[1]
+
+    @property
+    def min_det(self) -> float:
+        return self._inversion[2]
 
     def check_invertible(self):
-        """Raise NumericalAbort if the inverse's residual exceeds INVERSE_TOL."""
+        """Raise NumericalAbort unless gamma^-1 converged and det D gamma > 0 on the grid."""
+        where = f"at t = {self.t:.6g} (N = {self.forward.grid.n})"
         if not self.residual <= INVERSE_TOL:
             raise NumericalAbort(
-                f"gamma^-1 at t = {self.t:.6g} (N = {self.inverse.grid.n}) has residual "
-                f"{self.residual:.3e} > {INVERSE_TOL:g}: gamma is not invertible on "
-                f"the grid there")
+                f"gamma^-1 {where} has residual {self.residual:.3e} > {INVERSE_TOL:g}: "
+                f"gamma is not invertible on the grid there")
+        if not self.min_det > 0.0:
+            raise NumericalAbort(
+                f"gamma {where} has min det D gamma = {self.min_det:.3e} <= 0: "
+                f"gamma is not invertible on the grid there")
 
 
 def compose_stream(psi: ScalarField, fm: FlowMap) -> ScalarField:
@@ -86,35 +108,6 @@ def coadjoint_algebra(u: VectorFieldExact, v: VectorFieldExact, beta: float) -> 
 def coadjoint_group(eta: DiffeoSample, u: VectorFieldExact, beta: float) -> VectorFieldExact:
     """Ad*_eta u with respect to the beta metric."""
     check_beta(beta)
-    if eta.forward is None:
-        raise ValueError("coadjoint_group needs the forward map")
     s = frac_laplacian(u.stream, 1.0 - beta / 2.0)
     s = compose_stream(s, eta.forward)
     return gradient_perp(frac_laplacian(s, beta / 2.0 - 1.0))
-
-
-def lambda_apply(d: DiffeoSample, v: VectorFieldExact, beta: float) -> VectorFieldExact:
-    """Lambda(t) v = Ad*_gamma Ad_gamma v as one multiplier/composition chain.
-
-    Raises NumericalAbort if the inverse map of d did not converge.
-    """
-    check_beta(beta)
-    d.check_invertible()
-    s = compose_stream(v.stream, d.inverse)
-    s = frac_laplacian(s, 1.0 - beta / 2.0)
-    s = compose_stream(s, d.forward)
-    return gradient_perp(frac_laplacian(s, beta / 2.0 - 1.0))
-
-
-def lambda_inverse_apply(d: DiffeoSample, v: VectorFieldExact, beta: float) -> VectorFieldExact:
-    """Lambda(t)^-1 v = Ad_{gamma^-1} Ad*_{gamma^-1} v.
-
-    Raises NumericalAbort if the inverse map of d did not converge.
-    """
-    check_beta(beta)
-    d.check_invertible()
-    s = frac_laplacian(v.stream, 1.0 - beta / 2.0)
-    s = compose_stream(s, d.inverse)
-    s = frac_laplacian(s, beta / 2.0 - 1.0)
-    s = compose_stream(s, d.forward)
-    return gradient_perp(s)

@@ -226,8 +226,9 @@ def lambda_matrix(d: DiffeoSample, beta: float, basis: GalerkinBasis) -> Operato
     Lambda_ij = <Ad_gamma e_i, Ad_gamma e_j>_beta = (2 pi)^2 Re(A^H W A) with
     A_kj = c_k(e_j o gamma^-1) on the dealiased half-spectrum and W the
     weights |k|^(2-beta) times the Hermitian multiplicity, so the matrix is
-    symmetric positive-semidefinite by construction.  NumericalAbort where
-    gamma^-1 did not converge (``DiffeoSample.check_invertible``).
+    symmetric positive-semidefinite by construction.  Reading gamma^-1
+    builds it on first use; NumericalAbort where gamma is not invertible on
+    the grid (``DiffeoSample.check_invertible``).
     """
     check_beta(beta)
     d.check_invertible()

@@ -104,17 +104,12 @@ def weyl_asymptotic(spectrum: Spectrum, lam: float) -> float:
 def ad_inverse_matrix(d, basis: GalerkinBasis) -> np.ndarray:
     """Matrix of Ad_{gamma^-1} v = grad_perp(psi_v o gamma) in basis coords.
 
-    NumericalAbort where gamma is not invertible on the grid
-    (``DiffeoSample.check_invertible``), as for ``ad_matrix``.
+    It reads gamma only, but NumericalAbort where gamma is not invertible
+    on the grid (``DiffeoSample.check_invertible``, which builds gamma^-1
+    on first use), as for ``jacobi.lambda_matrix``.
     """
     d.check_invertible()
     return basis.coords_half(basis.compose(d.forward))
-
-
-def ad_matrix(d, basis: GalerkinBasis) -> np.ndarray:
-    """Matrix of Ad_gamma v = grad_perp(psi_v o gamma^-1) in basis coords."""
-    d.check_invertible()
-    return basis.coords_half(basis.compose(d.inverse))
 
 
 def delta_inf(record: GeodesicRecord, cutoff: int = 6) -> float:

@@ -36,8 +36,6 @@ class MeanNonzeroError(ValueError):
 
 TWO_PI = 2.0 * np.pi
 
-_GRID_CACHE: dict[int, "SpectralGrid"] = {}
-
 
 class SpectralGrid:
     """Uniform N x N grid on [0, 2pi)^2 with cached wavenumber arrays.
@@ -92,12 +90,10 @@ class SpectralGrid:
         return f"SpectralGrid(n={self.n})"
 
 
+@functools.cache
 def grid(n: int) -> SpectralGrid:
     """Shared grid instance for resolution ``n``."""
-    g = _GRID_CACHE.get(n)
-    if g is None:
-        g = _GRID_CACHE[n] = SpectralGrid(n)
-    return g
+    return SpectralGrid(n)
 
 
 def _check_same_grid(a, b):
@@ -266,9 +262,8 @@ def _fourier_eval(coeff: np.ndarray, g: SpectralGrid, x: np.ndarray,
 # refinement factor of the grid that carries the quintic spline
 SPLINE_UPSAMPLE = 4
 
-_QUINTIC_INV_SYMBOL: dict[int, np.ndarray] = {}
 
-
+@functools.cache
 def _quintic_inv_symbol(m: int) -> np.ndarray:
     """1 / B(w) in FFT order, B(w) = (66 + 52 cos w + 2 cos 2w) / 120, w = 2 pi k / m.
 
@@ -276,12 +271,9 @@ def _quintic_inv_symbol(m: int) -> np.ndarray:
     grid, so dividing by it is the periodic spline prefilter (Unser,
     "Splines: a perfect fit", IEEE SPM 1999).
     """
-    inv = _QUINTIC_INV_SYMBOL.get(m)
-    if inv is None:
-        w = TWO_PI * np.fft.fftfreq(m)
-        inv = 120.0 / (66.0 + 52.0 * np.cos(w) + 2.0 * np.cos(2.0 * w))
-        inv.flags.writeable = False
-        _QUINTIC_INV_SYMBOL[m] = inv
+    w = TWO_PI * np.fft.fftfreq(m)
+    inv = 120.0 / (66.0 + 52.0 * np.cos(w) + 2.0 * np.cos(2.0 * w))
+    inv.flags.writeable = False
     return inv
 
 

@@ -1,9 +1,11 @@
 """Shared fixtures: one moderately expensive geodesic reused across tests."""
 
+import sys
+
 import numpy as np
 import pytest
 
-from sqglab import euler_arnold, jacobi
+from sqglab import euler_arnold, flow, jacobi
 from sqglab.presets import initial_stream
 from sqglab.spectral import grid
 
@@ -48,3 +50,18 @@ def _densify(blocks):
 @pytest.fixture
 def densify():
     return _densify
+
+
+@pytest.fixture
+def inversions(monkeypatch):
+    """The forward maps passed to ``flow.invert``, one entry per call, at every lookup site."""
+    calls, invert = [], flow.invert
+
+    def counted(fwd, *args):
+        calls.append(fwd)
+        return invert(fwd, *args)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("sqglab") and getattr(mod, "invert", None) is invert:
+            monkeypatch.setattr(mod, "invert", counted)
+    return calls

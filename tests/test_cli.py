@@ -14,7 +14,8 @@ import sqglab
 from sqglab import cli, euler_arnold, morse, sphere
 from sqglab.cli import ConfigError, RunConfig, main, parse_config
 from sqglab.spectral import load_field
-from sqglab.flow import NumericalAbort, load_flowmap
+from sqglab.flow import FlowMap, NumericalAbort, load_flowmap
+from sqglab.group_ops import DiffeoSample
 
 
 def test_parse_config_basic():
@@ -106,6 +107,29 @@ def test_aborted_simulate_keeps_streamed_diagnostics(tmp_path, monkeypatch, caps
     assert [float(row.split(",")[0]) for row in diag[1:]] == [0.0, 5e-3]
     assert load_field(tmp_path / "theta_last.gsqg").grid.n == 32
     assert not (tmp_path / "theta_final.gsqg").exists()
+
+
+def test_simulate_command_builds_no_inverse(tmp_path, inversions):
+    rc = main(["simulate", "--set", "N=32", "--set", "dt=5e-3", "--set", "t_final=0.05",
+               "--set", "ic=random:1:4", "--set", "snapshot_stride=2", "--out", str(tmp_path)])
+    assert rc == 0 and inversions == []
+
+
+def test_exit_code_3_on_folded_flow_map(tmp_path, monkeypatch, capsys):
+    # the record's last map folds (det D gamma = 1 + 1.05 cos x) while Newton converges
+    def folded(psi0, config):
+        rec = euler_arnold.simulate(psi0, config)
+        g = psi0.grid
+        fwd = FlowMap(g, 1.05 * np.sin(g.x), np.zeros((g.n, g.n)))
+        rec.diffeos[-1] = DiffeoSample(fwd, rec.times[-1])
+        return rec
+
+    monkeypatch.setattr(cli, "simulate", folded)
+    rc = main(["jacobi", "--set", "N=32", "--set", "dt=5e-3", "--set", "t_final=0.01",
+               "--set", "snapshot_stride=1", "--set", "K=3", "--out", str(tmp_path)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "gamma at t = 0.01 (N = 32) has min det D gamma = -5.000e-02 <= 0" in err
 
 
 def test_exit_code_4_on_coverage(tmp_path, capsys):

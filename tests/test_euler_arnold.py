@@ -172,3 +172,9 @@ def test_simulate_flows_invert_each_other():
 
     d = rec.diffeos[-1]
     assert inverse_consistency(d.forward, d.inverse) < 1e-5
+
+
+def test_simulate_builds_no_inverse(inversions):
+    cfg = ea.SolverConfig(beta=0.5, dt=5e-3, t_final=0.05, n=32, snapshot_stride=2)
+    rec = ea.simulate(initial_stream("random:1:4", grid(32)), cfg)
+    assert len(rec.diffeos) == 6 and inversions == []

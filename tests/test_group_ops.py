@@ -1,9 +1,10 @@
-"""Adjoint/coadjoint actions and the Lambda operator family."""
+"""Adjoint/coadjoint actions, and Lambda(t) against their composition."""
 
 import numpy as np
 import pytest
 
-from sqglab.flow import FlowMap, NumericalAbort, invert, jacobian
+from sqglab import jacobi
+from sqglab.flow import FlowMap, NumericalAbort, jacobian
 from sqglab.group_ops import (
     DiffeoSample,
     ad_bracket,
@@ -11,8 +12,6 @@ from sqglab.group_ops import (
     coadjoint_algebra,
     coadjoint_group,
     compose_stream,
-    lambda_apply,
-    lambda_inverse_apply,
 )
 from sqglab.presets import random_stream
 from sqglab.spectral import (
@@ -23,7 +22,6 @@ from sqglab.spectral import (
     grid,
     inner_product_beta,
     interpolate,
-    norm_beta,
     poisson_bracket,
 )
 
@@ -58,6 +56,14 @@ def _coadjoint_group_l2route(eta, u, beta):
 def _lambda_composed(d, v, beta):
     """Reference Lambda(t) v as the composition Ad*_gamma (Ad_gamma v) of the two actions."""
     return coadjoint_group(d, adjoint(d, v), beta)
+
+
+def _lambda_columns(d, beta, basis):
+    """The Lambda(t) matrix column by column from ``_lambda_composed`` on each basis field."""
+    eye = np.eye(basis.dim)
+    return np.column_stack([
+        basis.coords_of(_lambda_composed(d, basis.vector_of(eye[j]), beta).stream)
+        for j in range(basis.dim)])
 
 
 @pytest.fixture(scope="module")
@@ -139,25 +145,23 @@ def test_compose_stream_identity_and_mean():
 
 @pytest.mark.parametrize("beta", BETAS)
 def test_lambda_fused_matches_composed(beta, diffeo):
-    g = grid(64)
-    v = gradient_perp(random_stream(g, 37, 5))
-    a = lambda_apply(diffeo, v, beta)
-    b = _lambda_composed(diffeo, v, beta)
-    rel = (np.max(np.abs(a.stream.coeff - b.stream.coeff))
-           / np.max(np.abs(a.stream.coeff)))
+    # the Gram matrix of jacobi.lambda_matrix against Ad* Ad of the field operators
+    basis = jacobi.make_basis(grid(64), 5, beta)
+    a = jacobi.lambda_matrix(diffeo, beta, basis).matrix
+    b = _lambda_columns(diffeo, beta, basis)
+    rel = np.max(np.abs(a - b)) / np.max(np.abs(a))
     assert rel < 1e-8
 
 
 @pytest.mark.parametrize("beta", BETAS)
 def test_lambda_positive_and_invertible(beta, diffeo):
-    g = grid(64)
-    v = gradient_perp(random_stream(g, 41, 4))
-    lv = lambda_apply(diffeo, v, beta)
-    quad = inner_product_beta(v.stream, lv.stream, beta)
-    assert quad > 0.1 * norm_beta(v.stream, beta) ** 2
-    back = lambda_inverse_apply(diffeo, lv, beta)
-    rel = norm_beta(back.stream - v.stream, beta) / norm_beta(v.stream, beta)
-    # composition/truncation error dominates the roundtrip at K <= 4 data
+    basis = jacobi.make_basis(grid(64), 4, beta)
+    x = np.random.default_rng(41).normal(size=basis.dim)
+    lam = jacobi.lambda_matrix(diffeo, beta, basis)
+    lx = lam.matrix @ x
+    assert x @ lx > 0.1 * x @ x  # the basis is beta-orthonormal: |x| = ||v||_beta
+    back = jacobi.lambda_inverse(lam) @ lx
+    rel = np.linalg.norm(back - x) / np.linalg.norm(x)
     assert rel < 1e-4
 
 
@@ -165,22 +169,16 @@ def test_lambda_at_identity_is_identity():
     g = grid(32)
     d = DiffeoSample.identity(g)
     v = gradient_perp(random_stream(g, 43, 4))
-    out = lambda_apply(d, v, 0.5)
+    out = _lambda_composed(d, v, 0.5)
     assert np.max(np.abs(out.stream.coeff - v.stream.coeff)) < 1e-12
 
 
 def test_field_operators_refuse_an_unconverged_inverse():
     # x + 1.5 sin x folds back where 1 + 1.5 cos x < 0: Newton leaves a large residual
     g = grid(32)
-    fwd = FlowMap(g, 1.5 * np.sin(g.x), np.zeros((g.n, g.n)))
-    inv, residual = invert(fwd, FlowMap.identity(g))
-    assert residual > 1e-3
-    d = DiffeoSample(fwd, inv, 1.0, residual)
+    d = DiffeoSample(FlowMap(g, 1.5 * np.sin(g.x), np.zeros((g.n, g.n))), 1.0)
+    assert d.residual > 1e-3
     v = gradient_perp(random_stream(g, 7, 4))
-    match = rf"t = 1 \(N = 32\) has residual {residual:.3e}"
+    match = rf"t = 1 \(N = 32\) has residual {d.residual:.3e}"
     with pytest.raises(NumericalAbort, match=match):
         adjoint(d, v)
-    with pytest.raises(NumericalAbort, match=match):
-        lambda_apply(d, v, 0.5)
-    with pytest.raises(NumericalAbort, match=match):
-        lambda_inverse_apply(d, v, 0.5)

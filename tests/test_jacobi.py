@@ -10,8 +10,8 @@ from scipy.optimize import minimize_scalar
 
 from sqglab import jacobi, morse, sphere
 from sqglab.euler_arnold import GeodesicRecord, SolverConfig, simulate
-from sqglab.flow import FlowMap, NumericalAbort, invert
-from sqglab.group_ops import DiffeoSample, coadjoint_algebra
+from sqglab.flow import FlowMap, NumericalAbort
+from sqglab.group_ops import DiffeoSample, adjoint, coadjoint_algebra
 from sqglab.presets import initial_stream, random_stream
 from sqglab.spectral import (
     TWO_PI,
@@ -291,17 +291,21 @@ def test_lambda_matrix_matches_two_composition_reference(random_record):
         assert _rel_err(lam.matrix, _lambda_reference(d, 0.5, basis)) < 1e-10
 
 
+def _folded_record(amplitude):
+    """A two-snapshot record whose map at t = 1 is x -> x + amplitude sin x on N = 32."""
+    g = grid(32)
+    d = DiffeoSample(FlowMap(g, amplitude * np.sin(g.x), np.zeros((g.n, g.n))), 1.0)
+    return GeodesicRecord(SolverConfig(n=32), random_stream(g, 1, 4), [0.0, 1.0],
+                          diffeos=[DiffeoSample.identity(g), d])
+
+
 def test_non_invertible_map_refused():
     # x + 1.5 sin x folds back where 1 + 1.5 cos x < 0: Newton leaves a large residual
-    g = grid(32)
-    fwd = FlowMap(g, 1.5 * np.sin(g.x), np.zeros((g.n, g.n)))
-    inv, residual = invert(fwd, FlowMap.identity(g))
-    assert residual > 1e-3
-    d = DiffeoSample(fwd, inv, 1.0, residual)
-    record = GeodesicRecord(SolverConfig(n=32), random_stream(g, 1, 4), [0.0, 1.0],
-                            diffeos=[DiffeoSample.identity(g), d])
-    basis = jacobi.make_basis(g, 4, 0.5)
-    match = rf"t = 1 \(N = 32\) has residual {residual:.3e}"
+    record = _folded_record(1.5)
+    d = record.diffeos[-1]
+    assert d.residual > 1e-3
+    basis = jacobi.make_basis(d.forward.grid, 4, 0.5)
+    match = rf"t = 1 \(N = 32\) has residual {d.residual:.3e}"
     with pytest.raises(NumericalAbort, match=match):
         jacobi.lambda_samples(record, basis, 0.5)
     with pytest.raises(NumericalAbort, match=match):
@@ -310,14 +314,45 @@ def test_non_invertible_map_refused():
         morse.delta_inf(record, cutoff=4)
 
 
+def test_folded_map_refused_although_newton_converges():
+    # x + 1.05 sin x folds where 1 + 1.05 cos x < 0, yet Newton from x = y meets the
+    # residual tolerance at every grid point: only det D gamma shows the fold
+    record = _folded_record(1.05)
+    d = record.diffeos[-1]
+    assert d.residual < 1e-12
+    assert abs(d.min_det + 0.05) < 1e-12
+    basis = jacobi.make_basis(d.forward.grid, 4, 0.5)
+    v = basis.vector_of(np.eye(basis.dim)[0])
+    match = r"gamma at t = 1 \(N = 32\) has min det D gamma = -5\.000e-02 <= 0"
+    with pytest.raises(NumericalAbort, match=match):
+        jacobi.lambda_samples(record, basis, 0.5)
+    with pytest.raises(NumericalAbort, match=match):
+        morse.ad_inverse_matrix(d, basis)
+    with pytest.raises(NumericalAbort, match=match):
+        morse.delta_inf(record, cutoff=4)
+    with pytest.raises(NumericalAbort, match=match):
+        adjoint(d, v)
+
+
+def test_lambda_samples_build_each_inverse_once(inversions):
+    g = grid(32)
+    cfg = SolverConfig(beta=0.5, dt=5e-3, t_final=0.02, n=32, snapshot_stride=2)
+    record = simulate(initial_stream("random:1:4", g), cfg)
+    assert inversions == []
+    basis = jacobi.make_basis(g, 4, 0.5)
+    first = jacobi.lambda_samples(record, basis, 0.5)
+    again = jacobi.lambda_samples(record, basis, 0.5)
+    assert [id(f) for f in inversions] == [id(d.forward) for d in record.diffeos]
+    assert all(np.array_equal(a.matrix, b.matrix) for a, b in zip(first, again))
+
+
 def test_adjoint_matrices_match_fourier_composition(random_record):
     g = grid(64)
     basis = jacobi.make_basis(g, 6, 0.5)
     d = random_record.diffeos[-1]
-    for got, fm in ((morse.ad_matrix(d, basis), d.inverse),
-                    (morse.ad_inverse_matrix(d, basis), d.forward)):
-        want = basis.coords_many(_compose_many(_stream_stack(basis), g, fm))
-        assert _rel_err(got, want) < 1e-10
+    got = morse.ad_inverse_matrix(d, basis)
+    want = basis.coords_many(_compose_many(_stream_stack(basis), g, d.forward))
+    assert _rel_err(got, want) < 1e-10
 
 
 def test_lambda_matrix_spd_on_geodesic(shear_record, shear_basis, shear_lambdas):
