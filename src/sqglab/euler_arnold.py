@@ -35,7 +35,8 @@ from .spectral import (
     gradient_perp,
     inner_product_beta,
     poisson_bracket,
-    _spline_coefficients,
+    _spline_buffers,
+    _spline_coefficients_into,
     _spline_eval,
 )
 
@@ -157,6 +158,9 @@ def simulate(psi0: ScalarField, config: SolverConfig,
     ``on_snapshot(row)``, so a caller can stream it out.  On a numerical
     abort the last good snapshot is kept in the record and
     ``on_abort(record)`` is invoked before the exception propagates.
+    The stage spline grids of every step are built in one pair of buffers
+    (``_spline_buffers``) allocated here, so the working memory of the loop
+    does not grow with the stages a step holds.
     """
     config.validate()
     if abs(psi0.mean()) > 1e-13:
@@ -167,6 +171,7 @@ def simulate(psi0: ScalarField, config: SolverConfig,
     fwd = FlowMap.identity(g)
     record = GeodesicRecord(config=config, psi0=psi0)
     nsteps = whole_steps(config.t_final, config.dt)
+    buffers = _spline_buffers(g.n)
 
     def snapshot(t, th, fw):
         record.times.append(t)
@@ -180,7 +185,7 @@ def simulate(psi0: ScalarField, config: SolverConfig,
     snapshot(0.0, theta, fwd)
     try:
         for step in range(nsteps):
-            theta, fwd = _joint_rk4_step(theta, fwd, config)
+            theta, fwd = _joint_rk4_step(theta, fwd, config, buffers)
             t = (step + 1) * config.dt
             if not np.all(np.isfinite(theta.coeff)):
                 raise NumericalAbort(f"non-finite theta at t = {t:.6g}")
@@ -194,33 +199,36 @@ def simulate(psi0: ScalarField, config: SolverConfig,
     return record
 
 
-def _joint_rk4_step(theta, fwd, config):
+def _joint_rk4_step(theta, fwd, config, buffers):
     """One RK4 step of theta; the particle map takes the same stages.
 
     Each stage computes the stream of its theta once, for its velocity and
     its bracket.  The CFL limit is checked on the velocity of every stage,
-    stage 0 being the start of the step.  Each stage velocity is also
-    turned into quintic spline coefficients on a grid ``SPLINE_UPSAMPLE``
-    times finer (the prefilter folded into the spectral upsampling), which
-    the particle stages sample; this keeps particle advection cheap without
-    giving up spectral accuracy of the underlying field.
+    stage 0 being the start of the step.  A stage keeps only its packed
+    velocity spectrum ux + i uy (N x N).  Just before the particle stage i
+    samples it, that spectrum is turned into quintic spline coefficients on
+    a grid ``SPLINE_UPSAMPLE`` times finer (the prefilter folded into the
+    spectral upsampling), written into ``buffers``, the (N, m) row and
+    (m, m) grid pair of ``_spline_buffers`` that the next stage overwrites.
+    This keeps particle advection cheap, and one grid alive at a time,
+    without giving up spectral accuracy of the underlying field.
     """
     beta, dt = config.beta, config.dt
     n = theta.grid.n
-    coef = []
+    packed_stages = []
 
     def theta_rhs(i, y):
         psi = stream_of(y[0], beta)
         _, packed = _stage_velocity(y[0], beta, psi)
         speed = float(np.max(np.abs(np.fft.ifft2(packed)))) * n**2
         _check_speed(speed, n, dt, f"in RK4 stage {i}" if i else "at the start of the step")
-        coef.append(_spline_coefficients(packed))
+        packed_stages.append(packed)
         return (poisson_bracket(psi, y[0]),)
 
     (theta_next,) = _rk4(theta_rhs, (theta,), dt)
 
     def velocity(i, x, y):
-        (u,) = _spline_eval((coef[i],), x, y)
+        (u,) = _spline_eval((_spline_coefficients_into(packed_stages[i], *buffers),), x, y)
         return u.real, u.imag
 
     return theta_next, advance_forward(fwd, velocity, dt)

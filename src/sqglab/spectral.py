@@ -229,6 +229,13 @@ def poisson_bracket(f: ScalarField, g_: ScalarField) -> ScalarField:
 # ---------------------------------------------------------------------------
 # interpolation
 
+def _phases(k: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = exp(i k x), the (k.size, x.size) phase table, built in place."""
+    np.multiply(k[:, None], x, out=out)
+    out *= 1j
+    return np.exp(out, out=out)
+
+
 def _fourier_eval(coeff: np.ndarray, g: SpectralGrid, x: np.ndarray,
                   y: np.ndarray) -> np.ndarray:
     """Direct Fourier evaluation of stacked coefficient arrays at points.
@@ -236,7 +243,12 @@ def _fourier_eval(coeff: np.ndarray, g: SpectralGrid, x: np.ndarray,
     coeff has shape (..., N, N); returns real values of shape (..., P).
     Only the rows and columns of the spectrum that hold a non-zero
     coefficient in some array are summed, so a field in the 2/3 band costs
-    (2/3)^2 of a full-spectrum one.
+    (2/3)^2 of a full-spectrum one.  The sum runs over chunks of
+    ``SPLINE_CHUNK`` points.  Its phase tables exp(i k x) and exp(i k y) and
+    its product of up to 16 arrays with the second live in three buffers
+    allocated once per call and reused by every chunk (0.7 MB each at
+    N = 64 and 1.4 MB at N = 128 for one field in the band), however many
+    points are asked for.
     """
     chunk = 16  # arrays per batched product
     n = g.n
@@ -246,16 +258,25 @@ def _fourier_eval(coeff: np.ndarray, g: SpectralGrid, x: np.ndarray,
     rows = np.flatnonzero(nz.any(axis=(0, 2)))
     cols = np.flatnonzero(nz.any(axis=(0, 1)))
     c = c[:, rows[:, None], cols]          # (m, R, S)
-    ex = np.exp(1j * np.outer(k[rows], x))  # (R, P)
-    ey = np.exp(1j * np.outer(k[cols], y))  # (S, P)
     m = c.shape[0]
+    size = min(x.size, SPLINE_CHUNK)
+    # flat, so a chunk of q points works on a contiguous (., q) part of each
+    bufs = [np.empty(r * size, dtype=complex)
+            for r in (rows.size, cols.size, min(m, chunk) * rows.size)]
     out = np.empty((m, x.size))
-    for i0 in range(0, m, chunk):
-        blk = c[i0:i0 + chunk]                      # (b, R, S)
-        b = blk.shape[0]
-        tmp = blk.reshape(b * rows.size, cols.size) @ ey  # (b*R, P)
-        tmp = tmp.reshape(b, rows.size, x.size)
-        out[i0:i0 + chunk] = np.einsum("kp,bkp->bp", ex, tmp).real
+    for p0 in range(0, x.size, SPLINE_CHUNK):
+        pts = slice(p0, p0 + SPLINE_CHUNK)
+        q = x[pts].size
+        ex, ey, prod = (buf[:buf.size // size * q].reshape(-1, q) for buf in bufs)
+        _phases(k[rows], x[pts], ex)               # (R, q)
+        _phases(k[cols], y[pts], ey)               # (S, q)
+        for i0 in range(0, m, chunk):
+            blk = c[i0:i0 + chunk]                  # (b, R, S)
+            b = blk.shape[0]
+            tmp = np.matmul(blk.reshape(b * rows.size, cols.size), ey,
+                            out=prod[:b * rows.size])  # (b*R, q)
+            tmp = tmp.reshape(b, rows.size, q)
+            out[i0:i0 + chunk, pts] = np.einsum("kp,bkp->bp", ex, tmp).real
     return out.reshape(coeff.shape[:-2] + (x.size,))
 
 
@@ -277,30 +298,48 @@ def _quintic_inv_symbol(m: int) -> np.ndarray:
     return inv
 
 
-def _spline_coefficients(coeff: np.ndarray) -> np.ndarray:
-    """Periodic quintic B-spline coefficients of a field on a finer grid.
+def _spline_buffers(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Uninitialised (N, m) row and (m, m) grid buffers of ``_spline_coefficients_into``."""
+    m = SPLINE_UPSAMPLE * n
+    return np.empty((n, m), dtype=complex), np.empty((m, m), dtype=complex)
+
+
+def _spline_coefficients_into(coeff: np.ndarray, rows: np.ndarray,
+                              out: np.ndarray) -> np.ndarray:
+    """Periodic quintic B-spline coefficients of a field on a finer grid, in place.
 
     The N x N spectrum is zero-padded to m = SPLINE_UPSAMPLE * N and divided
     by the separable B-spline symbol, so the spline through the refined
     samples is evaluated by ``_spline_eval``.  Only N of the m rows carry
-    modes: the inverse transform runs along axis 1 on those rows, then
-    along axis 0.  Complex (m, m) result; a packed field a + i b gives the
-    coefficients of a in the real and of b in the imaginary part.
+    modes: the inverse transform runs along axis 1 on those rows, in the
+    (N, m) buffer ``rows``, then along axis 0 in the (m, m) buffer ``out``,
+    which is returned.  Both buffers (``_spline_buffers``) are overwritten
+    whatever they held, so one pair serves every stage of a run.  A packed
+    field a + i b gives the coefficients of a in the real and of b in the
+    imaginary part.
     """
     n = coeff.shape[-1]
-    m = SPLINE_UPSAMPLE * n
+    m = out.shape[0]
     half = n // 2
     idx = np.r_[0:half, m - half:m]
     inv = _quintic_inv_symbol(m)[idx]
-    rows = np.zeros((n, m), dtype=complex)
+    rows[:, half:m - half] = 0.0
     rows[:, idx] = coeff * inv
-    full = np.zeros((m, m), dtype=complex)
-    full[idx] = np.fft.ifft(rows, axis=1, norm="forward") * inv[:, None]
-    return np.fft.ifft(full, axis=0, norm="forward")
+    np.fft.ifft(rows, axis=1, norm="forward", out=rows)
+    np.multiply(rows[:half], inv[:half, None], out=out[:half])
+    np.multiply(rows[half:], inv[half:, None], out=out[m - half:])
+    out[half:m - half] = 0.0
+    return np.fft.ifft(out, axis=0, norm="forward", out=out)
 
 
-# points per pass of the spline sampler; its workspace, about 1.5 kB per
-# point, is allocated once and reused by every call
+def _spline_coefficients(coeff: np.ndarray) -> np.ndarray:
+    """``_spline_coefficients_into`` on fresh buffers: a complex (m, m) grid of its own."""
+    return _spline_coefficients_into(coeff, *_spline_buffers(coeff.shape[-1]))
+
+
+# points per pass of the spline sampler and of the direct Fourier sum; the
+# sampler's workspace, about 1.5 kB per point, is allocated once and reused
+# by every call
 SPLINE_CHUNK = 1024
 
 # row j: the quintic B-spline weight of tap floor(u) - 2 + j as the

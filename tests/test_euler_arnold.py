@@ -1,5 +1,7 @@
 """Geodesic time stepping: right-hand side, conservation, reference solver."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -178,3 +180,22 @@ def test_simulate_builds_no_inverse(inversions):
     cfg = ea.SolverConfig(beta=0.5, dt=5e-3, t_final=0.05, n=32, snapshot_stride=2)
     rec = ea.simulate(initial_stream("random:1:4", grid(32)), cfg)
     assert len(rec.diffeos) == 6 and inversions == []
+
+
+@pytest.mark.parametrize("n, limit_mib", [(64, 5), (128, 16)])
+def test_simulate_working_memory_is_bounded(n, limit_mib):
+    # a second, warmed call: 4 steps and one transport check (the snapshot at
+    # t = 0 has none); one (m, m) stage grid, m = 4 N, is 1 MiB at N = 64 and
+    # 4 MiB at N = 128
+    psi0 = initial_stream("random:3:4", grid(n))
+    cfg = ea.SolverConfig(beta=0.5, dt=1e-3, t_final=4e-3, n=n, snapshot_stride=4)
+    ea.simulate(psi0, cfg)
+    tracemalloc.start()
+    try:
+        rec = ea.simulate(psi0, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rec.times == [0.0, 4e-3]
+    assert rec.diagnostics_rows[-1]["transport_residual"] > 0.0
+    assert peak < limit_mib * 2**20, f"peak {peak / 2**20:.1f} MiB"

@@ -23,7 +23,9 @@ from sqglab.spectral import (
     poisson_bracket,
     save_field,
     _fourier_eval,
+    _spline_buffers,
     _spline_coefficients,
+    _spline_coefficients_into,
     _spline_eval,
 )
 
@@ -158,6 +160,27 @@ def test_fourier_eval_matches_the_untrimmed_sum():
     assert np.array_equal(_fourier_eval(np.zeros((64, 64)), g, x, y), np.zeros(x.size))
 
 
+def test_fourier_eval_point_chunks_equal_split_calls():
+    # two full point chunks and a partial one; the 20-field stack also
+    # crosses the 16-array chunk
+    g = grid(64)
+    count = 2 * SPLINE_CHUNK + 517
+    pts = np.random.default_rng(34).uniform(0, 2 * np.pi, size=(count, 2))
+    x, y = pts[:, 0], pts[:, 1]
+    one = random_field(g, 35, kmax=g.cutoff).coeff
+    stack = np.stack([random_field(g, 36 + s, kmax=12).coeff for s in range(20)])
+    k = np.fft.fftfreq(g.n, d=1.0 / g.n)
+    ex, ey = np.exp(1j * np.outer(k, x)), np.exp(1j * np.outer(k, y))
+    split = SPLINE_CHUNK + 300  # the sub-range calls chunk at other points
+    for c in (one, stack):
+        got = _fourier_eval(c, g, x, y)
+        parts = [_fourier_eval(c, g, x[s], y[s]) for s in (slice(0, split), slice(split, None))]
+        assert np.array_equal(got, np.concatenate(parts, axis=-1))
+        want = np.einsum("ap,...ab,bp->...p", ex, c, ey).real
+        assert got.shape == want.shape == c.shape[:-2] + (count,)
+        assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-13
+
+
 @pytest.mark.parametrize("kmax, tol", [(4, 1e-9), (21, 1e-5)], ids=["kmax4", "band"])
 def test_quintic_spline_close_to_fourier(kmax, tol):
     # kmax = 21 fills the 2/3 band of N = 64
@@ -225,6 +248,37 @@ def test_stage_sampler_matches_scipy_prefilter(n):
     (got,) = _spline_eval((_spline_coefficients(packed),), x, y)
     for a, b in zip((got.real, got.imag), want):
         assert np.max(np.abs(a - b)) / np.max(np.abs(b)) < 1e-13
+
+
+def _padded_prefilter(coeff):
+    """Spline coefficients by the zero-padded transform on fresh arrays."""
+    n = coeff.shape[0]
+    m = SPLINE_UPSAMPLE * n
+    idx = np.r_[0:n // 2, m - n // 2:m]
+    w = TWO_PI * np.fft.fftfreq(m)
+    inv = (120.0 / (66.0 + 52.0 * np.cos(w) + 2.0 * np.cos(2.0 * w)))[idx]
+    rows = np.zeros((n, m), dtype=complex)
+    rows[:, idx] = coeff * inv
+    full = np.zeros((m, m), dtype=complex)
+    full[idx] = np.fft.ifft(rows, axis=1, norm="forward") * inv[:, None]
+    return np.fft.ifft(full, axis=0, norm="forward")
+
+
+@pytest.mark.parametrize("n", [32, 64, 128])
+def test_stage_grid_buffers_equal_fresh_spline_coefficients(n):
+    # one buffer pair, first full of NaN, then holding the previous field
+    rows, out = _spline_buffers(n)
+    assert rows.shape == (n, SPLINE_UPSAMPLE * n)
+    assert out.shape == (SPLINE_UPSAMPLE * n, SPLINE_UPSAMPLE * n)
+    rows.fill(np.nan)
+    out.fill(np.nan)
+    rng = np.random.default_rng(n)
+    for _ in range(2):
+        coeff = rng.normal(size=(n, n, 2)) @ np.array([1.0, 1j])
+        got = _spline_coefficients_into(coeff, rows, out)
+        assert got is out
+        assert np.array_equal(got, _spline_coefficients(coeff))
+        assert np.array_equal(got, _padded_prefilter(coeff))
 
 
 def test_spline_grids_sampled_together_equal_one_at_a_time():
