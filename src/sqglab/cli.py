@@ -54,8 +54,6 @@ class RunConfig:
 def _validate(cfg: RunConfig):
     if cfg.N < 16 or cfg.N % 2:
         raise ConfigError("N must be an even integer >= 16")
-    if cfg.K < 2:
-        raise ConfigError("K must be >= 2")
     if cfg.n_max < 2:
         raise ConfigError("n_max must be >= 2")
     if cfg.delta <= 0:
@@ -208,9 +206,12 @@ def cmd_simulate(cfg: RunConfig, out: Path, phases: Phases) -> list[Path]:
 
 def cmd_jacobi(cfg: RunConfig, out: Path, phases: Phases) -> list[Path]:
     g = grid(cfg.N)
+    try:  # the basis rules on K, checked before any step is taken
+        basis = phases.run(jacobi.make_basis, g, cfg.K, cfg.beta)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     psi0 = initial_stream(cfg.ic, g)
     record = phases.run(simulate, psi0, _solver_config(cfg))
-    basis = phases.run(jacobi.make_basis, g, cfg.K, cfg.beta)
     lams = phases.run(jacobi.lambda_samples, record, basis, cfg.beta)
     k0 = phases.run(jacobi.k0_matrix, record.u0(), cfg.beta, basis)
     phi = phases.run(jacobi.evolve_phi, record, basis, cfg.beta, lambdas=lams, k0=k0)

@@ -119,10 +119,33 @@ def check_cfl(theta: ScalarField, beta: float, dt: float):
     _check_speed(max_speed(theta, beta), theta.grid.n, dt, "at the start of the step")
 
 
+def _theta_step(theta: ScalarField, beta: float, dt: float):
+    """One RK4 step of theta, and the packed velocity spectrum ux + i uy of each stage.
+
+    Each stage computes the stream of its theta once, for its bracket and its
+    velocity; one inverse FFT of the packed spectrum gives the speed that the
+    CFL check of every stage reads, stage 0 being the start of the step.
+    """
+    check_beta(beta)
+    n = theta.grid.n
+    packed_stages = []
+
+    def slope(i, y):
+        psi = stream_of(y[0], beta)
+        ux, uy = gradient_perp(psi).component_fields()
+        packed = ux.coeff + 1j * uy.coeff
+        speed = float(np.max(np.abs(np.fft.ifft2(packed)))) * n**2
+        _check_speed(speed, n, dt, f"in RK4 stage {i}" if i else "at the start of the step")
+        packed_stages.append(packed)
+        return (poisson_bracket(psi, y[0]),)
+
+    (theta_next,) = _rk4(slope, (theta,), dt)
+    return theta_next, packed_stages
+
+
 def step_rk4(theta: ScalarField, beta: float, dt: float) -> ScalarField:
-    """Classical 4-stage step of the scalar transport equation."""
-    check_cfl(theta, beta, dt)
-    (out,) = _rk4(lambda i, y: (rhs(y[0], beta),), (theta,), dt)
+    """Classical 4-stage step of the scalar transport equation (``_theta_step``)."""
+    out, _ = _theta_step(theta, beta, dt)
     if not np.all(np.isfinite(out.coeff)):
         raise NumericalAbort("non-finite coefficients after RK4 step")
     return out
@@ -132,19 +155,6 @@ def energy(theta: ScalarField, beta: float) -> float:
     """Kinetic energy of the geodesic, E = 1/2 <u, u>_beta."""
     psi = stream_of(theta, beta)
     return 0.5 * inner_product_beta(psi, psi, beta)
-
-
-def _stage_velocity(theta: ScalarField, beta: float, psi: ScalarField | None = None):
-    """Velocity components of a stage theta and their packed spectrum ux + i uy.
-
-    ``psi`` is the stream of theta when the caller already has it.  One
-    inverse FFT of the packed spectrum gives ux + i uy on the grid, so its
-    modulus is the speed the stage's CFL check reads.
-    """
-    if psi is None:
-        psi = stream_of(theta, beta)
-    ux, uy = gradient_perp(psi).component_fields()
-    return (ux, uy), ux.coeff + 1j * uy.coeff
 
 
 def simulate(psi0: ScalarField, config: SolverConfig,
@@ -190,8 +200,7 @@ def simulate(psi0: ScalarField, config: SolverConfig,
             if not np.all(np.isfinite(theta.coeff)):
                 raise NumericalAbort(f"non-finite theta at t = {t:.6g}")
             if (step + 1) % config.snapshot_stride == 0 or step == nsteps - 1:
-                if not record.times or record.times[-1] != t:
-                    snapshot(t, theta, fwd)
+                snapshot(t, theta, fwd)
     except NumericalAbort:
         if on_abort is not None:
             on_abort(record)
@@ -200,38 +209,24 @@ def simulate(psi0: ScalarField, config: SolverConfig,
 
 
 def _joint_rk4_step(theta, fwd, config, buffers):
-    """One RK4 step of theta; the particle map takes the same stages.
+    """One RK4 step of theta (``_theta_step``); the particle map takes the same stages.
 
-    Each stage computes the stream of its theta once, for its velocity and
-    its bracket.  The CFL limit is checked on the velocity of every stage,
-    stage 0 being the start of the step.  A stage keeps only its packed
-    velocity spectrum ux + i uy (N x N).  Just before the particle stage i
-    samples it, that spectrum is turned into quintic spline coefficients on
-    a grid ``SPLINE_UPSAMPLE`` times finer (the prefilter folded into the
-    spectral upsampling), written into ``buffers``, the (N, m) row and
-    (m, m) grid pair of ``_spline_buffers`` that the next stage overwrites.
-    This keeps particle advection cheap, and one grid alive at a time,
-    without giving up spectral accuracy of the underlying field.
+    Just before the particle stage i samples it, the packed velocity
+    spectrum ux + i uy of theta stage i is turned into quintic spline
+    coefficients on a grid ``SPLINE_UPSAMPLE`` times finer (the prefilter
+    folded into the spectral upsampling), written into ``buffers``, the
+    (N, m) row and (m, m) grid pair of ``_spline_buffers`` that the next
+    stage overwrites.  This keeps particle advection cheap, and one grid
+    alive at a time, without giving up spectral accuracy of the underlying
+    field.
     """
-    beta, dt = config.beta, config.dt
-    n = theta.grid.n
-    packed_stages = []
-
-    def theta_rhs(i, y):
-        psi = stream_of(y[0], beta)
-        _, packed = _stage_velocity(y[0], beta, psi)
-        speed = float(np.max(np.abs(np.fft.ifft2(packed)))) * n**2
-        _check_speed(speed, n, dt, f"in RK4 stage {i}" if i else "at the start of the step")
-        packed_stages.append(packed)
-        return (poisson_bracket(psi, y[0]),)
-
-    (theta_next,) = _rk4(theta_rhs, (theta,), dt)
+    theta_next, packed_stages = _theta_step(theta, config.beta, config.dt)
 
     def velocity(i, x, y):
         (u,) = _spline_eval((_spline_coefficients_into(packed_stages[i], *buffers),), x, y)
         return u.real, u.imag
 
-    return theta_next, advance_forward(fwd, velocity, dt)
+    return theta_next, advance_forward(fwd, velocity, config.dt)
 
 
 DIAG_HEADER = "t,energy,theta_l2,max_u,det_jac_err,transport_residual"

@@ -12,7 +12,6 @@ is kept only as the test oracle of ``invert``.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +27,7 @@ from .spectral import (
     grid,
     interpolate,
     read_checkpoint,
+    write_checkpoint,
 )
 
 
@@ -251,13 +251,9 @@ def transport_check(theta_t: ScalarField, fm: FlowMap, theta0: ScalarField) -> f
 
 
 def save_flowmap(path, fm: FlowMap):
-    """Checkpoint: magic "GSQGF", version, N, then 2 coefficient channels."""
+    """Bit-exact checkpoint of gamma's displacement, magic "GSQGF" (``write_checkpoint``)."""
     fx, fy = fm.displacement_fields()
-    with open(path, "wb") as fh:
-        fh.write(MAGIC_FLOW)
-        fh.write(struct.pack("<II", 1, fm.grid.n))
-        fh.write(np.ascontiguousarray(fx.coeff, dtype="<c16").tobytes())
-        fh.write(np.ascontiguousarray(fy.coeff, dtype="<c16").tobytes())
+    write_checkpoint(path, MAGIC_FLOW, [fx.coeff, fy.coeff])
 
 
 def load_flowmap(path) -> FlowMap:

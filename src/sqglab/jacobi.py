@@ -172,9 +172,10 @@ def make_basis(g: SpectralGrid, cutoff: int, beta: float) -> GalerkinBasis:
     """Half-lattice basis {cos(k.x), sin(k.x)} with unit beta norm."""
     check_beta(beta)
     if cutoff < 2:
-        raise ValueError("basis cutoff must be >= 2")
+        raise ValueError(f"basis cutoff K = {cutoff} must be >= 2")
     if cutoff > g.cutoff:
-        raise ValueError(f"basis cutoff {cutoff} exceeds dealias cutoff {g.cutoff}")
+        raise ValueError(f"basis cutoff K = {cutoff} exceeds the dealias cutoff "
+                         f"N // 3 = {g.cutoff} (N = {g.n})")
     r = np.arange(-cutoff, cutoff + 1)
     kx, ky = np.meshgrid(r, r, indexing="ij")  # kx-major, as the rows of the table
     # 0 < |k| <= K, one representative per +-k pair
@@ -188,7 +189,6 @@ class OperatorSample:
 
     t: float
     matrix: np.ndarray
-    role: str  # Lambda | K0 | Phi | Omega | Gamma
 
 
 def k0_matrix(u0: VectorFieldExact, beta: float, basis: GalerkinBasis) -> OperatorSample:
@@ -217,7 +217,7 @@ def k0_matrix(u0: VectorFieldExact, beta: float, basis: GalerkinBasis) -> Operat
     dk = (k[:, None] - k[None, :]) % g.n
     terms = (np.conj(c)[:, None] * c[None, :] * cross * s[dk[..., 0], dk[..., 1]]).real
     m = terms.reshape(2, basis.dim, 2, basis.dim).sum(axis=(0, 2)) * TWO_PI**2
-    return OperatorSample(0.0, 0.5 * (m - m.T), "K0")
+    return OperatorSample(0.0, 0.5 * (m - m.T))
 
 
 def lambda_matrix(d: DiffeoSample, beta: float, basis: GalerkinBasis) -> OperatorSample:
@@ -235,7 +235,7 @@ def lambda_matrix(d: DiffeoSample, beta: float, basis: GalerkinBasis) -> Operato
     a = basis.compose(d.inverse)
     a *= np.sqrt(_band_weight(basis.grid, 1.0 - beta / 2.0))  # in place: no second copy
     b = a.reshape(basis.dim, -1).view(float)  # real and imaginary parts side by side
-    return OperatorSample(d.t, (b @ b.T) * TWO_PI**2, "Lambda")
+    return OperatorSample(d.t, (b @ b.T) * TWO_PI**2)
 
 
 def lambda_inverse(sample: OperatorSample) -> np.ndarray:
@@ -324,7 +324,7 @@ def evolve_phi(record: GeodesicRecord, basis: GalerkinBasis, beta: float,
     d = basis.dim
 
     phi = np.zeros((d, d))
-    out = [OperatorSample(0.0, phi, "Phi")]
+    out = [OperatorSample(0.0, phi)]
     for t, (h, mu, x) in zip(times[1:], _segments(times, lambdas)):
         xk = x.T @ k0.matrix
         a, b = xk @ x, x.T - xk @ phi  # X^T K0 X and X^T (I - K0 Phi_i)
@@ -334,7 +334,7 @@ def evolve_phi(record: GeodesicRecord, basis: GalerkinBasis, beta: float,
             (u,) = _rk4(lambda i, y: ((b - a @ y[0]) / (1.0 - s[i] + s[i] * mu)[:, None],),
                         (u,), h / PHI_SUBSTEPS)
         phi = phi + x @ u
-        out.append(OperatorSample(t, phi, "Phi"))
+        out.append(OperatorSample(t, phi))
     return out
 
 
@@ -372,8 +372,8 @@ def omega_gamma_split(record: GeodesicRecord, basis: GalerkinBasis, beta: float,
         denom = np.linalg.norm(phi[i])
         if denom > 0:
             resid = max(resid, np.linalg.norm(phi[i] - omega[i] - gamma[i]) / denom)
-    om = [OperatorSample(t, o, "Omega") for t, o in zip(times, omega)]
-    ga = [OperatorSample(t, g_, "Gamma") for t, g_ in zip(times, gamma)]
+    om = [OperatorSample(t, o) for t, o in zip(times, omega)]
+    ga = [OperatorSample(t, g_) for t, g_ in zip(times, gamma)]
     return om, ga, float(resid)
 
 

@@ -44,9 +44,8 @@ def _random_args(spec: str) -> tuple[int, int]:
     return seed, kmax
 
 
-def random_stream(g: SpectralGrid, seed: int, kmax: int,
-                  max_speed: float = 1.0) -> ScalarField:
-    """Random real field supported on 0 < |k| <= kmax, smooth amplitudes."""
+def random_stream(g: SpectralGrid, seed: int, kmax: int) -> ScalarField:
+    """Random real field supported on 0 < |k| <= kmax, smooth amplitudes, unit maximum speed."""
     rng = np.random.default_rng(seed)
     c = np.zeros((g.n, g.n), dtype=complex)
     for kx in range(0, kmax + 1):
@@ -61,5 +60,5 @@ def random_stream(g: SpectralGrid, seed: int, kmax: int,
     psi = ScalarField(g, c)
     speed = gradient_perp(psi).max_speed()
     if speed > 0:
-        psi = psi * (max_speed / speed)
+        psi = psi * (1.0 / speed)
     return psi

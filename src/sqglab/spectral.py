@@ -116,8 +116,8 @@ class ScalarField:
         return cls(g, c)
 
     @classmethod
-    def from_function(cls, g: SpectralGrid, fn, zero_mean: bool = True):
-        return cls.from_values(g, fn(g.x, g.y), zero_mean=zero_mean)
+    def from_function(cls, g: SpectralGrid, fn):
+        return cls.from_values(g, fn(g.x, g.y))
 
     @classmethod
     def zero(cls, g: SpectralGrid):
@@ -245,12 +245,11 @@ def _fourier_eval(coeff: np.ndarray, g: SpectralGrid, x: np.ndarray,
     coefficient in some array are summed, so a field in the 2/3 band costs
     (2/3)^2 of a full-spectrum one.  The sum runs over chunks of
     ``SPLINE_CHUNK`` points.  Its phase tables exp(i k x) and exp(i k y) and
-    its product of up to 16 arrays with the second live in three buffers
+    the product of every array with the second live in three buffers
     allocated once per call and reused by every chunk (0.7 MB each at
-    N = 64 and 1.4 MB at N = 128 for one field in the band), however many
-    points are asked for.
+    N = 64 and 1.4 MB at N = 128 for one field in the band, the product's
+    times the number of arrays), however many points are asked for.
     """
-    chunk = 16  # arrays per batched product
     n = g.n
     k = np.fft.fftfreq(n, d=1.0 / n)
     c = coeff.reshape(-1, n, n)
@@ -262,7 +261,7 @@ def _fourier_eval(coeff: np.ndarray, g: SpectralGrid, x: np.ndarray,
     size = min(x.size, SPLINE_CHUNK)
     # flat, so a chunk of q points works on a contiguous (., q) part of each
     bufs = [np.empty(r * size, dtype=complex)
-            for r in (rows.size, cols.size, min(m, chunk) * rows.size)]
+            for r in (rows.size, cols.size, m * rows.size)]
     out = np.empty((m, x.size))
     for p0 in range(0, x.size, SPLINE_CHUNK):
         pts = slice(p0, p0 + SPLINE_CHUNK)
@@ -270,13 +269,8 @@ def _fourier_eval(coeff: np.ndarray, g: SpectralGrid, x: np.ndarray,
         ex, ey, prod = (buf[:buf.size // size * q].reshape(-1, q) for buf in bufs)
         _phases(k[rows], x[pts], ex)               # (R, q)
         _phases(k[cols], y[pts], ey)               # (S, q)
-        for i0 in range(0, m, chunk):
-            blk = c[i0:i0 + chunk]                  # (b, R, S)
-            b = blk.shape[0]
-            tmp = np.matmul(blk.reshape(b * rows.size, cols.size), ey,
-                            out=prod[:b * rows.size])  # (b*R, q)
-            tmp = tmp.reshape(b, rows.size, q)
-            out[i0:i0 + chunk, pts] = np.einsum("kp,bkp->bp", ex, tmp).real
+        np.matmul(c.reshape(m * rows.size, cols.size), ey, out=prod)  # (m*R, q)
+        out[:, pts] = np.einsum("kp,bkp->bp", ex, prod.reshape(m, rows.size, q)).real
     return out.reshape(coeff.shape[:-2] + (x.size,))
 
 
@@ -508,11 +502,17 @@ MAGIC_FLOW = b"GSQGF"
 
 
 def save_field(path, f: ScalarField):
-    """Bit-exact checkpoint: magic, version u32=1, N u32, N*N c128 row-major."""
+    """Bit-exact checkpoint of one field (``write_checkpoint``, magic "GSQG")."""
+    write_checkpoint(path, MAGIC_FIELD, [f.coeff])
+
+
+def write_checkpoint(path, magic: bytes, channels):
+    """Write N x N complex channels, bit-exact, in the layout ``read_checkpoint`` parses."""
     with open(path, "wb") as fh:
-        fh.write(MAGIC_FIELD)
-        fh.write(struct.pack("<II", 1, f.grid.n))
-        fh.write(np.ascontiguousarray(f.coeff, dtype="<c16").tobytes())
+        fh.write(magic)
+        fh.write(struct.pack("<II", 1, channels[0].shape[-1]))
+        for c in channels:
+            fh.write(np.ascontiguousarray(c, dtype="<c16").tobytes())
 
 
 def read_checkpoint(path, magic: bytes, channels: int) -> list[np.ndarray]:

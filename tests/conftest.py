@@ -44,7 +44,7 @@ def _densify(blocks):
     stack = np.zeros((len(blocks.times), d, d))
     for idx, values in blocks.groups:
         stack[:, idx[:, :, None], idx[:, None, :]] = values
-    return [jacobi.OperatorSample(float(t), m, "Phi") for t, m in zip(blocks.times, stack)]
+    return [jacobi.OperatorSample(float(t), m) for t, m in zip(blocks.times, stack)]
 
 
 @pytest.fixture

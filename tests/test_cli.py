@@ -72,6 +72,17 @@ def test_exit_code_2_on_malformed_ic(tmp_path, capsys, command, ic):
     assert not any(tmp_path.iterdir())
 
 
+def test_jacobi_basis_beyond_dealias_cutoff_is_a_config_error(tmp_path, monkeypatch, capsys):
+    # K = 11 > N // 3 = 10: refused before the record is stepped
+    calls = []
+    monkeypatch.setattr(cli, "simulate", lambda *args, **kwargs: calls.append(1))
+    rc = main(["jacobi", "--set", "N=32", "--set", "K=11", "--set", "t_final=0.004",
+               "--out", str(tmp_path)])
+    assert rc == 2 and calls == []
+    assert "K = 11 exceeds the dealias cutoff N // 3 = 10" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_exit_code_3_on_cfl_blowup(tmp_path, capsys):
     rc = main(["simulate", "--set", "dt=1", "--set", "t_final=2",
                "--set", "N=32", "--set", "ic=shear", "--out", str(tmp_path)])

@@ -7,7 +7,8 @@ import pytest
 
 from sqglab import euler_arnold as ea
 from sqglab.presets import initial_stream, random_stream
-from sqglab.spectral import ScalarField, frac_laplacian, grid
+from sqglab.flow import FlowMap
+from sqglab.spectral import ScalarField, _spline_buffers, frac_laplacian, grid
 
 
 def theta_from_stream(psi, beta):
@@ -57,9 +58,21 @@ def test_cfl_checked_on_every_rk4_stage():
     # start of the step reads CFL 0.4991 and RK4 stage 1 reads 0.5002
     psi = initial_stream("random:1:4", grid(32))
     cfg = ea.SolverConfig(beta=1.0, dt=0.098, t_final=0.098, n=32)
-    ea.check_cfl(theta_from_stream(psi, cfg.beta), cfg.beta, cfg.dt)  # the start passes
+    theta = theta_from_stream(psi, cfg.beta)
+    ea.check_cfl(theta, cfg.beta, cfg.dt)  # the start passes
     with pytest.raises(ea.CflViolation, match="in RK4 stage 1"):
         ea.simulate(psi, cfg)
+    with pytest.raises(ea.CflViolation, match="in RK4 stage 1"):
+        ea.step_rk4(theta, cfg.beta, cfg.dt)
+
+
+def test_step_rk4_is_the_theta_of_the_joint_step():
+    # the reference stepper and the one simulate runs take the same stages
+    g = grid(32)
+    theta = theta_from_stream(random_stream(g, 5, 4), 0.5)
+    cfg = ea.SolverConfig(beta=0.5, dt=0.01, t_final=0.01, n=32)
+    joint, _ = ea._joint_rk4_step(theta, FlowMap.identity(g), cfg, _spline_buffers(32))
+    assert np.array_equal(ea.step_rk4(theta, cfg.beta, cfg.dt).coeff, joint.coeff)
 
 
 def test_energy_and_casimir_conserved_short_run():

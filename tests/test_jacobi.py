@@ -433,9 +433,9 @@ class _SegmentRecord:
 def _segment_omega(lam0, lam1, h):
     """Omega(h) of ``omega_gamma_split`` on the single interval [0, h]."""
     d = len(lam0)
-    lams = [jacobi.OperatorSample(0.0, lam0, "Lambda"), jacobi.OperatorSample(h, lam1, "Lambda")]
-    k0 = jacobi.OperatorSample(0.0, np.zeros((d, d)), "K0")
-    phi = [jacobi.OperatorSample(t, t * np.eye(d), "Phi") for t in (0.0, h)]
+    lams = [jacobi.OperatorSample(0.0, lam0), jacobi.OperatorSample(h, lam1)]
+    k0 = jacobi.OperatorSample(0.0, np.zeros((d, d)))
+    phi = [jacobi.OperatorSample(t, t * np.eye(d)) for t in (0.0, h)]
     omega, _, _ = jacobi.omega_gamma_split(_SegmentRecord([0.0, h]), None, 0.5, phi,
                                            lambdas=lams, k0=k0)
     return omega[-1].matrix
@@ -751,7 +751,7 @@ def test_detect_conjugate_finds_sign_changing_zeros_of_dense_blocks(n):
         ev = np.linalg.eigvals(-np.linalg.solve(b, a))
         zeros = np.sort(ev[np.abs(ev.imag) < 1e-12].real + 1.5)
         zeros = zeros[(zeros > 0.0) & (zeros < 3.0)]
-        phi = [jacobi.OperatorSample(t, t * (a + (t - 1.5) * b), "Phi") for t in times]
+        phi = [jacobi.OperatorSample(t, t * (a + (t - 1.5) * b)) for t in times]
         report = jacobi.detect_conjugate(phi)
         assert len(report.detected) == len(zeros)
         for (t_det, mult), z in zip(report.detected, zeros):
