@@ -6,8 +6,8 @@ keys are the fields of ``RunConfig``; every run writes its artifacts plus a
 revision (``null`` outside a checkout), the resolved configuration under
 the config keys (so those lines can be read back with ``--config``), the
 wall seconds of each timed phase and the SHA-256 of each emitted file.
-Exit codes: 0 ok, 2 configuration error, 3 numerical abort, 4 spectrum
-coverage too small.
+Exit codes: 0 ok, 2 configuration error (for ``jacobi`` also fewer than 3
+snapshots after t = 0), 3 numerical abort, 4 spectrum coverage too small.
 """
 
 from __future__ import annotations
@@ -210,6 +210,11 @@ def cmd_jacobi(cfg: RunConfig, out: Path, phases: Phases) -> list[Path]:
         basis = phases.run(jacobi.make_basis, g, cfg.K, cfg.beta)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    snapshots = -(-euler_arnold.whole_steps(cfg.t_final, cfg.dt) // cfg.snapshot_stride)
+    if snapshots < 3:  # conjugate detection needs 3 samples after t = 0
+        raise ConfigError(f"jacobi needs at least 3 snapshots after t = 0, got {snapshots} "
+                          f"(t_final = {cfg.t_final:g}, dt = {cfg.dt:g}, "
+                          f"snapshot_stride = {cfg.snapshot_stride})")
     psi0 = initial_stream(cfg.ic, g)
     record = phases.run(simulate, psi0, _solver_config(cfg))
     lams = phases.run(jacobi.lambda_samples, record, basis, cfg.beta)

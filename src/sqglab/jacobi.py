@@ -96,24 +96,17 @@ class GalerkinBasis:
         return self.coords_many(psi.coeff[None])[:, 0]
 
     def coords_many(self, coeffs: np.ndarray) -> np.ndarray:
-        """Coordinates of a (m, N, N) stack of real streams, one column per stream."""
-        return self.coords_half(_band(self.grid, coeffs))
+        """Coordinates of a (m, N, N) stack of real streams, one column per stream.
 
-    def coords_half(self, half: np.ndarray) -> np.ndarray:
-        """Coordinates of real streams given on the band of ``_band`` (as ``compose`` returns).
-
-        The pairing of e_j with a real stream f reads f only at +-k_j:
-        (2 pi)^2 |k|^(2-beta) s Re f_k for the cos stream and minus the same
-        times Im f_k for the sin stream.  The band holds ky >= 0, so f_k is
-        read at k, or for ky < 0 as the conjugate of f_-k.
+        The pairing of e_j with a real stream f reads f only at +-k_j, where
+        f_-k = conj(f_k): (2 pi)^2 |k|^(2-beta) s Re f_k for the cos stream
+        and minus the same times Im f_k for the sin stream.
         """
         g = self.grid
-        flip = self.k[:, 1] < 0
-        q = np.where(flip[:, None], -self.k, self.k)
-        f = half[:, q[:, 0] % (2 * g.cutoff + 1), q[:, 1]]  # (m, d/2)
-        w = g.k_power(1.0 - self.beta / 2.0)[q[:, 0] % g.n, q[:, 1]] * self.scale * TWO_PI**2
-        f = w * np.where(flip, np.conj(f), f)
-        return np.stack([f.real, -f.imag], axis=-1).reshape(len(half), self.dim).T
+        kx, ky = self.k[:, 0] % g.n, self.k[:, 1] % g.n
+        w = g.k_power(1.0 - self.beta / 2.0)[kx, ky] * self.scale * TWO_PI**2
+        f = w * coeffs[:, kx, ky]  # (m, d/2)
+        return np.stack([f.real, -f.imag], axis=-1).reshape(len(coeffs), self.dim).T
 
     def compose(self, fm) -> np.ndarray:
         """Half-spectrum coefficients of e_j o fm for the whole basis.
@@ -430,20 +423,16 @@ def _blinn(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _svals(a: np.ndarray) -> np.ndarray:
     """Singular values of a stack of square blocks, largest first, shaped a.shape[:-1].
 
-    2x2 blocks use the closed form of ``_blinn``, larger ones LAPACK.
+    2x2 blocks use the closed form of ``_blinn``, written into one buffer
+    with no temporaries; larger ones LAPACK.
     """
     if a.shape[-1] != 2:
         return np.linalg.svd(a, compute_uv=False)
     q, r = _blinn(a)
-    return np.stack([q + r, np.abs(q - r)], axis=-1)
-
-
-def _smin(a: np.ndarray) -> np.ndarray:
-    """Smallest singular value of each square block, ``_svals(a)[..., -1]`` alone."""
-    if a.shape[-1] != 2:
-        return np.linalg.svd(a, compute_uv=False)[..., -1]
-    q, r = _blinn(a)
-    return np.abs(q - r)
+    out = np.empty((2,) + q.shape)
+    np.add(q, r, out=out[0])
+    np.abs(np.subtract(q, r, out=out[1]), out=out[1])
+    return np.moveaxis(out, 0, -1)
 
 
 def _det(a: np.ndarray) -> np.ndarray:
@@ -530,7 +519,7 @@ def _detect_group(times: np.ndarray, phi: np.ndarray, sig: np.ndarray, thr: floa
         return np.empty(0), np.empty(0, dtype=int), bi
 
     t0 = times[ti]
-    t_star = _zoom(lambda t: _smin(_poly_at(c, (t - t0) / r)),
+    t_star = _zoom(lambda t: _svals(_poly_at(c, (t - t0) / r))[..., -1],
                    times[np.maximum(ti - 1, 0)], times[np.minimum(ti + 1, nt - 1)])
     sv = _svals(_poly_at(c, (t_star - t0) / r))
     hit = sv[:, -1] < thr
@@ -580,7 +569,7 @@ def detect_conjugate(phi_samples: list[OperatorSample] | PhiBlocks,
     groups, dets = [], np.ones(len(times))
     for _, values in phi_samples.groups:
         phi = values[-len(times):] / times[:, None, None, None]  # the samples at t > 0
-        groups.append((phi, _smin(phi)))
+        groups.append((phi, _svals(phi)[..., -1]))
         dets = dets * np.prod(np.sign(_det(phi)), axis=1)
     sig = np.min(np.concatenate([g[1] for g in groups], axis=1), axis=1)
     thr = threshold if threshold is not None else THRESHOLD_FACTOR * float(np.median(sig))

@@ -83,6 +83,19 @@ def test_jacobi_basis_beyond_dealias_cutoff_is_a_config_error(tmp_path, monkeypa
     assert not any(tmp_path.iterdir())
 
 
+def test_jacobi_with_fewer_than_3_snapshots_is_a_config_error(tmp_path, monkeypatch, capsys):
+    # 4 steps at stride 2 give 2 snapshots after t = 0: refused before the record is stepped
+    calls = []
+    monkeypatch.setattr(cli, "simulate", lambda *args, **kwargs: calls.append(1))
+    rc = main(["jacobi", "--set", "N=32", "--set", "t_final=0.004", "--set", "snapshot_stride=2",
+               "--out", str(tmp_path)])
+    assert rc == 2 and calls == []
+    err = capsys.readouterr().err
+    assert ("jacobi needs at least 3 snapshots after t = 0, got 2 "
+            "(t_final = 0.004, dt = 0.001, snapshot_stride = 2)") in err
+    assert not any(tmp_path.iterdir())
+
+
 def test_exit_code_3_on_cfl_blowup(tmp_path, capsys):
     rc = main(["simulate", "--set", "dt=1", "--set", "t_final=2",
                "--set", "N=32", "--set", "ic=shear", "--out", str(tmp_path)])
@@ -136,11 +149,11 @@ def test_exit_code_3_on_folded_flow_map(tmp_path, monkeypatch, capsys):
         return rec
 
     monkeypatch.setattr(cli, "simulate", folded)
-    rc = main(["jacobi", "--set", "N=32", "--set", "dt=5e-3", "--set", "t_final=0.01",
+    rc = main(["jacobi", "--set", "N=32", "--set", "dt=5e-3", "--set", "t_final=0.015",
                "--set", "snapshot_stride=1", "--set", "K=3", "--out", str(tmp_path)])
     assert rc == 3
     err = capsys.readouterr().err
-    assert "gamma at t = 0.01 (N = 32) has min det D gamma = -5.000e-02 <= 0" in err
+    assert "gamma at t = 0.015 (N = 32) has min det D gamma = -5.000e-02 <= 0" in err
 
 
 def test_exit_code_4_on_coverage(tmp_path, capsys):

@@ -9,9 +9,11 @@ from scipy import linalg as sla
 from scipy.integrate import simpson
 
 from sqglab import jacobi, morse, sphere
-from sqglab.euler_arnold import SolverConfig, simulate
+from sqglab.euler_arnold import GeodesicRecord, SolverConfig
+from sqglab.flow import FlowMap
+from sqglab.group_ops import DiffeoSample
 from sqglab.jacobi import k0_matrix, make_basis
-from sqglab.presets import initial_stream, random_stream
+from sqglab.presets import random_stream
 from sqglab.spectral import gradient_perp, grid, stream_sobolev_sq
 
 
@@ -104,16 +106,15 @@ def test_weyl_asymptotic_device():
         assert abs(exact / (np.pi * lam) - 1.0) < 0.05
 
 
-def test_delta_inf_on_short_shear_record():
+def test_delta_inf_matches_exact_shear_closed_form():
+    # x -> x - t sin y has D gamma = [[1, -t cos y], [0, 1]], whose largest
+    # singular value (t + sqrt(t^2 + 4)) / 2 is taken at cos y = +-1, on the grid
     g = grid(64)
-    cfg = SolverConfig(beta=0.5, dt=2e-3, t_final=0.2, n=64, snapshot_stride=25)
-    rec = simulate(initial_stream("shear", g), cfg)
-    delta = morse.delta_inf(rec)
-    assert np.isfinite(delta) and 0.0 < delta <= 1.0
-    basis = make_basis(g, 6, beta=0.0)
-    norms = [np.linalg.svd(morse.ad_inverse_matrix(d, basis), compute_uv=False)[0]
-             for d in rec.diffeos]
-    assert np.isclose(delta, min(s**-2 for s in norms), rtol=1e-12)
+    for t in (0.5, 1.0, 2.0):
+        shear = DiffeoSample(FlowMap(g, -t * np.sin(g.y), np.zeros((g.n, g.n))), t)
+        record = GeodesicRecord(SolverConfig(n=64), random_stream(g, 1, 4), [0.0, t],
+                                diffeos=[DiffeoSample.identity(g), shear])
+        assert abs(morse.delta_inf(record) - ((t + np.sqrt(t * t + 4.0)) / 2.0) ** -2) < 1e-12
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.5])

@@ -1,6 +1,7 @@
 """Static checks over the package source."""
 
 import ast
+import json
 from pathlib import Path
 
 import sqglab
@@ -84,3 +85,22 @@ def test_scipy_linalg_is_the_only_scipy_submodule():
     assert modules
     imported = {p.name: _scipy_submodules(p) for p in modules}
     assert set().union(*imported.values()) == {"scipy.linalg"}, imported
+
+
+def test_benchmark_layer_names_are_public_functions():
+    # the benchmark times each per-layer name <module>.<fn>.self_s by wrapping
+    # sqglab.<module>.<fn>, so every such name must stay a public module-level
+    # function; BENCHMARK.json is read, not edited
+    bench = json.loads((Path(__file__).parents[1] / "BENCHMARK.json").read_text())
+    package = Path(sqglab.__file__).parent
+    pinned = [m["name"].split(".")[:2] for m in bench["per_layer"]
+              if m["name"].endswith(".self_s")]
+    pinned = [(mod, fn) for mod, fn in pinned if (package / f"{mod}.py").is_file()]
+    assert pinned
+    missing = []
+    for mod, fn in pinned:
+        tree = ast.parse((package / f"{mod}.py").read_text())
+        defined = {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
+        if fn.startswith("_") or fn not in defined:
+            missing.append(f"{mod}.{fn}")
+    assert missing == []
