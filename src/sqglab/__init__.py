@@ -1,8 +1,8 @@
 """Spectral laboratory for the generalized SQG family as geodesic flow.
 
-Importing the package loads numpy and the top-level ``scipy`` package only;
-each scipy submodule is imported inside the function that uses it, so a
-command loads only what it runs.
+Importing the package loads numpy alone, and no module imports a scipy
+submodule: the command-line interface imports the top-level ``scipy``
+package only to record its version in the run manifest.
 """
 
 from .spectral import (

@@ -91,23 +91,6 @@ class GalerkinBasis:
     def vector_of(self, coords: np.ndarray) -> VectorFieldExact:
         return gradient_perp(self.field_of(coords))
 
-    def coords_of(self, psi: ScalarField) -> np.ndarray:
-        """Coordinates <e_j, f>_beta of the exact field with stream psi."""
-        return self.coords_many(psi.coeff[None])[:, 0]
-
-    def coords_many(self, coeffs: np.ndarray) -> np.ndarray:
-        """Coordinates of a (m, N, N) stack of real streams, one column per stream.
-
-        The pairing of e_j with a real stream f reads f only at +-k_j, where
-        f_-k = conj(f_k): (2 pi)^2 |k|^(2-beta) s Re f_k for the cos stream
-        and minus the same times Im f_k for the sin stream.
-        """
-        g = self.grid
-        kx, ky = self.k[:, 0] % g.n, self.k[:, 1] % g.n
-        w = g.k_power(1.0 - self.beta / 2.0)[kx, ky] * self.scale * TWO_PI**2
-        f = w * coeffs[:, kx, ky]  # (m, d/2)
-        return np.stack([f.real, -f.imag], axis=-1).reshape(len(coeffs), self.dim).T
-
     def compose(self, fm) -> np.ndarray:
         """Half-spectrum coefficients of e_j o fm for the whole basis.
 
@@ -251,17 +234,20 @@ def _segment_eigh(lam0: OperatorSample, lam1: OperatorSample) -> tuple[np.ndarra
 
     X diagonalizes the whole segment Lambda(s) = (1 - s) Lambda_0 + s Lambda_1:
     X^T Lambda(s) X = diag(1 - s + s mu), so Lambda(s)^-1 = X diag(1 / (1 - s + s mu)) X^T,
-    symmetric positive-definite for s in [0, 1].
+    symmetric positive-definite for s in [0, 1].  The Cholesky factor
+    Lambda_0 = L L^T reduces the pencil to the symmetric C = L^-1 Lambda_1 L^-T
+    (Golub & Van Loan, Matrix Computations, sec. 8.7; LAPACK dsygst); with
+    C = V diag(mu) V^T, X = L^-T V.  mu ascends; column signs are arbitrary.
     """
-    from scipy import linalg as sla
-
     try:
-        return sla.eigh(lam1.matrix, lam0.matrix)
+        li = np.linalg.inv(np.linalg.cholesky(lam0.matrix))
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             f"Lambda({lam0.t}) is not positive-definite; raise the resolution "
             f"or lower the basis cutoff"
         ) from exc
+    mu, v = np.linalg.eigh(li @ lam1.matrix @ li.T)
+    return mu, li.T @ v
 
 
 def _segments(times: np.ndarray, lambdas: list[OperatorSample]):

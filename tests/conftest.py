@@ -7,7 +7,7 @@ import pytest
 
 from sqglab import euler_arnold, flow, jacobi
 from sqglab.presets import initial_stream
-from sqglab.spectral import grid
+from sqglab.spectral import TWO_PI, grid
 
 SHEAR_BETA = 0.5
 
@@ -45,6 +45,25 @@ def _densify(blocks):
     for idx, values in blocks.groups:
         stack[:, idx[:, :, None], idx[:, None, :]] = values
     return [jacobi.OperatorSample(float(t), m) for t, m in zip(blocks.times, stack)]
+
+
+def coords_many(basis, coeffs):
+    """Coordinates in ``basis`` of a (m, N, N) stack of real streams, one column per stream.
+
+    The pairing of e_j with a real stream f reads f only at +-k_j, where
+    f_-k = conj(f_k): (2 pi)^2 |k|^(2-beta) s Re f_k for the cos stream
+    and minus the same times Im f_k for the sin stream.
+    """
+    g = basis.grid
+    kx, ky = basis.k[:, 0] % g.n, basis.k[:, 1] % g.n
+    w = g.k_power(1.0 - basis.beta / 2.0)[kx, ky] * basis.scale * TWO_PI**2
+    f = w * coeffs[:, kx, ky]  # (m, d/2)
+    return np.stack([f.real, -f.imag], axis=-1).reshape(len(coeffs), basis.dim).T
+
+
+def coords_of(basis, psi):
+    """Coordinates <e_j, f>_beta in ``basis`` of the exact field with stream psi."""
+    return coords_many(basis, psi.coeff[None])[:, 0]
 
 
 @pytest.fixture

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import sqglab
-from sqglab import cli, euler_arnold, morse, sphere
+from sqglab import cli, euler_arnold, jacobi, morse, sphere
 from sqglab.cli import ConfigError, RunConfig, main, parse_config
 from sqglab.spectral import load_field
 from sqglab.flow import FlowMap, NumericalAbort, load_flowmap
@@ -156,6 +156,22 @@ def test_exit_code_3_on_folded_flow_map(tmp_path, monkeypatch, capsys):
     assert "gamma at t = 0.015 (N = 32) has min det D gamma = -5.000e-02 <= 0" in err
 
 
+def test_exit_code_3_on_indefinite_lambda(tmp_path, monkeypatch, capsys):
+    # a Lambda(0) with a negative eigenvalue stops the Jacobi chain at its
+    # first snapshot interval
+    def indefinite(record, basis, beta):
+        d = basis.dim
+        return [jacobi.OperatorSample(t, np.diag([1.0, -1.0] + [1.0] * (d - 2)))
+                for t in record.times]
+
+    monkeypatch.setattr(jacobi, "lambda_samples", indefinite)
+    rc = main(["jacobi", "--set", "N=32", "--set", "dt=5e-3", "--set", "t_final=0.015",
+               "--set", "snapshot_stride=1", "--set", "K=3", "--out", str(tmp_path)])
+    assert rc == 3
+    assert "Lambda(0.0) is not positive-definite" in capsys.readouterr().err
+    assert not (tmp_path / "conjugate.csv").exists()
+
+
 def test_exit_code_4_on_coverage(tmp_path, capsys):
     rc = main(["morse-bound", "--set", "spectrum=torus:2", "--set", "C=1000",
                "--out", str(tmp_path)])
@@ -245,18 +261,17 @@ def test_manifest_phases_use_benchmark_layer_names(tmp_path):
         assert {f"{name}.self_s" for name in phases} <= layers
 
 
-SCIPY_SUBMODULES = ("scipy.ndimage", "scipy.linalg", "scipy.integrate", "scipy.interpolate",
-                    "scipy.sparse", "scipy.special", "scipy.optimize")
-
-
 def _scipy_loaded_by(tmp_path, runs) -> set[str]:
-    """The scipy submodules a fresh interpreter holds after ``cli.main`` runs each argv."""
+    """The scipy modules a fresh interpreter holds after ``cli.main`` runs each argv,
+    beyond those ``import scipy`` itself loads."""
     script = "\n".join([
         "import sys",
+        "import scipy",
+        "bare = set(sys.modules)",
         "from sqglab import cli",
         f"for argv in {runs!r}:",
         "    assert cli.main(argv) == 0, argv",
-        f"print('loaded:', *(m for m in {SCIPY_SUBMODULES!r} if m in sys.modules))",
+        "print('loaded:', *(m for m in sys.modules if m.startswith('scipy.') and m not in bare))",
     ])
     env = dict(os.environ, PYTHONPATH=str(Path(sqglab.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
@@ -275,11 +290,10 @@ def test_commands_load_only_the_scipy_submodules_they_use(tmp_path):
     assert _scipy_loaded_by(tmp_path, simulate) == set()
     verify = [["verify", "--out", str(tmp_path / "verify")]]
     assert _scipy_loaded_by(tmp_path, verify) == set()
-    jacobi = [["jacobi", "--set", "t_final=0.004", "--set", "snapshot_stride=1",
-               "--out", str(tmp_path / "jacobi")]]
-    loaded = _scipy_loaded_by(tmp_path, jacobi)
-    assert "scipy.linalg" in loaded
-    assert not loaded & {"scipy.integrate", "scipy.sparse", "scipy.optimize", "scipy.interpolate"}
+    jacobi_run = [["jacobi", "--set", "t_final=0.004", "--set", "snapshot_stride=1",
+                   "--out", str(tmp_path / "jacobi")]]
+    # the segment eigensolver reduces its pencil with numpy.linalg alone
+    assert _scipy_loaded_by(tmp_path, jacobi_run) == set()
 
 
 def test_git_revision_reads_refs_without_git(tmp_path):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import coords_of
 from sqglab import jacobi
 from sqglab.flow import FlowMap, NumericalAbort, jacobian
 from sqglab.group_ops import (
@@ -62,7 +63,7 @@ def _lambda_columns(d, beta, basis):
     """The Lambda(t) matrix column by column from ``_lambda_composed`` on each basis field."""
     eye = np.eye(basis.dim)
     return np.column_stack([
-        basis.coords_of(_lambda_composed(d, basis.vector_of(eye[j]), beta).stream)
+        coords_of(basis, _lambda_composed(d, basis.vector_of(eye[j]), beta).stream)
         for j in range(basis.dim)])
 
 

@@ -80,11 +80,11 @@ def _scipy_submodules(path: Path) -> set[str]:
     return found
 
 
-def test_scipy_linalg_is_the_only_scipy_submodule():
+def test_package_imports_no_scipy_submodule():
     modules = sorted(Path(sqglab.__file__).parent.glob("*.py"))
     assert modules
     imported = {p.name: _scipy_submodules(p) for p in modules}
-    assert set().union(*imported.values()) == {"scipy.linalg"}, imported
+    assert set().union(*imported.values()) == set(), imported
 
 
 def test_benchmark_layer_names_are_public_functions():
