@@ -17,10 +17,10 @@ The basis is its integer wavevector table alone, with no stack of grid
 coefficients: coordinates, streams and K0 are read from it in closed form.
 
 On one segment model, Lambda(t) linear between snapshots and each interval
-diagonalized once, the solution operator Phi(t) of the linearized Cauchy
-problem is evolved by RK4 with no linear solves and split into the
-absolutely-continuous part Omega = int Lambda^-1, in closed form, and the
-compact remainder Gamma = -int Lambda^-1 K0 Phi.  Conjugate points are
+diagonalized once (``LambdaPath``), the solution operator Phi(t) of the
+linearized Cauchy problem is evolved by RK4 with no linear solves and split
+into the absolutely-continuous part Omega = int Lambda^-1, in closed form, and
+the compact remainder Gamma = -int Lambda^-1 K0 Phi.  Conjugate points are
 flagged from the smallest singular value of Phi(t)/t, block by block over
 the decoupled blocks of Phi (``PhiBlocks``: one 2x2 block per degree on the
 sphere, given as such by the sphere backend; a single block for dense torus
@@ -36,6 +36,7 @@ larger blocks through LAPACK.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -214,19 +215,36 @@ def lambda_matrix(d: DiffeoSample, beta: float, basis: GalerkinBasis) -> Operato
     return OperatorSample(d.t, (b @ b.T) * TWO_PI**2)
 
 
+def _refused(t: float, what: str) -> np.linalg.LinAlgError:
+    return np.linalg.LinAlgError(f"Lambda({t}) is {what}; raise the resolution or lower "
+                                 f"the basis cutoff")
+
+
 def lambda_inverse(sample: OperatorSample) -> np.ndarray:
     try:
         return np.linalg.inv(sample.matrix)
     except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            f"Lambda({sample.t}) is singular; raise the resolution or lower "
-            f"the basis cutoff"
-        ) from exc
+        raise _refused(sample.t, "singular") from exc
 
 
-def lambda_samples(record: GeodesicRecord, basis: GalerkinBasis,
-                   beta: float) -> list[OperatorSample]:
-    return [lambda_matrix(d, beta, basis) for d in record.diffeos]
+class LambdaPath(tuple):
+    """Lambda samples, taken linear between them; each interval is diagonalized once."""
+
+    @cached_property
+    def segments(self) -> list[tuple[float, np.ndarray, np.ndarray]]:
+        """(h, mu, X) of each interval: its length and its ``_segment_eigh``."""
+        return [(b.t - a.t,) + _segment_eigh(a, b) for a, b in zip(self, self[1:])]
+
+
+def lambda_samples(record: GeodesicRecord, basis: GalerkinBasis, beta: float) -> LambdaPath:
+    return LambdaPath(lambda_matrix(d, beta, basis) for d in record.diffeos)
+
+
+def _operators(record, basis, beta, lambdas, k0) -> tuple[LambdaPath, OperatorSample]:
+    """The Lambda path and K0 of the Jacobi chain: those given, the others built from record."""
+    path = lambda_samples(record, basis, beta) if lambdas is None else lambdas
+    k0 = k0_matrix(record.u0(), beta, basis) if k0 is None else k0
+    return (path if isinstance(path, LambdaPath) else LambdaPath(path)), k0
 
 
 def _segment_eigh(lam0: OperatorSample, lam1: OperatorSample) -> tuple[np.ndarray, np.ndarray]:
@@ -234,7 +252,8 @@ def _segment_eigh(lam0: OperatorSample, lam1: OperatorSample) -> tuple[np.ndarra
 
     X diagonalizes the whole segment Lambda(s) = (1 - s) Lambda_0 + s Lambda_1:
     X^T Lambda(s) X = diag(1 - s + s mu), so Lambda(s)^-1 = X diag(1 / (1 - s + s mu)) X^T,
-    symmetric positive-definite for s in [0, 1].  The Cholesky factor
+    symmetric positive-definite for s in [0, 1] since every mu > 0: LinAlgError
+    where Lambda_0 or Lambda_1 is not positive-definite.  The Cholesky factor
     Lambda_0 = L L^T reduces the pencil to the symmetric C = L^-1 Lambda_1 L^-T
     (Golub & Van Loan, Matrix Computations, sec. 8.7; LAPACK dsygst); with
     C = V diag(mu) V^T, X = L^-T V.  mu ascends; column signs are arbitrary.
@@ -242,18 +261,11 @@ def _segment_eigh(lam0: OperatorSample, lam1: OperatorSample) -> tuple[np.ndarra
     try:
         li = np.linalg.inv(np.linalg.cholesky(lam0.matrix))
     except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            f"Lambda({lam0.t}) is not positive-definite; raise the resolution "
-            f"or lower the basis cutoff"
-        ) from exc
+        raise _refused(lam0.t, "not positive-definite") from exc
     mu, v = np.linalg.eigh(li @ lam1.matrix @ li.T)
+    if not mu[0] > 0:  # Lambda_1 is congruent to diag(mu)
+        raise _refused(lam1.t, "not positive-definite")
     return mu, li.T @ v
-
-
-def _segments(times: np.ndarray, lambdas: list[OperatorSample]):
-    """(h, mu, X) of each snapshot interval: its length and its ``_segment_eigh``."""
-    for i in range(len(times) - 1):
-        yield (times[i + 1] - times[i],) + _segment_eigh(lambdas[i], lambdas[i + 1])
 
 
 def _simpson_weights(t: np.ndarray) -> np.ndarray:
@@ -284,27 +296,23 @@ PHI_SUBSTEPS = 10
 
 
 def evolve_phi(record: GeodesicRecord, basis: GalerkinBasis, beta: float,
-               lambdas: list[OperatorSample] | None = None,
+               lambdas: LambdaPath | list[OperatorSample] | None = None,
                k0: OperatorSample | None = None) -> list[OperatorSample]:
     """Phi(t_i) at the record snapshot times; Phi(0) = 0, Phi'(0) = I.
 
     m = Lambda Phi', m' = -K0 Phi', m(0) = I keep m + K0 Phi = I, so Phi is
     the one state: Phi' = Lambda^-1 (I - K0 Phi).  Over an interval
-    Lambda(s)^-1 = X D(s)^-1 X^T (``_segment_eigh``), and ``PHI_SUBSTEPS`` RK4
-    steps run on Phi = Phi_i + X u, u' = D^-1 (X^T (I - K0 Phi_i) - X^T K0 X u):
+    Lambda(s)^-1 = X D(s)^-1 X^T (``LambdaPath.segments``), and ``PHI_SUBSTEPS``
+    RK4 steps run on Phi = Phi_i + X u, u' = D^-1 (X^T (I - K0 Phi_i) - X^T K0 X u):
     one matmul per stage and no solve.
     """
     check_beta(beta)
-    if lambdas is None:
-        lambdas = lambda_samples(record, basis, beta)
-    if k0 is None:
-        k0 = k0_matrix(record.u0(), beta, basis)
-    times = np.asarray(record.times)
+    path, k0 = _operators(record, basis, beta, lambdas, k0)
     d = basis.dim
 
     phi = np.zeros((d, d))
     out = [OperatorSample(0.0, phi)]
-    for t, (h, mu, x) in zip(times[1:], _segments(times, lambdas)):
+    for lam, (h, mu, x) in zip(path[1:], path.segments):
         xk = x.T @ k0.matrix
         a, b = xk @ x, x.T - xk @ phi  # X^T K0 X and X^T (I - K0 Phi_i)
         u = np.zeros((d, d))  # Phi gains X u over the interval
@@ -313,13 +321,13 @@ def evolve_phi(record: GeodesicRecord, basis: GalerkinBasis, beta: float,
             (u,) = _rk4(lambda i, y: ((b - a @ y[0]) / (1.0 - s[i] + s[i] * mu)[:, None],),
                         (u,), h / PHI_SUBSTEPS)
         phi = phi + x @ u
-        out.append(OperatorSample(t, phi))
+        out.append(OperatorSample(lam.t, phi))
     return out
 
 
 def omega_gamma_split(record: GeodesicRecord, basis: GalerkinBasis, beta: float,
                       phi_samples: list[OperatorSample],
-                      lambdas: list[OperatorSample] | None = None,
+                      lambdas: LambdaPath | list[OperatorSample] | None = None,
                       k0: OperatorSample | None = None):
     """Omega/Gamma quadratures and the decomposition residual.
 
@@ -327,30 +335,27 @@ def omega_gamma_split(record: GeodesicRecord, basis: GalerkinBasis, beta: float,
     interval adds h X diag(L(mu)) X^T, L(mu) = log(mu) / (mu - 1) > 0, as the
     Gram product Y Y^T, Y = X sqrt(h L), so it is symmetric positive-definite
     by construction.  Gamma = -int Lambda^-1 K0 Phi is the cumulative Simpson
-    rule over the snapshots (``_simpson_weights``).  Returns
+    rule over the snapshots (``_simpson_weights``) with Lambda_i^-1 = X X^T, or
+    X diag(1/mu) X^T at the end of the last interval.  Returns
     (omega_samples, gamma_samples, residual) with
     residual = max_i ||Phi_i - Omega_i - Gamma_i|| / ||Phi_i|| over t_i > 0.
     """
-    if lambdas is None:
-        lambdas = lambda_samples(record, basis, beta)
-    if k0 is None:
-        k0 = k0_matrix(record.u0(), beta, basis)
-    times = np.asarray(record.times)
+    path, k0 = _operators(record, basis, beta, lambdas, k0)
+    times = np.array([s.t for s in path])
     if len(phi_samples) != len(times):
         raise ValueError("phi samples do not match the record sampling")
     phi = np.array([s.matrix for s in phi_samples])
-    integrand = np.array([lambda_inverse(s) for s in lambdas]) @ k0.matrix @ phi
-    gamma = -np.tensordot(_simpson_weights(times), integrand, axes=1)
     omega = [np.zeros_like(phi[0])]
-    for h, mu, x in _segments(times, lambdas):
+    for h, mu, x in path.segments:
         dm = mu - 1.0
         y = x * np.sqrt(h * np.divide(np.log1p(dm), dm, out=np.ones_like(dm), where=dm != 0))
         omega.append(omega[-1] + y @ y.T)
-    resid = 0.0
-    for i in range(1, len(times)):
-        denom = np.linalg.norm(phi[i])
-        if denom > 0:
-            resid = max(resid, np.linalg.norm(phi[i] - omega[i] - gamma[i]) / denom)
+    _, mu, x = path.segments[-1]
+    inverse = np.array([xi @ xi.T for _, _, xi in path.segments] + [x / mu @ x.T])
+    gamma = -np.tensordot(_simpson_weights(times), inverse @ k0.matrix @ phi, axes=1)
+    norm = np.linalg.norm(phi[1:], axis=(1, 2))  # a NaN anywhere reads as a NaN residual
+    err = np.linalg.norm(phi[1:] - omega[1:] - gamma[1:], axis=(1, 2))
+    resid = np.max(err / np.where(norm > 0, norm, np.inf), initial=0.0)
     om = [OperatorSample(t, o) for t, o in zip(times, omega)]
     ga = [OperatorSample(t, g_) for t, g_ in zip(times, gamma)]
     return om, ga, float(resid)

@@ -11,9 +11,10 @@ def initial_stream(spec: str, g: SpectralGrid) -> ScalarField:
     """Resolve an initial-condition spec to a stream function.
 
     Supported: "cosy" (steady shear), "shear" (cosy with a 0.1 cos x
-    perturbation, non-steady), and "random:SEED:KMAX" (seeded low-mode
-    field normalized to unit maximum speed).  ValueError for any other
-    spec (``check_spec``).
+    perturbation, also steady: both modes lie in the |k| = 1 eigenspace, so
+    theta is a multiple of psi and {psi, theta} = 0), and "random:SEED:KMAX"
+    (seeded low-mode field normalized to unit maximum speed).  ValueError
+    for any other spec (``check_spec``).
     """
     if spec == "cosy":
         return ScalarField.from_function(g, lambda x, y: -np.cos(y))

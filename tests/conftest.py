@@ -14,7 +14,11 @@ SHEAR_BETA = 0.5
 
 @pytest.fixture(scope="session")
 def shear_record():
-    """Non-steady geodesic from psi0 = -cos y + 0.1 cos x, beta = 0.5, t in [0, 1]."""
+    """Geodesic from psi0 = -cos y + 0.1 cos x, beta = 0.5, t in [0, 1].
+
+    Steady: psi0 lies in the |k| = 1 eigenspace, so theta is a multiple of
+    psi and {psi, theta} = 0; its flow map is still not a shear.
+    """
     g = grid(64)
     psi0 = initial_stream("shear", g)
     cfg = euler_arnold.SolverConfig(beta=SHEAR_BETA, dt=2e-3, t_final=1.0, n=64,
@@ -83,4 +87,17 @@ def inversions(monkeypatch):
     for name, mod in list(sys.modules.items()):
         if name.startswith("sqglab") and getattr(mod, "invert", None) is invert:
             monkeypatch.setattr(mod, "invert", counted)
+    return calls
+
+
+@pytest.fixture
+def segment_eighs(monkeypatch):
+    """The (t_0, t_1) of each ``jacobi._segment_eigh`` call, one entry per call."""
+    calls, eigh = [], jacobi._segment_eigh
+
+    def counted(lam0, lam1):
+        calls.append((lam0.t, lam1.t))
+        return eigh(lam0, lam1)
+
+    monkeypatch.setattr(jacobi, "_segment_eigh", counted)
     return calls

@@ -157,19 +157,37 @@ def test_exit_code_3_on_folded_flow_map(tmp_path, monkeypatch, capsys):
 
 
 def test_exit_code_3_on_indefinite_lambda(tmp_path, monkeypatch, capsys):
-    # a Lambda(0) with a negative eigenvalue stops the Jacobi chain at its
-    # first snapshot interval
-    def indefinite(record, basis, beta):
-        d = basis.dim
-        return [jacobi.OperatorSample(t, np.diag([1.0, -1.0] + [1.0] * (d - 2)))
-                for t in record.times]
+    # a Lambda sample with a negative eigenvalue stops the Jacobi chain: every
+    # sample (named at the first, t = 0), or only the last, which no interval
+    # starts at
+    for which in ("every", "last"):
+        named = []
 
-    monkeypatch.setattr(jacobi, "lambda_samples", indefinite)
+        def indefinite(record, basis, beta):
+            d = basis.dim
+            bad = record.times if which == "every" else record.times[-1:]
+            named.append(bad[0])
+            return [jacobi.OperatorSample(t, np.diag([1.0, -1.0 if t in bad else 1.0]
+                                                     + [1.0] * (d - 2)))
+                    for t in record.times]
+
+        monkeypatch.setattr(jacobi, "lambda_samples", indefinite)
+        out = tmp_path / which
+        rc = main(["jacobi", "--set", "N=32", "--set", "dt=5e-3", "--set", "t_final=0.015",
+                   "--set", "snapshot_stride=1", "--set", "K=3", "--out", str(out)])
+        assert rc == 3
+        assert f"Lambda({named[0]}) is not positive-definite" in capsys.readouterr().err
+        assert not (out / "conjugate.csv").exists()
+    assert named[0] == 0.015
+
+
+def test_jacobi_factors_each_snapshot_interval_once(tmp_path, segment_eighs):
     rc = main(["jacobi", "--set", "N=32", "--set", "dt=5e-3", "--set", "t_final=0.015",
                "--set", "snapshot_stride=1", "--set", "K=3", "--out", str(tmp_path)])
-    assert rc == 3
-    assert "Lambda(0.0) is not positive-definite" in capsys.readouterr().err
-    assert not (tmp_path / "conjugate.csv").exists()
+    assert rc == 0
+    # four snapshots, t = 0 .. 0.015: one factorization per interval, in order
+    assert len(segment_eighs) == 3
+    assert all(a[1] == b[0] for a, b in zip(segment_eighs, segment_eighs[1:]))
 
 
 def test_exit_code_4_on_coverage(tmp_path, capsys):

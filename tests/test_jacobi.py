@@ -422,17 +422,60 @@ def test_segment_eigh_matches_scipy_generalized_eigh(random_record, shear_lambda
 
 
 def test_segment_eigh_refuses_indefinite_lambda():
-    lam0 = jacobi.OperatorSample(0.25, np.diag([1.0, -1.0, 1.0, 1.0]))
-    lam1 = jacobi.OperatorSample(0.5, np.eye(4))
-    with pytest.raises(np.linalg.LinAlgError,
-                       match=r"Lambda\(0\.25\) is not positive-definite"):
-        jacobi._segment_eigh(lam0, lam1)
+    # either end of the interval: Lambda_0 fails its Cholesky factor, Lambda_1
+    # gives a generalized eigenvalue mu <= 0
+    indefinite, eye = np.diag([1.0, -1.0, 1.0, 1.0]), np.eye(4)
+    for m0, m1, t in ((indefinite, eye, r"0\.25"), (eye, indefinite, r"0\.5")):
+        lam0, lam1 = jacobi.OperatorSample(0.25, m0), jacobi.OperatorSample(0.5, m1)
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=rf"Lambda\({t}\) is not positive-definite"):
+            jacobi._segment_eigh(lam0, lam1)
 
 
 def test_lambda_inverse_refuses_singular_sample():
     lam = jacobi.OperatorSample(0.5, np.diag([1.0, 0.0, 1.0]))
     with pytest.raises(np.linalg.LinAlgError, match=r"Lambda\(0\.5\) is singular"):
         jacobi.lambda_inverse(lam)
+
+
+def test_each_snapshot_interval_factored_once(random_record, segment_eighs, monkeypatch):
+    # the call pattern of the benchmark body: samples, then Phi and the split
+    # given lambdas= alone; no Lambda sample is inverted by the split
+    basis = jacobi.make_basis(grid(64), 6, 0.5)
+    lams = jacobi.lambda_samples(random_record, basis, 0.5)
+    phi = jacobi.evolve_phi(random_record, basis, 0.5, lambdas=lams)
+    inverses, inv = [], np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: inverses.append(a) or inv(a))
+    jacobi.omega_gamma_split(random_record, basis, 0.5, phi, lambdas=lams)
+    times = random_record.times
+    assert segment_eighs == list(zip(times, times[1:]))
+    assert len(segment_eighs) == 4
+    assert inverses == []
+
+
+def _gamma_reference(lambdas, k0, phi):
+    """-int Lambda^-1 K0 Phi by the cumulative Simpson rule, with explicit inverses."""
+    integrand = np.array([np.linalg.inv(lam.matrix) @ k0 @ p.matrix
+                          for lam, p in zip(lambdas, phi)])
+    times = np.array([p.t for p in phi])
+    return -np.tensordot(jacobi._simpson_weights(times), integrand, axes=1)
+
+
+def test_gamma_matches_explicit_inverse_reference(random_record, shear_record, shear_basis,
+                                                  shear_lambdas, shear_phi):
+    # Lambda_i^-1 comes from the interval frames, X X^T or X diag(1/mu) X^T;
+    # against np.linalg.inv the largest error measured 2.4e-15 (per sample, Frobenius)
+    basis = jacobi.make_basis(grid(64), 6, 0.5)
+    lams = jacobi.lambda_samples(random_record, basis, 0.5)
+    phi = jacobi.evolve_phi(random_record, basis, 0.5, lambdas=lams)
+    for rec, b, lam, ph in ((random_record, basis, lams, phi),
+                            (shear_record, shear_basis, shear_lambdas, shear_phi)):
+        k0 = jacobi.k0_matrix(rec.u0(), 0.5, b)
+        _, gamma, _ = jacobi.omega_gamma_split(rec, b, 0.5, ph, lambdas=lam, k0=k0)
+        want = _gamma_reference(lam, k0.matrix, ph)
+        assert np.array_equal(gamma[0].matrix, want[0])
+        for g_, w in zip(gamma[1:], want[1:]):
+            assert _rel_err(g_.matrix, w) < 1e-13
 
 
 def test_phi_matches_solve_reference_on_random_record(random_record):
@@ -510,6 +553,17 @@ def _segment_omega(lam0, lam1, h):
     omega, _, _ = jacobi.omega_gamma_split(_SegmentRecord([0.0, h]), None, 0.5, phi,
                                            lambdas=lams, k0=k0)
     return omega[-1].matrix
+
+
+def test_residual_of_a_non_finite_phi_is_nan():
+    # a NaN Phi must not read as a residual of 0, which max(0.0, nan) would give
+    lams = [jacobi.OperatorSample(t, np.eye(3)) for t in (0.0, 0.1)]
+    k0 = jacobi.OperatorSample(0.0, np.zeros((3, 3)))
+    phi = [jacobi.OperatorSample(0.0, np.zeros((3, 3))),
+           jacobi.OperatorSample(0.1, np.full((3, 3), np.nan))]
+    _, _, resid = jacobi.omega_gamma_split(_SegmentRecord([0.0, 0.1]), None, 0.5, phi,
+                                           lambdas=lams, k0=k0)
+    assert np.isnan(resid)
 
 
 def _random_spd(rng, d):
