@@ -13,7 +13,6 @@ snapshots after t = 0), 3 numerical abort, 4 spectrum coverage too small.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -27,6 +26,17 @@ from .euler_arnold import SolverConfig, simulate
 from .flow import NumericalAbort, save_flowmap
 from .presets import check_spec, initial_stream
 from .spectral import grid, save_field
+
+# the artifact digests come from CPython's own SHA-256 module (``_sha2`` since
+# 3.12, ``_sha256`` before); ``hashlib`` loads OpenSSL's ``_hashlib``, about
+# 3.6 MB resident, for one digest per artifact
+try:
+    from _sha2 import sha256 as _sha256_of
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256_of
+    except ImportError:
+        from hashlib import sha256 as _sha256_of
 
 
 class ConfigError(ValueError):
@@ -96,7 +106,7 @@ def parse_config(text: str, cfg: RunConfig | None = None) -> RunConfig:
 
 
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    return _sha256_of(path.read_bytes()).hexdigest()
 
 
 def _git_revision(root: Path = Path(__file__).resolve().parents[2]) -> str | None:

@@ -36,7 +36,7 @@ larger blocks through LAPACK.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -97,7 +97,9 @@ class GalerkinBasis:
 
         The cos and sin streams of a wavevector k are the real and imaginary
         parts of s exp(i k.x), sampled at the mapped grid points as
-        exp(i kx x) exp(i ky y).  The two real sample grids of each k go
+        exp(i kx x) exp(i ky y), from one table of exp(i k x) and exp(i k y)
+        for k = 0..K; a negative ky reads the conjugate of its table entry
+        (cos is even and sin odd).  The two real sample grids of each k go
         through one real transform, pruned to the columns of the dealiased
         band (``_band``), then along x: shape (d, 2c + 1, c + 1).  The k = 0
         entry holds the mean, which every weight of ``_band_weight`` zeroes.
@@ -106,13 +108,11 @@ class GalerkinBasis:
         """
         g = self.grid
         n, kmax, c = g.n, self.cutoff, g.cutoff
-        px, py = fm.points()
-        ex = np.exp(1j * np.arange(kmax + 1)[:, None, None] * px)        # kx = 0..K
-        ey = np.exp(1j * np.arange(-kmax, kmax + 1)[:, None, None] * py)  # ky = -K..K
+        ex, ey = _expi(np.arange(kmax + 1), np.stack(fm.points())).swapaxes(0, 1)
         out = np.empty((len(self.k), 2, 2 * c + 1, c + 1), dtype=complex)
         pair = np.empty((2, n, n))  # the cos and sin streams of one k
         for j, ((kx, ky), s) in enumerate(zip(self.k.tolist(), self.scale)):
-            z = s * (ex[kx] * ey[ky + kmax])
+            z = s * (ex[kx] * (ey[ky] if ky >= 0 else ey[-ky].conj()))
             pair[0], pair[1] = z.real, z.imag
             half = np.fft.rfft(pair, axis=-1)[..., :c + 1]
             out[j] = _band(g, np.fft.fft(half, axis=-2))
@@ -120,10 +120,28 @@ class GalerkinBasis:
         return out.reshape(self.dim, 2 * c + 1, c + 1)
 
 
+def _expi(k: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """exp(i k p) for each k, shape (k.size,) + p.shape: cos(k p) and sin(k p)
+    written into the real and imaginary parts of one complex buffer."""
+    kp = np.multiply.outer(k, p)
+    out = np.empty(kp.shape, dtype=complex)
+    np.cos(kp, out=out.real)
+    np.sin(kp, out=out.imag)
+    return out
+
+
+@cache
+def _band_rows(n: int, c: int) -> np.ndarray:
+    """The rows kx = 0..c, -c..-1 of an N-point spectrum in FFT order, read-only."""
+    rows = np.r_[0:c + 1, n - c:n]
+    rows.flags.writeable = False
+    return rows
+
+
 def _band(g: SpectralGrid, a: np.ndarray) -> np.ndarray:
     """The dealiased half-spectrum kx in [-c, c], ky in [0, c] of coefficient arrays."""
     c = g.cutoff
-    return a[..., np.r_[0:c + 1, g.n - c:g.n], :c + 1]
+    return a[..., _band_rows(g.n, c), :c + 1]
 
 
 def _band_weight(g: SpectralGrid, alpha: float) -> np.ndarray:
@@ -518,6 +536,21 @@ def _detect_group(times: np.ndarray, phi: np.ndarray, sig: np.ndarray, thr: floa
     return t_star[hit], mult[hit], bi[hit]
 
 
+def _median(trace: np.ndarray) -> float:
+    """The median of a 1-D trace, NaN if the trace holds a NaN.
+
+    It equals ``np.median`` bit for bit: the mean of the middle value of the
+    sorted trace, or of its two middle values, as ``np.median`` takes it of
+    its partition.  ``np.median`` imports ``numpy.ma`` (about 1.25 MB
+    resident) for its NaN check at the first call.
+    """
+    s = np.sort(trace)
+    if np.isnan(s[-1]):  # the sort puts NaNs last
+        return float("nan")
+    n = len(s)
+    return float(np.mean(s[(n - 1) // 2:n // 2 + 1]))
+
+
 def detect_conjugate(phi_samples: list[OperatorSample] | PhiBlocks,
                      threshold: float | None = None) -> ConjugateReport:
     """Flag zeros of the Jacobi solution operator from sigma_min(Phi/t).
@@ -563,7 +596,7 @@ def detect_conjugate(phi_samples: list[OperatorSample] | PhiBlocks,
         groups.append((phi, _svals(phi)[..., -1]))
         dets = dets * np.prod(np.sign(_det(phi)), axis=1)
     sig = np.min(np.concatenate([g[1] for g in groups], axis=1), axis=1)
-    thr = threshold if threshold is not None else THRESHOLD_FACTOR * float(np.median(sig))
+    thr = threshold if threshold is not None else THRESHOLD_FACTOR * _median(sig)
 
     found = []  # (block, t, multiplicity), blocks numbered across the groups
     offset = 0

@@ -279,17 +279,21 @@ SPLINE_UPSAMPLE = 4
 
 
 @functools.cache
-def _quintic_inv_symbol(m: int) -> np.ndarray:
-    """1 / B(w) in FFT order, B(w) = (66 + 52 cos w + 2 cos 2w) / 120, w = 2 pi k / m.
+def _quintic_prefilter(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where an N-point spectrum lies in the m-point one, and 1 / B(w) there.
 
-    B is the symbol of the quintic B-spline sampled on an m-point periodic
-    grid, so dividing by it is the periodic spline prefilter (Unser,
-    "Splines: a perfect fit", IEEE SPM 1999).
+    Returns the FFT-order indices of the N modes within the m-point spectrum
+    and 1 / B(w) at them, both read-only, with B(w) = (66 + 52 cos w +
+    2 cos 2w) / 120, w = 2 pi k / m.  B is the symbol of the quintic
+    B-spline sampled on an m-point periodic grid, so dividing by it is the
+    periodic spline prefilter (Unser, "Splines: a perfect fit", IEEE SPM 1999).
     """
+    half = n // 2
+    idx = np.r_[0:half, m - half:m]
     w = TWO_PI * np.fft.fftfreq(m)
-    inv = 120.0 / (66.0 + 52.0 * np.cos(w) + 2.0 * np.cos(2.0 * w))
-    inv.flags.writeable = False
-    return inv
+    inv = (120.0 / (66.0 + 52.0 * np.cos(w) + 2.0 * np.cos(2.0 * w)))[idx]
+    idx.flags.writeable = inv.flags.writeable = False
+    return idx, inv
 
 
 def _spline_buffers(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -315,8 +319,7 @@ def _spline_coefficients_into(coeff: np.ndarray, rows: np.ndarray,
     n = coeff.shape[-1]
     m = out.shape[0]
     half = n // 2
-    idx = np.r_[0:half, m - half:m]
-    inv = _quintic_inv_symbol(m)[idx]
+    idx, inv = _quintic_prefilter(n, m)
     rows[:, half:m - half] = 0.0
     rows[:, idx] = coeff * inv
     np.fft.ifft(rows, axis=1, norm="forward", out=rows)

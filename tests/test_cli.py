@@ -279,17 +279,18 @@ def test_manifest_phases_use_benchmark_layer_names(tmp_path):
         assert {f"{name}.self_s" for name in phases} <= layers
 
 
-def _scipy_loaded_by(tmp_path, runs) -> set[str]:
-    """The scipy modules a fresh interpreter holds after ``cli.main`` runs each argv,
-    beyond those ``import scipy`` itself loads."""
+def _modules_loaded_by(tmp_path, runs, prelude="") -> set[str]:
+    """The modules a fresh interpreter holds after ``cli.main`` runs each argv,
+    beyond those ``import scipy`` itself loads; ``prelude`` runs first."""
     script = "\n".join([
         "import sys",
+        prelude,
         "import scipy",
         "bare = set(sys.modules)",
         "from sqglab import cli",
         f"for argv in {runs!r}:",
         "    assert cli.main(argv) == 0, argv",
-        "print('loaded:', *(m for m in sys.modules if m.startswith('scipy.') and m not in bare))",
+        "print('loaded:', *(m for m in sys.modules if m not in bare))",
     ])
     env = dict(os.environ, PYTHONPATH=str(Path(sqglab.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
@@ -297,6 +298,15 @@ def _scipy_loaded_by(tmp_path, runs) -> set[str]:
     assert done.returncode == 0, done.stderr
     # the commands' own output (``verify`` prints its checks) comes first
     return set(done.stdout.splitlines()[-1].split()[1:])
+
+
+def _scipy_loaded_by(tmp_path, runs) -> set[str]:
+    return {m for m in _modules_loaded_by(tmp_path, runs) if m.startswith("scipy.")}
+
+
+def _heavy_modules_loaded_by(tmp_path, runs, prelude="") -> set[str]:
+    """Which of OpenSSL's ``_hashlib`` and ``numpy.ma`` the runs loaded."""
+    return _modules_loaded_by(tmp_path, runs, prelude) & {"_hashlib", "numpy.ma"}
 
 
 def test_commands_load_only_the_scipy_submodules_they_use(tmp_path):
@@ -312,6 +322,42 @@ def test_commands_load_only_the_scipy_submodules_they_use(tmp_path):
                    "--out", str(tmp_path / "jacobi")]]
     # the segment eigensolver reduces its pencil with numpy.linalg alone
     assert _scipy_loaded_by(tmp_path, jacobi_run) == set()
+
+
+def test_commands_at_default_ic_load_neither_openssl_nor_numpy_ma(tmp_path):
+    # the manifest digests come from CPython's builtin SHA-256, detection's
+    # threshold from a median without numpy's NaN check
+    sphere_runs = [[c, "--out", str(tmp_path / c)]
+                   for c in ("conjugate-scan", "sphere-example", "morse-bound")]
+    assert _heavy_modules_loaded_by(tmp_path, sphere_runs) == set()
+    simulate = [["simulate", "--set", "t_final=0.01", "--out", str(tmp_path / "simulate")]]
+    assert _heavy_modules_loaded_by(tmp_path, simulate) == set()
+    jacobi_run = [["jacobi", "--set", "t_final=0.004", "--set", "snapshot_stride=1",
+                   "--out", str(tmp_path / "jacobi")]]
+    assert _heavy_modules_loaded_by(tmp_path, jacobi_run) == set()
+
+
+def test_no_command_loads_numpy_ma(tmp_path):
+    # a random ic seeds numpy.random, whose secrets -> hmac import loads
+    # _hashlib, so only numpy.ma is pinned on these runs
+    runs = [["verify", "--out", str(tmp_path / "verify")],
+            ["jacobi", "--set", "ic=random:1:4", "--set", "t_final=0.004",
+             "--set", "snapshot_stride=1", "--out", str(tmp_path / "jacobi")],
+            ["simulate", "--set", "ic=random:1:4", "--set", "t_final=0.01",
+             "--out", str(tmp_path / "simulate")]]
+    assert "numpy.ma" not in _heavy_modules_loaded_by(tmp_path, runs)
+
+
+def test_manifest_digest_falls_back_to_hashlib(tmp_path):
+    # with CPython's builtin SHA-256 modules blocked the digest comes from
+    # hashlib, and it is the same
+    run = [["sphere-example", "--out", str(tmp_path / "run")]]
+    blocked = 'sys.modules["_sha2"] = sys.modules["_sha256"] = None'
+    assert "_hashlib" in _heavy_modules_loaded_by(tmp_path, run, prelude=blocked)
+    import hashlib
+
+    digest = hashlib.sha256((tmp_path / "run" / "scan.csv").read_bytes()).hexdigest()
+    assert f"sha256 scan.csv = {digest}" in (tmp_path / "run" / "manifest.txt").read_text()
 
 
 def test_git_revision_reads_refs_without_git(tmp_path):

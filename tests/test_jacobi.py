@@ -293,6 +293,25 @@ def test_lambda_matrix_matches_two_composition_reference(random_record):
         assert _rel_err(lam.matrix, _lambda_reference(d, 0.5, basis)) < 1e-10
 
 
+def test_compose_phases_match_complex_exponential(random_record):
+    # compose reads exp(i k x) and exp(i k y), k = 0..K, from one cos/sin
+    # table and exp(-i k p) as the conjugate of its entry
+    kmax = 6
+    px, py = random_record.diffeos[-1].inverse.points()
+    table = jacobi._expi(np.arange(kmax + 1), np.stack([px, py]))
+    for k in range(-kmax, kmax + 1):
+        for axis, p in enumerate((px, py)):
+            got = table[k, axis] if k >= 0 else table[-k, axis].conj()
+            assert np.max(np.abs(got - np.exp(1j * k * p))) <= 2.0**-52
+
+
+def test_band_rows_are_cached_read_only():
+    rows = jacobi._band_rows(64, 21)
+    assert rows is jacobi._band_rows(64, 21)
+    assert not rows.flags.writeable
+    assert np.array_equal(rows, np.r_[0:22, 43:64])
+
+
 def _folded_record(amplitude):
     """A two-snapshot record whose map at t = 1 is x -> x + amplitude sin x on N = 32."""
     g = grid(32)
@@ -612,6 +631,28 @@ def test_detect_conjugate_sphere_single_mode():
     t_det, mult = report.detected[0]
     assert abs(t_det - t_star) < 1e-6
     assert mult == 2
+
+
+def test_median_equals_numpy_median_bit_for_bit():
+    rng = np.random.default_rng(7)
+    for n in range(1, 901):  # odd and even lengths, ties among the rounded ones
+        trace = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8)
+        if n % 3 == 0:
+            trace = np.round(trace, 1)
+        kept = trace.copy()
+        got, want = jacobi._median(trace), np.median(trace)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), n
+        assert np.array_equal(trace, kept)
+    for n in (1, 6, 7):
+        trace = rng.random(n)
+        trace[n // 2] = np.nan
+        assert np.isnan(jacobi._median(trace))
+
+
+def test_default_threshold_is_factor_times_median():
+    times = np.linspace(0.0, 1.3 * sphere.conjugate_time(2, 1.0), 400)
+    report = jacobi.detect_conjugate(sphere.sphere_phi_samples([2, 3], 1.0, times))
+    assert report.threshold == jacobi.THRESHOLD_FACTOR * float(np.median(report.sigma_min))
 
 
 def test_detect_conjugate_none_before_first():

@@ -23,6 +23,7 @@ from sqglab.spectral import (
     poisson_bracket,
     save_field,
     _fourier_eval,
+    _quintic_prefilter,
     _spline_buffers,
     _spline_coefficients,
     _spline_coefficients_into,
@@ -280,6 +281,13 @@ def test_stage_grid_buffers_equal_fresh_spline_coefficients(n):
         assert got is out
         assert np.array_equal(got, _spline_coefficients(coeff))
         assert np.array_equal(got, _padded_prefilter(coeff))
+
+
+def test_prefilter_tables_are_cached_read_only():
+    idx, inv = _quintic_prefilter(64, 256)
+    assert _quintic_prefilter(64, 256)[0] is idx
+    assert not idx.flags.writeable and not inv.flags.writeable
+    assert np.array_equal(idx, np.r_[0:32, 224:256])
 
 
 def test_spline_grids_sampled_together_equal_one_at_a_time():
