@@ -6,8 +6,9 @@ keys are the fields of ``RunConfig``; every run writes its artifacts plus a
 revision (``null`` outside a checkout), the resolved configuration under
 the config keys (so those lines can be read back with ``--config``), the
 wall seconds of each timed phase and the SHA-256 of each emitted file.
-Exit codes: 0 ok, 2 configuration error (for ``jacobi`` also fewer than 3
-snapshots after t = 0), 3 numerical abort, 4 spectrum coverage too small.
+Exit codes: 0 ok, 2 configuration error (a NaN or infinite real value
+included; for ``jacobi`` also fewer than 3 snapshots after t = 0), 3
+numerical abort, 4 spectrum coverage too small.
 """
 
 from __future__ import annotations
@@ -62,6 +63,10 @@ class RunConfig:
 
 
 def _validate(cfg: RunConfig):
+    for f in fields(cfg):  # a NaN would pass every ordering check below
+        value = getattr(cfg, f.name)
+        if type(f.default) is float and not np.isfinite(value):
+            raise ConfigError(f"{f.name} must be finite, got {value}")
     if cfg.N < 16 or cfg.N % 2:
         raise ConfigError("N must be an even integer >= 16")
     if cfg.n_max < 2:
@@ -73,7 +78,7 @@ def _validate(cfg: RunConfig):
     if cfg.T <= 0:
         raise ConfigError("T must be positive")
     try:
-        check_spec(cfg.ic)
+        check_spec(cfg.ic, cfg.N)
         _solver_config(cfg).validate()
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -299,7 +304,8 @@ def _keys_help() -> str:
     keys = (f"{f.name} ({f.default if isinstance(f.default, str) else format(f.default, 'g')})"
             for f in fields(RunConfig))
     return ("config keys (defaults): " + ", ".join(keys)
-            + "; ic is cosy, shear or random:SEED:KMAX, spectrum is torus:KMAX or sphere:NMAX")
+            + "; ic is cosy, shear or random:SEED:KMAX (KMAX <= N // 3), spectrum is "
+            "torus:KMAX or sphere:NMAX; real values must be finite")
 
 
 def main(argv=None) -> int:

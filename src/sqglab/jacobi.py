@@ -48,6 +48,7 @@ from .spectral import (
     SpectralGrid,
     TWO_PI,
     VectorFieldExact,
+    _phases,
     check_beta,
     frac_laplacian,
     gradient_perp,
@@ -108,7 +109,7 @@ class GalerkinBasis:
         """
         g = self.grid
         n, kmax, c = g.n, self.cutoff, g.cutoff
-        ex, ey = _expi(np.arange(kmax + 1), np.stack(fm.points())).swapaxes(0, 1)
+        ex, ey = _phases(np.arange(kmax + 1), np.stack(fm.points())).swapaxes(0, 1)
         out = np.empty((len(self.k), 2, 2 * c + 1, c + 1), dtype=complex)
         pair = np.empty((2, n, n))  # the cos and sin streams of one k
         for j, ((kx, ky), s) in enumerate(zip(self.k.tolist(), self.scale)):
@@ -118,16 +119,6 @@ class GalerkinBasis:
             out[j] = _band(g, np.fft.fft(half, axis=-2))
         out /= n**2
         return out.reshape(self.dim, 2 * c + 1, c + 1)
-
-
-def _expi(k: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """exp(i k p) for each k, shape (k.size,) + p.shape: cos(k p) and sin(k p)
-    written into the real and imaginary parts of one complex buffer."""
-    kp = np.multiply.outer(k, p)
-    out = np.empty(kp.shape, dtype=complex)
-    np.cos(kp, out=out.real)
-    np.sin(kp, out=out.imag)
-    return out
 
 
 @cache
@@ -397,15 +388,15 @@ class ConjugateReport:
 
 @dataclass(frozen=True)
 class PhiBlocks:
-    """Phi(t) as its decoupled blocks, grouped by block size.
+    """Phi(t) as its decoupled blocks of equal size s.
 
-    Each group is (idx, values): idx is (nb, s), each row the sorted indices
-    of one block of the dense Phi, and values is (T, nb, s, s), the entries
-    of those blocks at every sample time.
+    values is (T, nb, s, s): block j holds the entries of the dense Phi on
+    the indices j s ... (j + 1) s - 1 at every sample time, and Phi is zero
+    off these blocks.
     """
 
     times: np.ndarray
-    groups: list
+    values: np.ndarray
 
 
 # the default detection threshold relative to the median of the sigma_min trace
@@ -511,7 +502,7 @@ def _poly_at(c: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _detect_group(times: np.ndarray, phi: np.ndarray, sig: np.ndarray, thr: float):
-    """Conjugate times of one group of equal-size blocks.
+    """Conjugate times of the blocks of Phi.
 
     phi is Phi/t per block, (T, nb, s, s), with its sampled sigma_min (T, nb).
     Returns (t, multiplicity, block) arrays.
@@ -569,11 +560,11 @@ def detect_conjugate(phi_samples: list[OperatorSample] | PhiBlocks,
     shifted inward at the ends of the trace, all samples if fewer), so blocks
     polynomial of degree <= 4 are reproduced.  Weyl's inequality with its
     drift over the bracket skips the candidate when sigma_min provably stays
-    above the threshold.  The others of a block size are refined together by
-    one rule, a grid zoom on the sigma_min of each polynomial over its
-    bracket (``_zoom``: each round samples 33 equispaced points per bracket
-    and keeps the two grid cells around the smallest value; a sign change of
-    the determinant is a zero of sigma_min too).
+    above the threshold.  The others are refined together by one rule, a
+    grid zoom on the sigma_min of each polynomial over its bracket (``_zoom``:
+    each round samples 33 equispaced points per bracket and keeps the two
+    grid cells around the smallest value; a sign change of the determinant
+    is a zero of sigma_min too).
     A refined time whose sigma_min is below the threshold is reported with
     the number of block singular values below it; within a block refined
     times closer than 1e-9 count once, and across blocks such times merge and
@@ -581,31 +572,24 @@ def detect_conjugate(phi_samples: list[OperatorSample] | PhiBlocks,
     taken in closed form (``_svals``, ``_det``), larger ones through LAPACK.
     """
     if not isinstance(phi_samples, PhiBlocks):  # a dense Phi is one block
-        stack = np.array([s.matrix for s in phi_samples])
         phi_samples = PhiBlocks(np.array([s.t for s in phi_samples]),
-                                [(np.arange(stack.shape[-1])[None], stack[:, None])])
+                                np.array([s.matrix for s in phi_samples])[:, None])
     times = phi_samples.times
     if np.any(np.diff(times) <= 0):
         raise ValueError("sample times must be strictly increasing")
     times = times[np.searchsorted(times, 0.0, side="right"):]
     if len(times) < 3:
         raise ValueError("need at least 3 samples with t > 0")
-    groups, dets = [], np.ones(len(times))
-    for _, values in phi_samples.groups:
-        phi = values[-len(times):] / times[:, None, None, None]  # the samples at t > 0
-        groups.append((phi, _svals(phi)[..., -1]))
-        dets = dets * np.prod(np.sign(_det(phi)), axis=1)
-    sig = np.min(np.concatenate([g[1] for g in groups], axis=1), axis=1)
+    phi = phi_samples.values[-len(times):] / times[:, None, None, None]  # the samples at t > 0
+    block_sig = _svals(phi)[..., -1]
+    sig = np.min(block_sig, axis=1)
+    dets = np.prod(np.sign(_det(phi)), axis=1)
     thr = threshold if threshold is not None else THRESHOLD_FACTOR * _median(sig)
 
-    found = []  # (block, t, multiplicity), blocks numbered across the groups
-    offset = 0
-    for phi, block_sig in groups:
-        t, mult, blk = _detect_group(times, phi, block_sig, thr)
-        found += zip((offset + blk).tolist(), t.tolist(), mult.tolist())
-        offset += block_sig.shape[1]
+    t_conj, mult, blocks = _detect_group(times, phi, block_sig, thr)
+    found = sorted(zip(blocks.tolist(), t_conj.tolist(), mult.tolist()))
     dedup = []  # refined times that collapsed together within a block count once
-    for blk, t, m in sorted(found):
+    for blk, t, m in found:
         if dedup and dedup[-1][0] == blk and abs(t - dedup[-1][1]) < 1e-9:
             continue
         dedup.append((blk, t, m))

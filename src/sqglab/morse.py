@@ -167,8 +167,9 @@ class MorseInput:
     def __post_init__(self):
         if not 0.0 <= self.beta < 1.0:
             raise ValueError(f"the count requires beta in [0, 1), got {self.beta}")
-        if self.delta <= 0 or self.c < 0 or self.t_horizon <= 0:
-            raise ValueError("delta, T must be positive and C nonnegative")
+        if not (0 < self.delta < math.inf and 0 <= self.c < math.inf
+                and 0 < self.t_horizon < math.inf):  # NaN fails every comparison
+            raise ValueError("delta, T must be positive and C nonnegative, all finite")
 
 
 @dataclass(frozen=True)

@@ -23,10 +23,17 @@ def initial_stream(spec: str, g: SpectralGrid) -> ScalarField:
     return random_stream(g, *_random_args(spec))
 
 
-def check_spec(spec: str):
-    """Raise ValueError unless ``initial_stream`` accepts spec."""
+def check_spec(spec: str, n: int):
+    """Raise ValueError unless ``initial_stream`` accepts spec on an N = n grid."""
     if spec not in ("cosy", "shear"):
-        _random_args(spec)
+        _check_kmax(_random_args(spec)[1], n)
+
+
+def _check_kmax(kmax: int, n: int):
+    """Raise ValueError unless the modes |k| <= KMAX lie in the 2/3 band of an N = n grid."""
+    if kmax > n // 3:
+        raise ValueError(f"random preset KMAX = {kmax} exceeds the dealias cutoff "
+                         f"N // 3 = {n // 3} (N = {n})")
 
 
 def _random_args(spec: str) -> tuple[int, int]:
@@ -46,7 +53,11 @@ def _random_args(spec: str) -> tuple[int, int]:
 
 
 def random_stream(g: SpectralGrid, seed: int, kmax: int) -> ScalarField:
-    """Random real field supported on 0 < |k| <= kmax, smooth amplitudes, unit maximum speed."""
+    """Random real field supported on 0 < |k| <= kmax, smooth amplitudes, unit maximum speed.
+
+    ValueError for kmax > N // 3, whose modes the dealiased bracket would not see.
+    """
+    _check_kmax(kmax, g.n)
     rng = np.random.default_rng(seed)
     c = np.zeros((g.n, g.n), dtype=complex)
     for kx in range(0, kmax + 1):

@@ -229,9 +229,11 @@ def poisson_bracket(f: ScalarField, g_: ScalarField) -> ScalarField:
 # ---------------------------------------------------------------------------
 # interpolation
 
-def _phases(k: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = exp(i k x), the (k.size, x.size) phase table, built in place."""
-    np.multiply(k[:, None], x, out=out)
+def _phases(k: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """out = exp(i k x), the k.shape + x.shape phase table, built in place or new."""
+    if out is None:
+        out = np.empty(k.shape + x.shape, dtype=complex)
+    np.multiply.outer(k, x, out=out)
     out *= 1j
     return np.exp(out, out=out)
 

@@ -125,7 +125,7 @@ def _phi_blocks(times: np.ndarray, s: np.ndarray) -> PhiBlocks:
     blocks[..., 0, 0] = blocks[..., 1, 1] = s.real
     blocks[..., 0, 1] = -s.imag
     blocks[..., 1, 0] = s.imag
-    return PhiBlocks(times, [(np.arange(2 * s.shape[1]).reshape(-1, 2), blocks)])
+    return PhiBlocks(times, blocks)
 
 
 def sphere_phi_samples(degrees, beta: float, times) -> PhiBlocks:

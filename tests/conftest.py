@@ -44,10 +44,10 @@ def shear_phi(shear_record, shear_basis, shear_lambdas):
 
 def _densify(blocks):
     """Dense Phi samples with the entries of a ``jacobi.PhiBlocks`` and zeros elsewhere."""
-    d = sum(idx.size for idx, _ in blocks.groups)
-    stack = np.zeros((len(blocks.times), d, d))
-    for idx, values in blocks.groups:
-        stack[:, idx[:, :, None], idx[:, None, :]] = values
+    nt, nb, s, _ = blocks.values.shape
+    stack = np.zeros((nt, nb * s, nb * s))
+    for j in range(nb):  # block j on the indices j s ... (j + 1) s - 1
+        stack[:, j * s:(j + 1) * s, j * s:(j + 1) * s] = blocks.values[:, j]
     return [jacobi.OperatorSample(float(t), m) for t, m in zip(blocks.times, stack)]
 
 

@@ -72,6 +72,39 @@ def test_exit_code_2_on_malformed_ic(tmp_path, capsys, command, ic):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command", ["simulate", "jacobi"])
+def test_random_ic_beyond_dealias_cutoff_is_a_config_error(tmp_path, monkeypatch, capsys,
+                                                           command):
+    # KMAX = 11 > N // 3 = 10 puts modes outside the 2/3 band: refused before any step
+    calls = []
+    monkeypatch.setattr(cli, "simulate", lambda *args, **kwargs: calls.append(1))
+    rc = main([command, "--set", "N=32", "--set", "t_final=0.004", "--set", "ic=random:1:11",
+               "--out", str(tmp_path)])
+    assert rc == 2 and calls == []
+    assert "KMAX = 11 exceeds the dealias cutoff N // 3 = 10" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_random_ic_at_dealias_cutoff_runs(tmp_path):
+    rc = main(["simulate", "--set", "N=32", "--set", "t_final=0.004", "--set", "snapshot_stride=2",
+               "--set", "ic=random:1:10", "--out", str(tmp_path)])
+    assert rc == 0
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command, key", [
+    ("simulate", "beta"), ("simulate", "dt"), ("simulate", "t_final"),
+    ("morse-bound", "C"), ("morse-bound", "delta"), ("morse-bound", "T"),
+    ("conjugate-scan", "T"),
+])
+def test_non_finite_real_key_is_a_config_error(tmp_path, capsys, command, key, value):
+    # a NaN passes every ordering check such as T <= 0
+    rc = main([command, "--set", f"{key}={value}", "--out", str(tmp_path)])
+    assert rc == 2
+    assert f"config error: {key} must be finite, got {value}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_jacobi_basis_beyond_dealias_cutoff_is_a_config_error(tmp_path, monkeypatch, capsys):
     # K = 11 > N // 3 = 10: refused before the record is stepped
     calls = []

@@ -43,6 +43,15 @@ def test_cos_y_is_steady(beta):
     assert np.max(np.abs(ea.rhs(theta, beta).coeff)) < 1e-14
 
 
+def test_random_stream_stays_in_the_dealiased_band():
+    # at N = 32, KMAX = 16 would write kx = 16 and kx = -16 to the same Nyquist row
+    g = grid(32)
+    with pytest.raises(ValueError, match=r"KMAX = 11 exceeds the dealias cutoff N // 3 = 10"):
+        random_stream(g, 1, 11)
+    psi = random_stream(g, 1, 10)
+    assert np.all(psi.coeff[~g.dealias_mask] == 0)
+
+
 def test_cfl_violation_raised():
     g = grid(32)
     psi = random_stream(g, 3, 4)

@@ -19,6 +19,7 @@ from sqglab.spectral import (
     TWO_PI,
     ScalarField,
     _fourier_eval,
+    _phases,
     gradient_perp,
     grid,
     inner_product_beta,
@@ -294,11 +295,11 @@ def test_lambda_matrix_matches_two_composition_reference(random_record):
 
 
 def test_compose_phases_match_complex_exponential(random_record):
-    # compose reads exp(i k x) and exp(i k y), k = 0..K, from one cos/sin
+    # compose reads exp(i k x) and exp(i k y), k = 0..K, from one phase
     # table and exp(-i k p) as the conjugate of its entry
     kmax = 6
     px, py = random_record.diffeos[-1].inverse.points()
-    table = jacobi._expi(np.arange(kmax + 1), np.stack([px, py]))
+    table = _phases(np.arange(kmax + 1), np.stack([px, py]))
     for k in range(-kmax, kmax + 1):
         for axis, p in enumerate((px, py)):
             got = table[k, axis] if k >= 0 else table[-k, axis].conj()
@@ -818,7 +819,7 @@ def test_local_poly_drift_bounds_the_block_polynomials(random_record, stack):
     if stack == "sphere":
         blocks = sphere.sphere_phi_samples(range(1, 6), 1.0, np.linspace(0.0, 7.2, 81))
         times = blocks.times[1:]
-        groups = [values[1:] / times[:, None, None, None] for _, values in blocks.groups]
+        groups = [blocks.values[1:] / times[:, None, None, None]]
     elif stack == "dense":
         phi = jacobi.evolve_phi(random_record, jacobi.make_basis(grid(64), 4, 0.5), 0.5)[1:]
         times = np.array([s.t for s in phi])
@@ -899,7 +900,7 @@ def test_detect_conjugate_reproduces_a_quartic(block):
     else:
         per_t = _rotation_scaling(q, 0.5 * q)
     values = (times[:, None, None] * per_t)[:, None]
-    blocks = jacobi.PhiBlocks(times, [(np.array([[0, 1]]), values)])
+    blocks = jacobi.PhiBlocks(times, values)
     report = jacobi.detect_conjugate(blocks)
     assert len(report.detected) == 1
     t_det, mult = report.detected[0]

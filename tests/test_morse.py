@@ -189,6 +189,15 @@ def test_morse_bound_rejects_beta_one():
         morse.MorseInput(1.0, 16.0, np.pi, 1.0, morse.Spectrum.torus(8))
 
 
+@pytest.mark.parametrize("field", ["delta", "c", "t_horizon"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_morse_input_rejects_non_finite_values(field, value):
+    # delta = inf read as aleph 0, and a NaN passed every ordering check
+    args = dict(delta=1.0, c=16.0, t_horizon=np.pi, beta=0.5, spectrum=morse.Spectrum.torus(8))
+    with pytest.raises(ValueError, match="all finite"):
+        morse.MorseInput(**{**args, field: value})
+
+
 def test_sphere_rotation_constants():
     delta, c = morse.sphere_rotation_constants(0.0, 50)
     assert delta == 1.0

@@ -114,9 +114,8 @@ def test_cluster_scan_csv_format():
 def test_phi_samples_block_structure(densify):
     times = np.linspace(0.0, 2.0, 5)
     blocks = sphere.sphere_phi_samples([1, 2], 0.5, times)
-    # one group of 2x2 blocks on the index pairs (0, 1) and (2, 3)
-    [(idx, values)] = blocks.groups
-    assert idx.tolist() == [[0, 1], [2, 3]] and values.shape == (5, 2, 2, 2)
+    # two 2x2 blocks, on the index pairs (0, 1) and (2, 3)
+    assert blocks.values.shape == (5, 2, 2, 2)
     samples = densify(blocks)
     assert samples[0].matrix.shape == (4, 4)
     assert np.max(np.abs(samples[0].matrix)) < 1e-14
@@ -133,8 +132,8 @@ def test_phi_samples_match_per_mode_closed_form(beta):
     blocks = sphere.sphere_phi_samples(degrees, beta, times)
     assert np.array_equal(blocks.times, times)
     # nothing outside the blocks: degree j owns exactly the indices 2j, 2j + 1
-    [(idx, values)] = blocks.groups
-    assert idx.tolist() == [[2 * j, 2 * j + 1] for j in range(len(degrees))]
+    values = blocks.values
+    assert values.shape == (len(times), len(degrees), 2, 2)
     for j, n in enumerate(degrees):
         _, s = sphere.closed_form(times, sphere.SphereMode(n, beta))
         block = np.stack([np.stack([s.real, -s.imag], -1),
