@@ -35,7 +35,7 @@ from .spectral import (
     gradient_perp,
     inner_product_beta,
     poisson_bracket,
-    _spline_buffers,
+    _spline_buffer,
     _spline_coefficients_into,
     _spline_eval,
 )
@@ -168,8 +168,8 @@ def simulate(psi0: ScalarField, config: SolverConfig,
     ``on_snapshot(row)``, so a caller can stream it out.  On a numerical
     abort the last good snapshot is kept in the record and
     ``on_abort(record)`` is invoked before the exception propagates.
-    The stage spline grids of every step are built in one pair of buffers
-    (``_spline_buffers``) allocated here, so the working memory of the loop
+    The stage spline grids of every step are built in one buffer
+    (``_spline_buffer``) allocated here, so the working memory of the loop
     does not grow with the stages a step holds.
     """
     config.validate()
@@ -181,7 +181,7 @@ def simulate(psi0: ScalarField, config: SolverConfig,
     fwd = FlowMap.identity(g)
     record = GeodesicRecord(config=config, psi0=psi0)
     nsteps = whole_steps(config.t_final, config.dt)
-    buffers = _spline_buffers(g.n)
+    buffer = _spline_buffer(g.n)
 
     def snapshot(t, th, fw):
         record.times.append(t)
@@ -195,7 +195,7 @@ def simulate(psi0: ScalarField, config: SolverConfig,
     snapshot(0.0, theta, fwd)
     try:
         for step in range(nsteps):
-            theta, fwd = _joint_rk4_step(theta, fwd, config, buffers)
+            theta, fwd = _joint_rk4_step(theta, fwd, config, buffer)
             t = (step + 1) * config.dt
             if not np.all(np.isfinite(theta.coeff)):
                 raise NumericalAbort(f"non-finite theta at t = {t:.6g}")
@@ -208,22 +208,21 @@ def simulate(psi0: ScalarField, config: SolverConfig,
     return record
 
 
-def _joint_rk4_step(theta, fwd, config, buffers):
+def _joint_rk4_step(theta, fwd, config, buffer):
     """One RK4 step of theta (``_theta_step``); the particle map takes the same stages.
 
     Just before the particle stage i samples it, the packed velocity
     spectrum ux + i uy of theta stage i is turned into quintic spline
     coefficients on a grid ``SPLINE_UPSAMPLE`` times finer (the prefilter
-    folded into the spectral upsampling), written into ``buffers``, the
-    (N, m) row and (m, m) grid pair of ``_spline_buffers`` that the next
-    stage overwrites.  This keeps particle advection cheap, and one grid
-    alive at a time, without giving up spectral accuracy of the underlying
-    field.
+    folded into the spectral upsampling), written into ``buffer``, the
+    (m, m) grid of ``_spline_buffer`` that the next stage overwrites.  This
+    keeps particle advection cheap, and one grid alive at a time, without
+    giving up spectral accuracy of the underlying field.
     """
     theta_next, packed_stages = _theta_step(theta, config.beta, config.dt)
 
     def velocity(i, x, y):
-        (u,) = _spline_eval((_spline_coefficients_into(packed_stages[i], *buffers),), x, y)
+        (u,) = _spline_eval((_spline_coefficients_into(packed_stages[i], buffer),), x, y)
         return u.real, u.imag
 
     return theta_next, advance_forward(fwd, velocity, config.dt)

@@ -181,8 +181,16 @@ class MorseBound:
 
 
 def threshold(inp: MorseInput, k: int) -> float:
-    base = inp.c * inp.t_horizon**2 / (4.0 * inp.delta**2 * k**2 * np.pi**2)
-    return base ** (1.0 / (1.0 - inp.beta))
+    """The k-threshold; +inf where a power overflows or delta^2 underflows to 0.
+
+    No spectrum covers +inf, so ``morse_bound`` refuses it with a
+    ``CoverageError`` instead of a traceback.
+    """
+    try:
+        base = inp.c * inp.t_horizon**2 / (4.0 * inp.delta**2 * k**2 * np.pi**2)
+        return base ** (1.0 / (1.0 - inp.beta))
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
 
 
 def morse_bound(inp: MorseInput) -> MorseBound:

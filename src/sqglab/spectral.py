@@ -64,6 +64,8 @@ class SpectralGrid:
         self.iky = 1j * np.ones((n, 1)) * dkx[None, :]
         # the masked gradient packed as one spectrum: f_x + i f_y
         self.packed_gradient = (self.ikx + 1j * self.iky) * mask
+        # the bracket's dealiasing mask and its N^2 rescaling as one multiplier
+        self.dealias_scale = mask * n**2
         x = TWO_PI * np.arange(n) / n
         self.x = x[:, None] * np.ones((1, n))
         self.y = np.ones((n, 1)) * x[None, :]
@@ -221,7 +223,7 @@ def poisson_bracket(f: ScalarField, g_: ScalarField) -> ScalarField:
     _check_same_grid(f, g_)
     g = f.grid
     a, b = np.fft.ifft2(np.stack([f.coeff, g_.coeff]) * g.packed_gradient, axes=(-2, -1))
-    c = np.fft.fft2((a * b.conj()).imag) * (g.dealias_mask * g.n**2)
+    c = np.fft.fft2((a * b.conj()).imag) * g.dealias_scale
     c[0, 0] = 0.0
     return ScalarField(g, c)
 
@@ -238,6 +240,34 @@ def _phases(k: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.n
     return np.exp(out, out=out)
 
 
+def _mirror(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """The distinct |k|, the index of each k's |k| among them, and #{k >= 0}.
+
+    k holds wavenumbers in FFT order, so the non-negative ones come first
+    and the negative ones are the tail; -N/2 is among them and has no +N/2
+    partner, so its |k| is exponentiated on its own.
+    """
+    mag, row = np.unique(np.abs(k), return_inverse=True)
+    return mag, row, int(np.count_nonzero(k >= 0))
+
+
+def _mirrored_phases(mirror, x: np.ndarray, table: np.ndarray, out: np.ndarray):
+    """out = exp(i k x) for the k of ``_mirror``, with one exponential per |k|.
+
+    The first rows of ``table`` receive exp(i |k| x), each row of ``out``
+    copies its |k| row, and the negative tail is conjugated in place, since
+    exp(-i k x) is the conjugate of exp(i k x) bit for bit.
+    """
+    mag, row, npos = mirror
+    _phases(mag, x, table[:mag.size])
+    np.take(table, row, axis=0, out=out)
+    np.conjugate(out[npos:], out=out[npos:])
+
+
+# points per pass of the direct Fourier sum
+FOURIER_CHUNK = 256
+
+
 def _fourier_eval(coeff: np.ndarray, g: SpectralGrid, x: np.ndarray,
                   y: np.ndarray) -> np.ndarray:
     """Direct Fourier evaluation of stacked coefficient arrays at points.
@@ -246,11 +276,12 @@ def _fourier_eval(coeff: np.ndarray, g: SpectralGrid, x: np.ndarray,
     Only the rows and columns of the spectrum that hold a non-zero
     coefficient in some array are summed, so a field in the 2/3 band costs
     (2/3)^2 of a full-spectrum one.  The sum runs over chunks of
-    ``SPLINE_CHUNK`` points.  Its phase tables exp(i k x) and exp(i k y) and
-    the product of every array with the second live in three buffers
-    allocated once per call and reused by every chunk (0.7 MB each at
-    N = 64 and 1.4 MB at N = 128 for one field in the band, the product's
-    times the number of arrays), however many points are asked for.
+    ``FOURIER_CHUNK`` points.  Its phase tables exp(i k x) and exp(i k y),
+    each built from one exponential per |k| (``_mirrored_phases``), and the
+    product of every array with the second live in buffers allocated once
+    per call and reused by every chunk (about 0.6 MB for one field in the
+    band at N = 64 and 1.2 MB at N = 128, the product's share times the
+    number of arrays), however many points are asked for.
     """
     n = g.n
     k = np.fft.fftfreq(n, d=1.0 / n)
@@ -260,20 +291,25 @@ def _fourier_eval(coeff: np.ndarray, g: SpectralGrid, x: np.ndarray,
     cols = np.flatnonzero(nz.any(axis=(0, 1)))
     c = c[:, rows[:, None], cols]          # (m, R, S)
     m = c.shape[0]
-    size = min(x.size, SPLINE_CHUNK)
-    # flat, so a chunk of q points works on a contiguous (., q) part of each
-    bufs = [np.empty(r * size, dtype=complex)
-            for r in (rows.size, cols.size, m * rows.size)]
+    row_mirror, col_mirror = _mirror(k[rows]), _mirror(k[cols])
+    # every pass sums a full chunk, the last one zero-padded: BLAS computes
+    # the last columns of a ragged product with other kernels, so a point's
+    # value would otherwise depend on where the chunks fall
+    count = x.size
+    pad = -count % FOURIER_CHUNK
+    if pad:
+        x, y = np.pad(x, (0, pad)), np.pad(y, (0, pad))
+    ex, ey, prod, table = (np.empty((r, FOURIER_CHUNK), dtype=complex)
+                           for r in (rows.size, cols.size, m * rows.size,
+                                     max(row_mirror[0].size, col_mirror[0].size)))
     out = np.empty((m, x.size))
-    for p0 in range(0, x.size, SPLINE_CHUNK):
-        pts = slice(p0, p0 + SPLINE_CHUNK)
-        q = x[pts].size
-        ex, ey, prod = (buf[:buf.size // size * q].reshape(-1, q) for buf in bufs)
-        _phases(k[rows], x[pts], ex)               # (R, q)
-        _phases(k[cols], y[pts], ey)               # (S, q)
-        np.matmul(c.reshape(m * rows.size, cols.size), ey, out=prod)  # (m*R, q)
-        out[:, pts] = np.einsum("kp,bkp->bp", ex, prod.reshape(m, rows.size, q)).real
-    return out.reshape(coeff.shape[:-2] + (x.size,))
+    for p0 in range(0, x.size, FOURIER_CHUNK):
+        pts = slice(p0, p0 + FOURIER_CHUNK)
+        _mirrored_phases(row_mirror, x[pts], table, ex)            # (R, chunk)
+        _mirrored_phases(col_mirror, y[pts], table, ey)            # (S, chunk)
+        np.matmul(c.reshape(m * rows.size, cols.size), ey, out=prod)  # (m*R, chunk)
+        out[:, pts] = np.einsum("kp,bkp->bp", ex, prod.reshape(m, rows.size, FOURIER_CHUNK)).real
+    return out[:, :count].reshape(coeff.shape[:-2] + (count,))
 
 
 # refinement factor of the grid that carries the quintic spline
@@ -281,65 +317,65 @@ SPLINE_UPSAMPLE = 4
 
 
 @functools.cache
-def _quintic_prefilter(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Where an N-point spectrum lies in the m-point one, and 1 / B(w) there.
+def _quintic_prefilter(n: int, m: int) -> np.ndarray:
+    """1 / B(w) at the N modes of an N-point spectrum within the m-point one.
 
-    Returns the FFT-order indices of the N modes within the m-point spectrum
-    and 1 / B(w) at them, both read-only, with B(w) = (66 + 52 cos w +
-    2 cos 2w) / 120, w = 2 pi k / m.  B is the symbol of the quintic
-    B-spline sampled on an m-point periodic grid, so dividing by it is the
-    periodic spline prefilter (Unser, "Splines: a perfect fit", IEEE SPM 1999).
+    The modes are the first and last N/2 of the m-point spectrum in FFT
+    order, and the read-only result follows that order, with B(w) = (66 +
+    52 cos w + 2 cos 2w) / 120, w = 2 pi k / m.  B is the symbol of the
+    quintic B-spline sampled on an m-point periodic grid, so dividing by it
+    is the periodic spline prefilter (Unser, "Splines: a perfect fit",
+    IEEE SPM 1999).
     """
     half = n // 2
-    idx = np.r_[0:half, m - half:m]
-    w = TWO_PI * np.fft.fftfreq(m)
-    inv = (120.0 / (66.0 + 52.0 * np.cos(w) + 2.0 * np.cos(2.0 * w)))[idx]
-    idx.flags.writeable = inv.flags.writeable = False
-    return idx, inv
+    w = TWO_PI * np.fft.fftfreq(m)[np.r_[0:half, m - half:m]]
+    inv = 120.0 / (66.0 + 52.0 * np.cos(w) + 2.0 * np.cos(2.0 * w))
+    inv.flags.writeable = False
+    return inv
 
 
-def _spline_buffers(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Uninitialised (N, m) row and (m, m) grid buffers of ``_spline_coefficients_into``."""
+def _spline_buffer(n: int) -> np.ndarray:
+    """An uninitialised (m, m) grid buffer of ``_spline_coefficients_into``."""
     m = SPLINE_UPSAMPLE * n
-    return np.empty((n, m), dtype=complex), np.empty((m, m), dtype=complex)
+    return np.empty((m, m), dtype=complex)
 
 
-def _spline_coefficients_into(coeff: np.ndarray, rows: np.ndarray,
-                              out: np.ndarray) -> np.ndarray:
+def _spline_coefficients_into(coeff: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Periodic quintic B-spline coefficients of a field on a finer grid, in place.
 
     The N x N spectrum is zero-padded to m = SPLINE_UPSAMPLE * N and divided
     by the separable B-spline symbol, so the spline through the refined
     samples is evaluated by ``_spline_eval``.  Only N of the m rows carry
-    modes: the inverse transform runs along axis 1 on those rows, in the
-    (N, m) buffer ``rows``, then along axis 0 in the (m, m) buffer ``out``,
-    which is returned.  Both buffers (``_spline_buffers``) are overwritten
-    whatever they held, so one pair serves every stage of a run.  A packed
+    modes, the first and last N/2: the inverse transform runs along axis 1
+    on those rows of the (m, m) buffer ``out`` (``_spline_buffer``), then
+    along axis 0 on all of it, and ``out`` is returned.  It is overwritten
+    whatever it held, so one buffer serves every stage of a run.  A packed
     field a + i b gives the coefficients of a in the real and of b in the
     imaginary part.
     """
     n = coeff.shape[-1]
     m = out.shape[0]
     half = n // 2
-    idx, inv = _quintic_prefilter(n, m)
-    rows[:, half:m - half] = 0.0
-    rows[:, idx] = coeff * inv
-    np.fft.ifft(rows, axis=1, norm="forward", out=rows)
-    np.multiply(rows[:half], inv[:half, None], out=out[:half])
-    np.multiply(rows[half:], inv[half:, None], out=out[m - half:])
+    inv = _quintic_prefilter(n, m)
+    for part, modes, row_inv in ((out[:half], coeff[:half], inv[:half, None]),
+                                 (out[m - half:], coeff[half:], inv[half:, None])):
+        np.multiply(modes[:, :half], inv[:half], out=part[:, :half])
+        part[:, half:m - half] = 0.0
+        np.multiply(modes[:, half:], inv[half:], out=part[:, m - half:])
+        np.fft.ifft(part, axis=1, norm="forward", out=part)
+        part *= row_inv
     out[half:m - half] = 0.0
     return np.fft.ifft(out, axis=0, norm="forward", out=out)
 
 
 def _spline_coefficients(coeff: np.ndarray) -> np.ndarray:
-    """``_spline_coefficients_into`` on fresh buffers: a complex (m, m) grid of its own."""
-    return _spline_coefficients_into(coeff, *_spline_buffers(coeff.shape[-1]))
+    """``_spline_coefficients_into`` on a fresh buffer: a complex (m, m) grid of its own."""
+    return _spline_coefficients_into(coeff, _spline_buffer(coeff.shape[-1]))
 
 
-# points per pass of the spline sampler and of the direct Fourier sum; the
-# sampler's workspace, about 1.5 kB per point, is allocated once and reused
-# by every call
-SPLINE_CHUNK = 1024
+# points per pass of the spline sampler; its workspace, about 1.5 kB per
+# point, is allocated once and reused by every call
+SPLINE_CHUNK = 512
 
 # row j: the quintic B-spline weight of tap floor(u) - 2 + j as the
 # coefficients of 1, t, ..., t^5, t = u - floor(u) in [0, 1)
@@ -391,8 +427,10 @@ class _SplineWork:
         u = self._part(self.u, 2, s, 2)
         # the second copy of each coordinate holds floor(u) until t is known
         t, t_again = u[:, :, 0], u[:, :, 1]
-        np.mod(x, TWO_PI, out=t[0])
-        np.mod(y, TWO_PI, out=t[1])
+        # mod(x, 2 pi) is x itself on [0, 2 pi), so only the points outside move
+        for c, v in zip(t, (x, y)):
+            np.copyto(c, v)
+            np.mod(v, TWO_PI, out=c, where=(v < 0.0) | (v >= TWO_PI))
         t /= TWO_PI
         t *= m
         np.floor(t, out=t_again)

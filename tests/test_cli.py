@@ -230,6 +230,14 @@ def test_exit_code_4_on_coverage(tmp_path, capsys):
     assert "coverage error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [("T", "1e200"), ("delta", "1e-300")])
+def test_exit_code_4_on_threshold_beyond_floats(tmp_path, capsys, key, value):
+    # T^2 overflows a float; delta^2 underflows to 0: the threshold is +inf
+    rc = main(["morse-bound", "--set", f"{key}={value}", "--out", str(tmp_path)])
+    assert rc == 4
+    assert "coverage error: threshold inf exceeds spectrum coverage" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("spec", ["torus:0", "torus:-3", "sphere:0"])
 def test_exit_code_2_on_spectrum_cutoff_below_one(tmp_path, capsys, spec):
     rc = main(["morse-bound", "--set", f"spectrum={spec}", "--out", str(tmp_path)])

@@ -1,6 +1,8 @@
 """Flow maps: particle advection, Newton inversion against the label-transport
 oracle, checkpoints."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,24 @@ def test_transport_check_shear():
     theta_t = ScalarField.from_function(
         g, lambda x, y: np.cos(x - t * np.sin(y)) + np.sin(y))
     assert transport_check(theta_t, fm, theta0) < 1e-10
+
+
+def test_transport_check_working_memory_is_bounded():
+    # a warmed check at N = 64 of a field filling the 2/3 band: the direct
+    # Fourier sum works on point chunks, so its phase and product buffers
+    # take about 0.5 MB of the peak, not a table over all 4096 points
+    g = grid(64)
+    fm = advance_forward(FlowMap.identity(g), shear_velocity, 0.1)
+    theta_t, theta0 = random_stream(g, 5, g.cutoff), random_stream(g, 6, g.cutoff)
+    assert np.count_nonzero(np.any(theta_t.coeff != 0, axis=1)) == 2 * g.cutoff + 1
+    transport_check(theta_t, fm, theta0)
+    tracemalloc.start()
+    try:
+        transport_check(theta_t, fm, theta0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_advance_forward_aborts_on_nan():

@@ -6,6 +6,7 @@ from scipy import ndimage
 
 from sqglab.euler_arnold import _theta_step, stream_of
 from sqglab.spectral import (
+    FOURIER_CHUNK,
     SPLINE_CHUNK,
     SPLINE_UPSAMPLE,
     TWO_PI,
@@ -24,7 +25,7 @@ from sqglab.spectral import (
     save_field,
     _fourier_eval,
     _quintic_prefilter,
-    _spline_buffers,
+    _spline_buffer,
     _spline_coefficients,
     _spline_coefficients_into,
     _spline_eval,
@@ -161,19 +162,32 @@ def test_fourier_eval_matches_the_untrimmed_sum():
     assert np.array_equal(_fourier_eval(np.zeros((64, 64)), g, x, y), np.zeros(x.size))
 
 
+def _half_table_supports(g, seed):
+    """Spectra whose rows or columns have no mirror: negative rows only,
+    non-negative columns only, and the -N/2 row (no +N/2 in FFT order)."""
+    rng = np.random.default_rng(seed)
+    full = rng.normal(size=(g.n, g.n, 2)) @ np.array([1.0, 1j])
+    half = g.n // 2
+    negative_rows, positive_cols, nyquist_row = (np.zeros_like(full) for _ in range(3))
+    negative_rows[half + 3:] = full[half + 3:]
+    positive_cols[:, :7] = full[:, :7]
+    nyquist_row[[half, 2, -2]] = full[[half, 2, -2]]
+    return [negative_rows, positive_cols, nyquist_row]
+
+
 def test_fourier_eval_point_chunks_equal_split_calls():
-    # two full point chunks and a partial one; the 20-field stack also
-    # crosses the 16-array chunk
+    # two full point chunks and a partial one, on a stack, on a field in
+    # the band and on supports whose phase rows have no mirror
     g = grid(64)
-    count = 2 * SPLINE_CHUNK + 517
+    count = 2 * FOURIER_CHUNK + 117
     pts = np.random.default_rng(34).uniform(0, 2 * np.pi, size=(count, 2))
     x, y = pts[:, 0], pts[:, 1]
     one = random_field(g, 35, kmax=g.cutoff).coeff
     stack = np.stack([random_field(g, 36 + s, kmax=12).coeff for s in range(20)])
     k = np.fft.fftfreq(g.n, d=1.0 / g.n)
     ex, ey = np.exp(1j * np.outer(k, x)), np.exp(1j * np.outer(k, y))
-    split = SPLINE_CHUNK + 300  # the sub-range calls chunk at other points
-    for c in (one, stack):
+    split = FOURIER_CHUNK + 50  # the sub-range calls chunk at other points
+    for c in [one, stack] + _half_table_supports(g, 56):
         got = _fourier_eval(c, g, x, y)
         parts = [_fourier_eval(c, g, x[s], y[s]) for s in (slice(0, split), slice(split, None))]
         assert np.array_equal(got, np.concatenate(parts, axis=-1))
@@ -268,26 +282,26 @@ def _padded_prefilter(coeff):
 
 @pytest.mark.parametrize("n", [32, 64, 128])
 def test_stage_grid_buffers_equal_fresh_spline_coefficients(n):
-    # one buffer pair, first full of NaN, then holding the previous field
-    rows, out = _spline_buffers(n)
-    assert rows.shape == (n, SPLINE_UPSAMPLE * n)
+    # one grid buffer, first full of NaN, then holding the previous field
+    out = _spline_buffer(n)
     assert out.shape == (SPLINE_UPSAMPLE * n, SPLINE_UPSAMPLE * n)
-    rows.fill(np.nan)
     out.fill(np.nan)
     rng = np.random.default_rng(n)
     for _ in range(2):
         coeff = rng.normal(size=(n, n, 2)) @ np.array([1.0, 1j])
-        got = _spline_coefficients_into(coeff, rows, out)
+        got = _spline_coefficients_into(coeff, out)
         assert got is out
         assert np.array_equal(got, _spline_coefficients(coeff))
         assert np.array_equal(got, _padded_prefilter(coeff))
 
 
 def test_prefilter_tables_are_cached_read_only():
-    idx, inv = _quintic_prefilter(64, 256)
-    assert _quintic_prefilter(64, 256)[0] is idx
-    assert not idx.flags.writeable and not inv.flags.writeable
-    assert np.array_equal(idx, np.r_[0:32, 224:256])
+    inv = _quintic_prefilter(64, 256)
+    assert _quintic_prefilter(64, 256) is inv
+    assert not inv.flags.writeable
+    # the 64 modes are the first and last 32 of the 256-point spectrum
+    w = TWO_PI * np.r_[0:32, -32:0] / 256
+    assert np.array_equal(inv, 120.0 / (66.0 + 52.0 * np.cos(w) + 2.0 * np.cos(2.0 * w)))
 
 
 def test_spline_grids_sampled_together_equal_one_at_a_time():
