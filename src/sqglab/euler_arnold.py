@@ -35,6 +35,7 @@ from .spectral import (
     gradient_perp,
     inner_product_beta,
     poisson_bracket,
+    _packed_max_speed,
     _spline_buffer,
     _spline_coefficients_into,
     _spline_eval,
@@ -44,9 +45,12 @@ from .spectral import (
 def whole_steps(t_final: float, dt: float) -> int:
     """Number of dt steps that make up t_final.
 
-    Raises ValueError unless t_final / dt is a whole number to 1e-9 relative,
-    so a time integration never silently stops short of or past t_final.
+    Raises ValueError unless dt and t_final are finite and t_final / dt is a whole
+    number to 1e-9 relative, so a time integration never stops short of or past t_final.
     """
+    for name, value in (("dt", dt), ("t_final", t_final)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} = {value} is not finite")
     steps = t_final / dt
     if abs(steps - round(steps)) > 1e-9 * steps:
         raise ValueError(f"t_final = {t_final:g} is not a multiple of dt = {dt:g}")
@@ -132,10 +136,9 @@ def _theta_step(theta: ScalarField, beta: float, dt: float):
 
     def slope(i, y):
         psi = stream_of(y[0], beta)
-        ux, uy = gradient_perp(psi).component_fields()
-        packed = ux.coeff + 1j * uy.coeff
-        speed = float(np.max(np.abs(np.fft.ifft2(packed)))) * n**2
-        _check_speed(speed, n, dt, f"in RK4 stage {i}" if i else "at the start of the step")
+        packed = gradient_perp(psi).packed()
+        _check_speed(_packed_max_speed(packed), n, dt,
+                     f"in RK4 stage {i}" if i else "at the start of the step")
         packed_stages.append(packed)
         return (poisson_bracket(psi, y[0]),)
 
@@ -222,8 +225,7 @@ def _joint_rk4_step(theta, fwd, config, buffer):
     theta_next, packed_stages = _theta_step(theta, config.beta, config.dt)
 
     def velocity(i, x, y):
-        (u,) = _spline_eval((_spline_coefficients_into(packed_stages[i], buffer),), x, y)
-        return u.real, u.imag
+        return _spline_eval((_spline_coefficients_into(packed_stages[i], buffer),), x, y)[0]
 
     return theta_next, advance_forward(fwd, velocity, config.dt)
 

@@ -5,9 +5,9 @@ points, gamma_dot(t, x) = u(t, gamma(t, x)).  The inverse map is not
 stepped: ``invert`` solves gamma(x) = y for x at the grid points y by
 damped Newton on the quintic spline of gamma's displacement, started at
 x = y, when a reader of gamma^-1 first needs it (``DiffeoSample``).  Both
-maps are stored as periodic displacement fields on the fixed grid.  The
-label transport of gamma^-1 (``label_rhs``, ``advance_back_to_labels``)
-is kept only as the test oracle of ``invert``.
+maps are stored as one packed periodic displacement d_x + i d_y on the
+fixed grid.  The label transport of gamma^-1 (``label_rhs``,
+``advance_back_to_labels``) is kept only as the test oracle of ``invert``.
 """
 
 from __future__ import annotations
@@ -37,39 +37,41 @@ class NumericalAbort(RuntimeError):
 
 @dataclass(frozen=True)
 class FlowMap:
-    """Sampled diffeomorphism x -> x + displacement(x), periodic."""
+    """Sampled diffeomorphism x -> x + d(x), periodic; d = d_x + i d_y is one complex grid."""
 
     grid: SpectralGrid
-    disp_x: np.ndarray
-    disp_y: np.ndarray
+    disp: np.ndarray
 
     @classmethod
     def identity(cls, g: SpectralGrid):
-        z = np.zeros((g.n, g.n))
-        return cls(g, z, z.copy())
+        return cls(g, np.zeros((g.n, g.n), dtype=complex))
 
     def points(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.grid.x + self.disp_x, self.grid.y + self.disp_y
+        return self.grid.x + self.disp.real, self.grid.y + self.disp.imag
 
-    def displacement_fields(self) -> tuple[ScalarField, ScalarField]:
-        g = self.grid
-        return (ScalarField.from_values(g, self.disp_x, zero_mean=False),
-                ScalarField.from_values(g, self.disp_y, zero_mean=False))
+    def component_spectra(self) -> np.ndarray:
+        """The (2, N, N) spectra of d_x and d_y, each transformed alone, as checkpoints hold them."""
+        return np.fft.fft2(np.stack([self.disp.real, self.disp.imag])) / self.grid.n**2
 
     def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.disp_x)) and np.all(np.isfinite(self.disp_y)))
+        return bool(np.all(np.isfinite(self.disp)))
+
+
+def _packed_spectra(fm: FlowMap) -> np.ndarray:
+    """P = fft2(d) / N^2 of the packed displacement, i k_x P and i k_y P: shape (3, N, N).
+
+    The last two are the spectra of d_,x = d_x,x + i d_y,x and d_,y = d_x,y + i d_y,y,
+    so ``jacobian`` and ``invert`` read D gamma from the same derivation.
+    """
+    g = fm.grid
+    p = np.fft.fft2(fm.disp) / g.n**2
+    return np.stack([p, g.ikx * p, g.iky * p])
 
 
 def jacobian(fm: FlowMap) -> np.ndarray:
-    """D gamma as a (2, 2, N, N) array via spectral differentiation."""
-    g = fm.grid
-    fx, fy = fm.displacement_fields()
-    out = np.empty((2, 2, g.n, g.n))
-    out[0, 0] = np.fft.ifft2(g.ikx * fx.coeff).real * g.n**2 + 1.0
-    out[0, 1] = np.fft.ifft2(g.iky * fx.coeff).real * g.n**2
-    out[1, 0] = np.fft.ifft2(g.ikx * fy.coeff).real * g.n**2
-    out[1, 1] = np.fft.ifft2(g.iky * fy.coeff).real * g.n**2 + 1.0
-    return out
+    """D gamma as a (2, 2, N, N) array: one inverse FFT of the packed d_,x and d_,y."""
+    dx, dy = np.fft.ifft2(_packed_spectra(fm)[1:]) * fm.grid.n**2
+    return np.stack([[dx.real + 1.0, dy.real], [dx.imag, dy.imag + 1.0]])
 
 
 def _jacobian_det(fm: FlowMap) -> np.ndarray:
@@ -102,21 +104,21 @@ def _rk4(f, y: tuple, dt: float) -> tuple:
 
 
 def advance_forward(fm: FlowMap, velocity, dt: float) -> FlowMap:
-    """One RK4 particle step of gamma_dot = u(t, gamma).
+    """One RK4 particle step of gamma_dot = u(t, gamma) on the packed displacement.
 
-    ``velocity(i, x, y)`` returns the RK4 stage-i velocity components
-    (ux, uy) at the given point arrays.
+    ``velocity(i, x, y)`` returns the RK4 stage-i velocity ux + i uy, one
+    complex array, at the given flat point arrays.
     """
     x0, y0 = fm.grid.x, fm.grid.y
 
-    def f(i, d):
-        ux, uy = velocity(i, (x0 + d[0]).ravel(), (y0 + d[1]).ravel())
-        return ux.reshape(x0.shape), uy.reshape(y0.shape)
+    def f(i, y):
+        (d,) = y
+        return (velocity(i, (x0 + d.real).ravel(), (y0 + d.imag).ravel()).reshape(x0.shape),)
 
-    ndx, ndy = _rk4(f, (fm.disp_x, fm.disp_y), dt)
-    if not (np.all(np.isfinite(ndx)) and np.all(np.isfinite(ndy))):
+    (disp,) = _rk4(f, (fm.disp,), dt)
+    if not np.all(np.isfinite(disp)):
         raise NumericalAbort("non-finite particle positions")
-    return FlowMap(fm.grid, ndx, ndy)
+    return FlowMap(fm.grid, disp)
 
 
 # Newton stops once every grid point's residual is below this; an inverse
@@ -130,10 +132,10 @@ NEWTON_HALVINGS = 8
 def invert(fwd: FlowMap) -> tuple[FlowMap, float]:
     """gamma^-1 on the grid points by damped Newton on x + d(x) = y.
 
-    d is the displacement of ``fwd``; it and its four derivatives are
-    sampled through the quintic spline of ``_spline_coefficients`` (d_x +
-    i d_y, d_x,x + i d_x,y and d_y,x + i d_y,y as three packed grids; the
-    two derivative grids share the taps of each ``_spline_eval`` call).
+    d is the packed displacement of ``fwd``; it and its derivatives d_,x
+    and d_,y are sampled through the quintic splines (``_spline_coefficients``)
+    of the three spectra of ``_packed_spectra``, the two derivative grids
+    sharing the taps of each ``_spline_eval`` call.
     Newton starts at x = y.  A point whose step does not lower its residual
     |x + d(x) - y| halves it, up to ``NEWTON_HALVINGS`` times, and Newton
     stops when every residual is below ``NEWTON_TOL``, when no point moved,
@@ -143,46 +145,40 @@ def invert(fwd: FlowMap) -> tuple[FlowMap, float]:
     alone does not make gamma invertible (``DiffeoSample.check_invertible``).
     """
     g = fwd.grid
-    fx, fy = fwd.displacement_fields()
-    packed = (fx.coeff + 1j * fy.coeff,
-              g.ikx * fx.coeff + 1j * g.iky * fx.coeff,
-              g.ikx * fy.coeff + 1j * g.iky * fy.coeff)
-    disp, dx, dy = map(_spline_coefficients, packed)
-    y = np.stack([g.x.ravel(), g.y.ravel()])
+    disp, dx, dy = map(_spline_coefficients, _packed_spectra(fwd))
+    y = (g.x + 1j * g.y).ravel()  # the grid points and Newton's iterate, packed as x + i y
     x = y.copy()
 
-    def residual(pts, target):
-        (d,) = _spline_eval((disp,), pts[0], pts[1])
-        r = pts + np.stack([d.real, d.imag]) - target
-        return r, np.hypot(r[0], r[1])
+    def residual(z, target):
+        r = z + _spline_eval((disp,), z.real, z.imag)[0] - target
+        return r, np.abs(r)
 
     r, res = residual(x, y)
     for _ in range(NEWTON_MAX_ITER):
         act = np.flatnonzero(res > NEWTON_TOL)
         if not act.size:
             break
-        jx, jy = _spline_eval((dx, dy), x[0, act], x[1, act])
-        a, b, c, d = jx.real + 1.0, jx.imag, jy.real, jy.imag + 1.0
-        rx, ry = r[:, act]
+        jx, jy = _spline_eval((dx, dy), x[act].real, x[act].imag)
+        a, b, c, d = jx.real + 1.0, jy.real, jx.imag, jy.imag + 1.0
+        rx, ry = r[act].real, r[act].imag
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.stack([d * rx - b * ry, a * ry - c * rx]) / -(a * d - b * c)
-        step[:, ~np.isfinite(step).all(axis=0)] = 0.0  # a singular Jacobian: no move
+            step = (d * rx - b * ry + 1j * (a * ry - c * rx)) / -(a * d - b * c)
+        step[~np.isfinite(step)] = 0.0  # a singular Jacobian: no move
         moved = False
         for _ in range(NEWTON_HALVINGS + 1):
-            trial = x[:, act] + step
-            rt, rest = residual(trial, y[:, act])
+            trial = x[act] + step
+            rt, rest = residual(trial, y[act])
             ok = rest < res[act]
             if ok.any():
                 moved = True
                 i = act[ok]
-                x[:, i], r[:, i], res[i] = trial[:, ok], rt[:, ok], rest[ok]
-            act, step = act[~ok], step[:, ~ok] / 2
+                x[i], r[i], res[i] = trial[ok], rt[ok], rest[ok]
+            act, step = act[~ok], step[~ok] / 2
             if not act.size:
                 break
         if not moved:
             break
-    disp = (x - y).reshape(2, g.n, g.n)
-    return FlowMap(g, disp[0], disp[1]), float(np.max(res))
+    return FlowMap(g, (x - y).reshape(g.n, g.n)), float(np.max(res))
 
 
 def label_rhs(labels: tuple[ScalarField, ScalarField], ux: ScalarField,
@@ -228,9 +224,8 @@ def inverse_consistency(fwd: FlowMap, inv: FlowMap) -> float:
     """
     g = fwd.grid
     ix, iy = inv.points()
-    fx, fy = fwd.displacement_fields()
     x, y = np.mod(ix.ravel(), TWO_PI), np.mod(iy.ravel(), TWO_PI)
-    dx, dy = _fourier_eval(np.stack([fx.coeff, fy.coeff]), g, x, y)
+    dx, dy = _fourier_eval(fwd.component_spectra(), g, x, y)
     rx = np.mod(ix.ravel() + dx - g.x.ravel() + np.pi, TWO_PI) - np.pi
     ry = np.mod(iy.ravel() + dy - g.y.ravel() + np.pi, TWO_PI) - np.pi
     return float(np.max(np.hypot(rx, ry)))
@@ -252,13 +247,11 @@ def transport_check(theta_t: ScalarField, fm: FlowMap, theta0: ScalarField) -> f
 
 def save_flowmap(path, fm: FlowMap):
     """Bit-exact checkpoint of gamma's displacement, magic "GSQGF" (``write_checkpoint``)."""
-    fx, fy = fm.displacement_fields()
-    write_checkpoint(path, MAGIC_FLOW, [fx.coeff, fy.coeff])
+    write_checkpoint(path, MAGIC_FLOW, fm.component_spectra())
 
 
 def load_flowmap(path) -> FlowMap:
-    cx, cy = read_checkpoint(path, MAGIC_FLOW, 2)
-    n = cx.shape[0]
-    dx = np.fft.ifft2(cx).real * n**2
-    dy = np.fft.ifft2(cy).real * n**2
-    return FlowMap(grid(n), dx, dy)
+    coeffs = read_checkpoint(path, MAGIC_FLOW, 2)
+    n = coeffs[0].shape[0]
+    dx, dy = np.fft.ifft2(np.stack(coeffs)).real * n**2
+    return FlowMap(grid(n), dx + 1j * dy)

@@ -177,12 +177,10 @@ def test_criterion_08_jacobi_vs_perturbed_geodesic(shear_record, shear_basis,
         w0 /= np.linalg.norm(w0)
         rec_eps = ea.simulate(psi0 + shear_basis.field_of(w0) * eps, cfg)
         for i in range(1, len(shear_record.times)):
-            jx = (rec_eps.diffeos[i].forward.disp_x
-                  - shear_record.diffeos[i].forward.disp_x) / eps
-            jy = (rec_eps.diffeos[i].forward.disp_y
-                  - shear_record.diffeos[i].forward.disp_y) / eps
+            j = (rec_eps.diffeos[i].forward.disp - shear_record.diffeos[i].forward.disp) / eps
+            jx, jy = j.real, j.imag
             w = shear_basis.vector_of(shear_phi[i].matrix @ w0)
-            wx, wy = w.component_values()
+            wx, wy = (f.values() for f in w.component_fields())
             jac = jacobian(shear_record.diffeos[i].forward)
             px = jac[0, 0] * wx + jac[0, 1] * wy
             py = jac[1, 0] * wx + jac[1, 1] * wy

@@ -177,7 +177,7 @@ def test_exit_code_3_on_folded_flow_map(tmp_path, monkeypatch, capsys):
     def folded(psi0, config):
         rec = euler_arnold.simulate(psi0, config)
         g = psi0.grid
-        fwd = FlowMap(g, 1.05 * np.sin(g.x), np.zeros((g.n, g.n)))
+        fwd = FlowMap(g, 1.05 * np.sin(g.x) + 0j)
         rec.diffeos[-1] = DiffeoSample(fwd, rec.times[-1])
         return rec
 
@@ -449,7 +449,7 @@ def test_simulate_artifacts_roundtrip(tmp_path):
     assert theta.grid.n == 32
     fm = load_flowmap(tmp_path / "gamma_final.gsqgf")
     assert fm.grid.n == 32
-    assert np.all(np.isfinite(fm.disp_x))
+    assert np.all(np.isfinite(fm.disp))
 
 
 def test_conjugate_scan_artifact(tmp_path):

@@ -1,5 +1,6 @@
 """Geodesic time stepping: right-hand side, conservation, reference solver."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -176,11 +177,17 @@ def test_simulate_snapshots_and_diagnostics():
         assert all(np.isfinite(v) for v in row.values())
 
 
-def test_t_final_must_be_a_multiple_of_dt():
-    cfg = ea.SolverConfig(dt=0.003, t_final=0.01, n=32)
-    with pytest.raises(ValueError, match="not a multiple of dt"):
+@pytest.mark.parametrize("dt, t_final, message", [
+    pytest.param(0.003, 0.01, "not a multiple of dt", id="not-a-multiple"),
+    pytest.param(math.inf, 1.0, "dt = inf is not finite", id="dt-inf"),
+    pytest.param(1e-3, math.inf, "t_final = inf is not finite", id="t_final-inf"),
+    pytest.param(math.nan, 1.0, "dt = nan is not finite", id="dt-nan"),
+])
+def test_t_final_must_be_a_multiple_of_dt(dt, t_final, message):
+    cfg = ea.SolverConfig(dt=dt, t_final=t_final, n=32)
+    with pytest.raises(ValueError, match=message):
         cfg.validate()
-    with pytest.raises(ValueError, match="not a multiple of dt"):
+    with pytest.raises(ValueError, match=message):
         ea.simulate(initial_stream("shear", grid(32)), cfg)
     for dt, t_final in ((1e-3, 0.05), (2e-3, 0.2), (5e-3, 0.1), (1.0, 2.0)):
         ea.SolverConfig(dt=dt, t_final=t_final).validate()

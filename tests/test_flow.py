@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from sqglab import euler_arnold as ea
+from sqglab import flow
 from sqglab.flow import (
     RK4_NODES,
     FlowMap,
@@ -24,12 +25,20 @@ from sqglab.flow import (
     transport_check,
 )
 from sqglab.presets import initial_stream, random_stream
-from sqglab.spectral import ScalarField, frac_laplacian, gradient_perp, grid, multiply_dealiased
+from sqglab.spectral import (
+    ScalarField,
+    _spline_coefficients,
+    _spline_eval,
+    frac_laplacian,
+    gradient_perp,
+    grid,
+    multiply_dealiased,
+)
 
 
 def shear_velocity(i, x, y):
     # steady horizontal shear u = (sin y, 0); exact flow x -> x + t sin y
-    return np.sin(y), np.zeros_like(x)
+    return np.sin(y) + 0j
 
 
 def shear_fields(g):
@@ -40,7 +49,7 @@ def shear_fields(g):
 
 def labels_to_flowmap(labels: tuple[ScalarField, ScalarField]) -> FlowMap:
     a1, a2 = labels
-    return FlowMap(a1.grid, a1.values(), a2.values())
+    return FlowMap(a1.grid, a1.values() + 1j * a2.values())
 
 
 def test_rk4_fourth_order_on_nonautonomous_ode():
@@ -74,8 +83,8 @@ def test_forward_shear_flow_exact():
         fm = advance_forward(fm, shear_velocity, dt)
     t = nsteps * dt
     # y is constant along trajectories, so RK4 integrates exactly
-    assert np.max(np.abs(fm.disp_x - t * np.sin(g.y))) < 1e-13
-    assert np.max(np.abs(fm.disp_y)) < 1e-14
+    assert np.max(np.abs(fm.disp.real - t * np.sin(g.y))) < 1e-13
+    assert np.max(np.abs(fm.disp.imag)) < 1e-14
     assert jacobian_det_error(fm) < 1e-12
 
 
@@ -91,8 +100,8 @@ def test_back_to_labels_shear_inverse():
     t = nsteps * dt
     inv = labels_to_flowmap(labels)
     # gamma^-1(x, y) = (x - t sin y, y)
-    assert np.max(np.abs(inv.disp_x + t * np.sin(g.y))) < 1e-10
-    assert np.max(np.abs(inv.disp_y)) < 1e-10
+    assert np.max(np.abs(inv.disp.real + t * np.sin(g.y))) < 1e-10
+    assert np.max(np.abs(inv.disp.imag)) < 1e-10
     assert inverse_consistency(fwd, inv) < 1e-9
 
 
@@ -100,11 +109,66 @@ def test_invert_exact_shear():
     # gamma(x, y) = (x + t sin y, y), so gamma^-1(x, y) = (x - t sin y, y)
     g = grid(32)
     t = 0.7
-    fwd = FlowMap(g, t * np.sin(g.y), np.zeros((g.n, g.n)))
+    fwd = FlowMap(g, t * np.sin(g.y) + 0j)
     inv, residual = invert(fwd)
-    assert np.max(np.abs(inv.disp_x + t * np.sin(g.y))) < 1e-12
-    assert np.max(np.abs(inv.disp_y)) < 1e-12
+    assert np.max(np.abs(inv.disp.real + t * np.sin(g.y))) < 1e-12
+    assert np.max(np.abs(inv.disp.imag)) < 1e-12
     assert residual < 1e-12
+
+
+def _random_steps(nsteps):
+    """The first theta and the RK4 stage velocity spectra of ``nsteps`` steps of random:1:4."""
+    g = grid(32)
+    beta, dt = 0.5, 1e-2
+    theta = frac_laplacian(initial_stream("random:1:4", g), 1.0 - beta / 2.0)
+    stages = []
+    for _ in range(nsteps):
+        theta, packed = ea._theta_step(theta, beta, dt)
+        stages.append([_spline_coefficients(p) for p in packed])
+    return g, dt, stages
+
+
+def test_packed_particle_step_equals_component_step():
+    # advance_forward steps d_x + i d_y as one complex array; the same RK4 over
+    # the real pair (d_x, d_y) with the same stage velocities gives the same bits
+    g, dt, stages = _random_steps(4)
+    x0, y0 = g.x, g.y
+    fm = FlowMap.identity(g)
+    ref = (np.zeros((g.n, g.n)), np.zeros((g.n, g.n)))
+    for grids in stages:
+        def velocity(i, x, y):
+            return _spline_eval((grids[i],), x, y)[0]
+
+        def component_velocity(i, d):
+            u = velocity(i, (x0 + d[0]).ravel(), (y0 + d[1]).ravel()).reshape(x0.shape)
+            return u.real, u.imag
+
+        fm = advance_forward(fm, velocity, dt)
+        ref = _rk4(component_velocity, ref, dt)
+    assert np.max(np.abs(ref[0])) > 1e-3
+    assert np.array_equal(fm.disp.real, ref[0]) and np.array_equal(fm.disp.imag, ref[1])
+
+
+def test_invert_derivative_grids_reproduce_jacobian(monkeypatch):
+    # one D gamma: the spline grids of d_,x and d_,y that Newton samples give
+    # the entries of jacobian at the grid points, where the spline interpolates
+    g = grid(64)
+    cfg = ea.SolverConfig(beta=0.5, dt=1e-2, t_final=0.2, n=64, snapshot_stride=20)
+    fm = ea.simulate(initial_stream("random:1:4", g), cfg).diffeos[-1].forward
+    grids = []
+
+    def recording(coeff):
+        grids.append(_spline_coefficients(coeff))
+        return grids[-1]
+
+    monkeypatch.setattr(flow, "_spline_coefficients", recording)
+    invert(fm)
+    assert len(grids) == 3
+    dx, dy = _spline_eval(grids[1:], g.x, g.y)
+    want = jacobian(fm)
+    assert np.max(np.abs(want - np.eye(2)[:, :, None, None])) > 1e-2
+    got = np.stack([[dx.real + 1.0, dy.real], [dx.imag, dy.imag + 1.0]]).reshape(want.shape)
+    assert np.max(np.abs(got - want)) < 1e-12
 
 
 def _label_oracle(psi0, beta, dt, nsteps, stride):
@@ -192,7 +256,7 @@ def test_advance_forward_aborts_on_nan():
     g = grid(32)
 
     def bad(i, x, y):
-        return np.full_like(x, np.nan), np.zeros_like(y)
+        return np.full_like(x, np.nan, dtype=complex)
 
     with pytest.raises(NumericalAbort):
         advance_forward(FlowMap.identity(g), bad, 1e-2)
@@ -208,8 +272,8 @@ def test_flowmap_checkpoint_roundtrip(tmp_path):
     save_flowmap(p, fm)
     fm2 = load_flowmap(p)
     assert fm2.grid.n == 32
-    assert np.max(np.abs(fm2.disp_x - fm.disp_x)) < 1e-12
-    assert np.max(np.abs(fm2.disp_y - fm.disp_y)) < 1e-12
+    assert np.max(np.abs(fm2.disp.real - fm.disp.real)) < 1e-12
+    assert np.max(np.abs(fm2.disp.imag - fm.disp.imag)) < 1e-12
 
 
 @pytest.mark.parametrize("edit, found", [(lambda b: b[:-1], 13 + 32 * 32**2 - 1),

@@ -177,7 +177,7 @@ def test_lambda_at_identity_is_identity():
 def test_field_operators_refuse_an_unconverged_inverse():
     # x + 1.5 sin x folds back where 1 + 1.5 cos x < 0: Newton leaves a large residual
     g = grid(32)
-    d = DiffeoSample(FlowMap(g, 1.5 * np.sin(g.x), np.zeros((g.n, g.n))), 1.0)
+    d = DiffeoSample(FlowMap(g, 1.5 * np.sin(g.x) + 0j), 1.0)
     assert d.residual > 1e-3
     v = gradient_perp(random_stream(g, 7, 4))
     match = rf"t = 1 \(N = 32\) has residual {d.residual:.3e}"

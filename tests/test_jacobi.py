@@ -316,7 +316,7 @@ def test_band_rows_are_cached_read_only():
 def _folded_record(amplitude):
     """A two-snapshot record whose map at t = 1 is x -> x + amplitude sin x on N = 32."""
     g = grid(32)
-    d = DiffeoSample(FlowMap(g, amplitude * np.sin(g.x), np.zeros((g.n, g.n))), 1.0)
+    d = DiffeoSample(FlowMap(g, amplitude * np.sin(g.x) + 0j), 1.0)
     return GeodesicRecord(SolverConfig(n=32), random_stream(g, 1, 4), [0.0, 1.0],
                           diffeos=[DiffeoSample.identity(g), d])
 

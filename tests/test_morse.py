@@ -111,7 +111,7 @@ def test_delta_inf_matches_exact_shear_closed_form():
     # singular value (t + sqrt(t^2 + 4)) / 2 is taken at cos y = +-1, on the grid
     g = grid(64)
     for t in (0.5, 1.0, 2.0):
-        shear = DiffeoSample(FlowMap(g, -t * np.sin(g.y), np.zeros((g.n, g.n))), t)
+        shear = DiffeoSample(FlowMap(g, -t * np.sin(g.y) + 0j), t)
         record = GeodesicRecord(SolverConfig(n=64), random_stream(g, 1, 4), [0.0, t],
                                 diffeos=[DiffeoSample.identity(g), shear])
         assert abs(morse.delta_inf(record) - ((t + np.sqrt(t * t + 4.0)) / 2.0) ** -2) < 1e-12

@@ -101,7 +101,7 @@ def test_gradient_perp_orientation():
     # grad_perp psi = (-psi_y, psi_x); for psi = -cos y the field is (-sin y, 0)
     g = grid(32)
     psi = ScalarField.from_function(g, lambda x, y: -np.cos(y))
-    ux, uy = gradient_perp(psi).component_values()
+    ux, uy = (f.values() for f in gradient_perp(psi).component_fields())
     assert np.allclose(ux, -np.sin(g.y), atol=1e-13)
     assert np.allclose(uy, 0.0, atol=1e-13)
 
