@@ -2,7 +2,8 @@
 
 Importing the package loads numpy alone, and no module imports a scipy
 submodule: the command-line interface imports the top-level ``scipy``
-package only to record its version in the run manifest.
+package, where it is installed, only to record its version in the run
+manifest (``null`` without it; scipy is a dependency of the tests alone).
 """
 
 from .spectral import (

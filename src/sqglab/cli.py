@@ -2,13 +2,15 @@
 
 Configuration is plain ``key = value`` lines with ``#`` comments, whose
 keys are the fields of ``RunConfig``; every run writes its artifacts plus a
-``manifest.txt`` recording the package, numpy and scipy versions, the git
+``manifest.txt`` recording the package, numpy and scipy versions (scipy
+``null`` where it is not installed: only the tests need it), the git
 revision (``null`` outside a checkout), the resolved configuration under
 the config keys (so those lines can be read back with ``--config``), the
 wall seconds of each timed phase and the SHA-256 of each emitted file.
 Exit codes: 0 ok, 2 configuration error (a NaN or infinite real value
-included; for ``jacobi`` also fewer than 3 snapshots after t = 0), 3
-numerical abort, 4 spectrum coverage too small.
+included, a ``--config`` that cannot be read as UTF-8 text and an ``--out``
+that cannot be a directory; for ``jacobi`` also fewer than 3 snapshots
+after t = 0), 3 numerical abort, 4 spectrum coverage too small.
 """
 
 from __future__ import annotations
@@ -20,7 +22,11 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
-import scipy
+
+try:
+    import scipy
+except ImportError:
+    scipy = None
 
 from . import __version__, euler_arnold, jacobi, morse, sphere
 from .euler_arnold import SolverConfig, simulate
@@ -99,6 +105,22 @@ def _apply_line(cfg: RunConfig, line: str, where: str):
         raise ConfigError(f"bad value {value!r} for key {key!r} ({where})") from None
 
 
+def _read_config(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read --config {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"--config {path} is not UTF-8 text") from None
+
+
+def _make_out(out: Path):
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use --out {out} as a directory: {exc.strerror}") from None
+
+
 def parse_config(text: str, cfg: RunConfig | None = None) -> RunConfig:
     """Parse ``key = value`` lines; unknown keys rejected with line number."""
     cfg = cfg if cfg is not None else RunConfig()
@@ -156,7 +178,7 @@ def _write_manifest(out: Path, command: str, cfg: RunConfig, artifacts: list[Pat
     lines = [f"command = {command}",
              f"sqglab = {__version__}",
              f"numpy = {np.__version__}",
-             f"scipy = {scipy.__version__}",
+             f"scipy = {scipy.__version__ if scipy else 'null'}",
              f"git_revision = {_git_revision() or 'null'}"]
     for f in fields(cfg):
         lines.append(f"{f.name} = {getattr(cfg, f.name)}")
@@ -325,16 +347,16 @@ def main(argv=None) -> int:
     try:
         cfg = RunConfig()
         if args.config is not None:
-            cfg = parse_config(args.config.read_text(), cfg)
+            cfg = parse_config(_read_config(args.config), cfg)
         for item in args.set:
             _apply_line(cfg, item, "--set")
         _validate(cfg)
+        _make_out(args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
     out = args.out
-    out.mkdir(parents=True, exist_ok=True)
     phases = Phases()
     try:
         artifacts = _COMMANDS[args.command](cfg, out, phases)

@@ -224,8 +224,7 @@ def inverse_consistency(fwd: FlowMap, inv: FlowMap) -> float:
     """
     g = fwd.grid
     ix, iy = inv.points()
-    x, y = np.mod(ix.ravel(), TWO_PI), np.mod(iy.ravel(), TWO_PI)
-    dx, dy = _fourier_eval(fwd.component_spectra(), g, x, y)
+    dx, dy = _fourier_eval(fwd.component_spectra(), g, ix.ravel(), iy.ravel())
     rx = np.mod(ix.ravel() + dx - g.x.ravel() + np.pi, TWO_PI) - np.pi
     ry = np.mod(iy.ravel() + dy - g.y.ravel() + np.pi, TWO_PI) - np.pi
     return float(np.max(np.hypot(rx, ry)))

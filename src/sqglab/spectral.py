@@ -236,54 +236,24 @@ def poisson_bracket(f: ScalarField, g_: ScalarField) -> ScalarField:
 # ---------------------------------------------------------------------------
 # interpolation
 
-def _phases(k: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """out = exp(i k x), the k.shape + x.shape phase table, built in place or new."""
-    if out is None:
-        out = np.empty(k.shape + x.shape, dtype=complex)
-    np.multiply.outer(k, x, out=out)
-    out *= 1j
-    return np.exp(out, out=out)
-
-
-def _phase_powers(kmax: int, x: np.ndarray) -> np.ndarray:
+def _phase_powers(kmax: int, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """exp(i k x) for k = 0..kmax, shape (kmax + 1,) + x.shape, from one exponential.
 
-    Row 1 is ``_phases`` at k = 1 and each higher row the product of the row
-    below it with row 1, so row k carries about k roundings of a unit
-    complex product.  That is finer than exponentiating k x, which rounds
-    k x first, an error that grows with |k x|: 2e-15 against 1.4e-14 up to
-    k = 21 on the inverse-map points of an N = 64 record.
+    Row 1 is exp(i x) and each higher row the product of the row below it
+    with row 1, so row k carries about k roundings of a unit complex
+    product.  That is finer than exponentiating k x, which rounds k x first,
+    an error that grows with |k x|: 2e-15 against 1.4e-14 up to k = 21 on
+    the inverse-map points of an N = 64 record.  The phases are periodic in
+    x for every k, so x need not be wrapped into [0, 2 pi).  kmax is at
+    least 1; the table is built in ``out`` when given, else in a new array.
     """
-    out = np.empty((kmax + 1,) + x.shape, dtype=complex)
+    if out is None:
+        out = np.empty((kmax + 1,) + x.shape, dtype=complex)
     out[0] = 1.0
-    _phases(np.ones(1), x, out[1:2])
+    np.exp(np.multiply(x, 1j, out=out[1]), out=out[1])
     for k in range(2, kmax + 1):
         np.multiply(out[k - 1], out[1], out=out[k])
     return out
-
-
-def _mirror(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """The distinct |k|, the index of each k's |k| among them, and #{k >= 0}.
-
-    k holds wavenumbers in FFT order, so the non-negative ones come first
-    and the negative ones are the tail; -N/2 is among them and has no +N/2
-    partner, so its |k| is exponentiated on its own.
-    """
-    mag, row = np.unique(np.abs(k), return_inverse=True)
-    return mag, row, int(np.count_nonzero(k >= 0))
-
-
-def _mirrored_phases(mirror, x: np.ndarray, table: np.ndarray, out: np.ndarray):
-    """out = exp(i k x) for the k of ``_mirror``, with one exponential per |k|.
-
-    The first rows of ``table`` receive exp(i |k| x), each row of ``out``
-    copies its |k| row, and the negative tail is conjugated in place, since
-    exp(-i k x) is the conjugate of exp(i k x) bit for bit.
-    """
-    mag, row, npos = mirror
-    _phases(mag, x, table[:mag.size])
-    np.take(table, row, axis=0, out=out)
-    np.conjugate(out[npos:], out=out[npos:])
 
 
 # points per pass of the direct Fourier sum
@@ -298,22 +268,27 @@ def _fourier_eval(coeff: np.ndarray, g: SpectralGrid, x: np.ndarray,
     Only the rows and columns of the spectrum that hold a non-zero
     coefficient in some array are summed, so a field in the 2/3 band costs
     (2/3)^2 of a full-spectrum one.  The sum runs over chunks of
-    ``FOURIER_CHUNK`` points.  Its phase tables exp(i k x) and exp(i k y),
-    each built from one exponential per |k| (``_mirrored_phases``), and the
-    product of every array with the second live in buffers allocated once
-    per call and reused by every chunk (about 0.6 MB for one field in the
-    band at N = 64 and 1.2 MB at N = 128, the product's share times the
-    number of arrays), however many points are asked for.
+    ``FOURIER_CHUNK`` points.  For each chunk and axis one power table
+    exp(i |k| x), |k| = 0..max |k| (``_phase_powers``), gives the phases
+    exp(i k x) of the summed rows or columns, gathered by |k| and conjugated
+    where k < 0.  That table, the two phase tables and the product of every
+    array with the second live in buffers allocated once per call and
+    reused by every chunk (about 0.6 MB for one field in the band at N = 64
+    and 1.2 MB at N = 128, the product's share times the number of arrays),
+    however many points are asked for.  The points need not be wrapped.
     """
     n = g.n
-    k = np.fft.fftfreq(n, d=1.0 / n)
+    k = np.fft.fftfreq(n, d=1.0 / n).astype(int)
     c = coeff.reshape(-1, n, n)
     nz = c != 0
     rows = np.flatnonzero(nz.any(axis=(0, 2)))
     cols = np.flatnonzero(nz.any(axis=(0, 1)))
     c = c[:, rows[:, None], cols]          # (m, R, S)
     m = c.shape[0]
-    row_mirror, col_mirror = _mirror(k[rows]), _mirror(k[cols])
+    # per axis: the |k| of each summed row or column and the count of k >= 0,
+    # which come first in FFT order
+    axes = [(np.abs(k[i]), np.count_nonzero(k[i] >= 0)) for i in (rows, cols)]
+    kmax = max(int(mag.max(initial=1)) for mag, _ in axes)
     # every pass sums a full chunk, the last one zero-padded: BLAS computes
     # the last columns of a ragged product with other kernels, so a point's
     # value would otherwise depend on where the chunks fall
@@ -322,13 +297,13 @@ def _fourier_eval(coeff: np.ndarray, g: SpectralGrid, x: np.ndarray,
     if pad:
         x, y = np.pad(x, (0, pad)), np.pad(y, (0, pad))
     ex, ey, prod, table = (np.empty((r, FOURIER_CHUNK), dtype=complex)
-                           for r in (rows.size, cols.size, m * rows.size,
-                                     max(row_mirror[0].size, col_mirror[0].size)))
+                           for r in (rows.size, cols.size, m * rows.size, kmax + 1))
     out = np.empty((m, x.size))
     for p0 in range(0, x.size, FOURIER_CHUNK):
         pts = slice(p0, p0 + FOURIER_CHUNK)
-        _mirrored_phases(row_mirror, x[pts], table, ex)            # (R, chunk)
-        _mirrored_phases(col_mirror, y[pts], table, ey)            # (S, chunk)
+        for (mag, npos), p, e in zip(axes, (x[pts], y[pts]), (ex, ey)):
+            np.take(_phase_powers(kmax, p, table), mag, axis=0, out=e)  # (R or S, chunk)
+            np.conjugate(e[npos:], out=e[npos:])
         np.matmul(c.reshape(m * rows.size, cols.size), ey, out=prod)  # (m*R, chunk)
         out[:, pts] = np.einsum("kp,bkp->bp", ex, prod.reshape(m, rows.size, FOURIER_CHUNK)).real
     return out[:, :count].reshape(coeff.shape[:-2] + (count,))
@@ -516,16 +491,15 @@ def _spline_eval(grids, x: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
 
 
 def interpolate(f: ScalarField, points: np.ndarray) -> np.ndarray:
-    """Evaluate a field at arbitrary points (wrapped periodically).
+    """Evaluate a field at arbitrary points of the plane (the field is periodic).
 
-    The Fourier series is summed directly, so the values are exact.  The
-    particle stage samples the velocity through the quintic spline of
-    ``_spline_coefficients`` / ``_spline_eval`` instead.
+    The Fourier series is summed directly, so the values are exact; its
+    integer-k phases come from exp(i x) by powers, so the points are not
+    wrapped first.  The particle stage samples the velocity through the
+    quintic spline of ``_spline_coefficients`` / ``_spline_eval`` instead.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    x = np.mod(pts[:, 0], TWO_PI)
-    y = np.mod(pts[:, 1], TWO_PI)
-    return _fourier_eval(f.coeff, f.grid, x, y)
+    return _fourier_eval(f.coeff, f.grid, pts[:, 0], pts[:, 1])
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,31 @@ def test_exit_code_2_on_malformed_set(tmp_path):
     assert main(["sphere-example", "--set", "beta", "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+def test_exit_code_2_on_unreadable_config(tmp_path, capsys, kind):
+    path = tmp_path / "run.cfg"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf8":
+        path.write_bytes(b"beta = 0.5  # \xff\n")
+    rc = main(["sphere-example", "--config", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error:") and str(path) in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("where", ["file", "inside-file"])
+def test_exit_code_2_on_out_that_cannot_be_a_directory(tmp_path, capsys, where):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    out = taken if where == "file" else taken / "run"
+    assert main(["sphere-example", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(out) in err
+    assert taken.read_text() == "not a directory\n"
+
+
 def test_exit_code_2_on_t_final_not_multiple_of_dt(tmp_path, capsys):
     rc = main(["simulate", "--set", "dt=0.003", "--set", "t_final=0.01",
                "--set", "N=32", "--out", str(tmp_path)])
@@ -290,6 +315,22 @@ def test_manifest_records_provenance(tmp_path):
     assert entries["scipy"] == scipy.__version__
     rev = cli._git_revision()
     assert entries["git_revision"] == (rev if rev is not None else "null")
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # scipy is a test-only dependency: with it blocked a command runs and its
+    # manifest records scipy = null
+    script = "\n".join([
+        "import sys",
+        'sys.modules["scipy"] = None',
+        "from sqglab import cli",
+        f"sys.exit(cli.main(['sphere-example', '--out', {str(tmp_path / 'run')!r}]))",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(Path(sqglab.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "scipy = null" in (tmp_path / "run" / "manifest.txt").read_text().splitlines()
 
 
 def test_manifest_phases_use_benchmark_layer_names(tmp_path):

@@ -20,7 +20,6 @@ from sqglab.spectral import (
     ScalarField,
     _fourier_eval,
     _phase_powers,
-    _phases,
     gradient_perp,
     grid,
     inner_product_beta,
@@ -311,26 +310,13 @@ def test_lambda_matrix_matches_two_composition_reference(random_record):
         assert _rel_err(lam.matrix, _lambda_reference(d, 0.5, basis)) < 1e-10
 
 
-def test_compose_phases_match_complex_exponential(random_record):
-    # a ``_phases`` table holds exp(i k x) to within one ulp of the complex
-    # exponential, and exp(-i k p) is the conjugate of its entry, as the
-    # direct Fourier sum reads its negative k (``_mirrored_phases``)
-    kmax = 6
-    px, py = random_record.diffeos[-1].inverse.points()
-    table = _phases(np.arange(kmax + 1), np.stack([px, py]))
-    for k in range(-kmax, kmax + 1):
-        for axis, p in enumerate((px, py)):
-            got = table[k, axis] if k >= 0 else table[-k, axis].conj()
-            assert np.max(np.abs(got - np.exp(1j * k * p))) <= 2.0**-52
-
-
 @pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(float).eps,
                     reason="np.longdouble is float64 here")
 def test_phase_powers_match_extended_precision(random_record):
     # compose's tables exp(i k x), k = 0..21, built by repeated products from
     # one exponential, against exp(i k p) in extended precision on every
-    # inverse-map point set of the record; ``_phases`` itself reads 1.4e-14
-    # here, since it rounds k p before exponentiating
+    # inverse-map point set of the record; exponentiating k p reads 1.4e-14
+    # here, since it rounds k p first
     k = np.arange(22, dtype=np.longdouble)
     for d in random_record.diffeos:
         p = np.stack(d.inverse.points())

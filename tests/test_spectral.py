@@ -162,6 +162,32 @@ def test_fourier_eval_matches_the_untrimmed_sum():
     assert np.array_equal(_fourier_eval(np.zeros((64, 64)), g, x, y), np.zeros(x.size))
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(float).eps,
+                    reason="np.longdouble is float64 here")
+def test_fourier_eval_matches_extended_precision_on_a_full_spectrum():
+    # a full N = 128 spectrum sums every negative row and column and the
+    # -N/2 ones, whose phases are conjugated entries of the |k| power
+    # table; the points are not wrapped into [0, 2 pi).  One-mode spectra
+    # with an imaginary coefficient read -sin(k.x), off by order 1 where a
+    # phase has the wrong sign; a 64th power rounds about 64 times.
+    g = grid(128)
+    rng = np.random.default_rng(41)
+    full = rng.normal(size=(128, 128, 2)) @ np.array([1.0, 1j])
+    pts = rng.uniform(-1.0, TWO_PI + 1.0, size=(400, 2))
+    x, y = pts[:, 0], pts[:, 1]
+    k = np.fft.fftfreq(g.n, d=1.0 / g.n).astype(np.longdouble)
+    xl, yl = x.astype(np.longdouble), y.astype(np.longdouble)
+    ex, ey = np.exp(1j * np.multiply.outer(k, xl)), np.exp(1j * np.multiply.outer(k, yl))
+    want = np.einsum("ap,ab,bp->p", ex, full.astype(np.clongdouble), ey).real
+    got = _fourier_eval(full, g, x, y)
+    assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 6e-15
+    for kx, ky in [(-64, 0), (-1, 5), (3, -64), (-7, -2), (-64, -64)]:
+        mode = np.zeros((128, 128), dtype=complex)
+        mode[kx, ky] = 1j
+        want = -np.sin(kx * xl + ky * yl)
+        assert np.max(np.abs(_fourier_eval(mode, g, x, y) - want)) < 1e-14
+
+
 def _half_table_supports(g, seed):
     """Spectra whose rows or columns have no mirror: negative rows only,
     non-negative columns only, and the -N/2 row (no +N/2 in FFT order)."""
