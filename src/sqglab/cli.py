@@ -121,13 +121,18 @@ def _make_out(out: Path):
         raise ConfigError(f"cannot use --out {out} as a directory: {exc.strerror}") from None
 
 
-def parse_config(text: str, cfg: RunConfig | None = None) -> RunConfig:
-    """Parse ``key = value`` lines; unknown keys rejected with line number."""
-    cfg = cfg if cfg is not None else RunConfig()
+def _apply_text(cfg: RunConfig, text: str):
+    """Set each ``key = value`` line of text on cfg; unknown keys rejected with line number."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
             _apply_line(cfg, line, f"line {lineno}")
+
+
+def parse_config(text: str, cfg: RunConfig | None = None) -> RunConfig:
+    """Parse and validate ``key = value`` lines (``_apply_text``)."""
+    cfg = cfg if cfg is not None else RunConfig()
+    _apply_text(cfg, text)
     _validate(cfg)
     return cfg
 
@@ -344,22 +349,16 @@ def main(argv=None) -> int:
                         help="output directory")
     args = parser.parse_args(argv)
 
+    phases = Phases()
     try:
-        cfg = RunConfig()
+        cfg = RunConfig()  # the file lines, then --set, then one validation of the result
         if args.config is not None:
-            cfg = parse_config(_read_config(args.config), cfg)
+            _apply_text(cfg, _read_config(args.config))
         for item in args.set:
             _apply_line(cfg, item, "--set")
         _validate(cfg)
         _make_out(args.out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    out = args.out
-    phases = Phases()
-    try:
-        artifacts = _COMMANDS[args.command](cfg, out, phases)
+        artifacts = _COMMANDS[args.command](cfg, args.out, phases)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -369,7 +368,7 @@ def main(argv=None) -> int:
     except (NumericalAbort, euler_arnold.CflViolation, np.linalg.LinAlgError) as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 3
-    _write_manifest(out, args.command, cfg, artifacts, phases)
+    _write_manifest(args.out, args.command, cfg, artifacts, phases)
     return 0
 
 

@@ -142,7 +142,7 @@ def invert(fwd: FlowMap) -> tuple[FlowMap, float]:
     or after ``NEWTON_MAX_ITER`` steps.  Returns the inverse map and the
     largest final residual.  A gamma that folds (det D gamma <= 0
     somewhere) can still leave a small residual, so a small residual
-    alone does not make gamma invertible (``DiffeoSample.check_invertible``).
+    alone does not make gamma invertible (``DiffeoSample.inverse``).
     """
     g = fwd.grid
     disp, dx, dy = map(_spline_coefficients, _packed_spectra(fwd))

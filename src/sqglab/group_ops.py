@@ -5,7 +5,8 @@ mapped grid points followed by re-projection onto the truncated spectral
 space (dealias mask, mean forced to zero).  A ``DiffeoSample`` stores
 gamma only; gamma^-1, which only Ad_gamma and through it the Jacobi
 operator Lambda(t) = Ad*_gamma Ad_gamma read, is built by Newton inversion
-the first time it is read and kept on the sample.
+the first time it is read and kept on the sample, which refuses it where
+gamma is not invertible on the grid.
 """
 
 from __future__ import annotations
@@ -31,13 +32,15 @@ from .spectral import (
 class DiffeoSample:
     """The flow map gamma at a fixed geodesic time t, with gamma^-1 built on first read.
 
-    The first read of ``inverse``, ``residual`` or ``min_det`` runs
-    ``flow.invert`` on ``forward`` (Newton from x = y) and ``flow.jacobian``
-    once, and the sample keeps all three.  ``residual`` is the largest
-    |gamma(gamma^-1(y)) - y| over the grid points y that Newton left and
-    ``min_det`` the smallest det D gamma on the grid; ``check_invertible``
-    refuses a sample whose residual exceeds ``INVERSE_TOL`` or whose
-    min_det is not positive.
+    ``min_det``, the smallest det D gamma on the grid, comes from
+    ``flow.jacobian`` alone; ``check_unfolded`` refuses a sample where it is
+    not positive.  x + d(x) with d periodic has degree 1, so det D gamma > 0
+    alone makes gamma a diffeomorphism: this test needs no Newton.  The
+    first read of ``inverse`` or ``residual`` runs ``flow.invert`` on
+    ``forward`` (Newton from x = y) once and the sample keeps both;
+    ``residual`` is the largest |gamma(gamma^-1(y)) - y| over the grid
+    points y.  ``inverse`` refuses itself, residual first, so its readers
+    run no check.
     """
 
     forward: FlowMap
@@ -48,33 +51,33 @@ class DiffeoSample:
         return cls(FlowMap.identity(g), 0.0)
 
     @cached_property
-    def _inversion(self) -> tuple[FlowMap, float, float]:
-        inv, residual = invert(self.forward)
-        return inv, residual, float(np.min(_jacobian_det(self.forward)))
+    def min_det(self) -> float:
+        return float(np.min(_jacobian_det(self.forward)))
 
-    @property
-    def inverse(self) -> FlowMap:
-        return self._inversion[0]
+    @cached_property
+    def _inversion(self) -> tuple[FlowMap, float]:
+        return invert(self.forward)
 
     @property
     def residual(self) -> float:
         return self._inversion[1]
 
     @property
-    def min_det(self) -> float:
-        return self._inversion[2]
-
-    def check_invertible(self):
-        """Raise NumericalAbort unless gamma^-1 converged and det D gamma > 0 on the grid."""
-        where = f"at t = {self.t:.6g} (N = {self.forward.grid.n})"
+    def inverse(self) -> FlowMap:
+        """gamma^-1; NumericalAbort unless it converged and gamma is unfolded on the grid."""
         if not self.residual <= INVERSE_TOL:
             raise NumericalAbort(
-                f"gamma^-1 {where} has residual {self.residual:.3e} > {INVERSE_TOL:g}: "
-                f"gamma is not invertible on the grid there")
+                f"gamma^-1 at t = {self.t:.6g} (N = {self.forward.grid.n}) has residual "
+                f"{self.residual:.3e} > {INVERSE_TOL:g}: gamma is not invertible on the grid there")
+        self.check_unfolded()
+        return self._inversion[0]
+
+    def check_unfolded(self):
+        """Raise NumericalAbort unless det D gamma > 0 on the grid; builds no gamma^-1."""
         if not self.min_det > 0.0:
             raise NumericalAbort(
-                f"gamma {where} has min det D gamma = {self.min_det:.3e} <= 0: "
-                f"gamma is not invertible on the grid there")
+                f"gamma at t = {self.t:.6g} (N = {self.forward.grid.n}) has min det D gamma = "
+                f"{self.min_det:.3e} <= 0: gamma is not invertible on the grid there")
 
 
 def compose_stream(psi: ScalarField, fm: FlowMap) -> ScalarField:
@@ -87,9 +90,8 @@ def compose_stream(psi: ScalarField, fm: FlowMap) -> ScalarField:
 def adjoint(eta: DiffeoSample, v: VectorFieldExact) -> VectorFieldExact:
     """Ad_eta v: stream function pushed forward, psi_v o eta^-1.
 
-    Raises NumericalAbort if eta's inverse did not converge.
+    NumericalAbort where eta is not invertible on the grid (``DiffeoSample.inverse``).
     """
-    eta.check_invertible()
     return gradient_perp(compose_stream(v.stream, eta.inverse))
 
 

@@ -241,10 +241,9 @@ def lambda_matrix(d: DiffeoSample, beta: float, basis: GalerkinBasis) -> Operato
     weights |k|^(2-beta) times the Hermitian multiplicity, so the matrix is
     symmetric positive-semidefinite by construction.  Reading gamma^-1
     builds it on first use; NumericalAbort where gamma is not invertible on
-    the grid (``DiffeoSample.check_invertible``).
+    the grid (``DiffeoSample.inverse``).
     """
     check_beta(beta)
-    d.check_invertible()
     a = basis.compose(d.inverse)
     a *= np.sqrt(_band_weight(basis.grid, 1.0 - beta / 2.0))  # in place: no second copy
     b = a.reshape(basis.dim, -1).view(float)  # real and imaginary parts side by side
@@ -575,7 +574,7 @@ def detect_conjugate(phi_samples: list[OperatorSample] | PhiBlocks,
 
     Detection runs on the decoupled blocks of Phi.  ``PhiBlocks`` (the
     sphere backend's form, one 2x2 block per degree) are used as given;
-    dense samples are one block (a computed torus Phi has no zero entry).
+    dense samples are taken as one block.
     Sample times must strictly increase; the leading samples at t <= 0 are
     dropped.  The reported trace is the smallest block sigma_min and the
     determinant sign the product of the block signs.  The default threshold is scale-free:

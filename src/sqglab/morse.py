@@ -113,13 +113,12 @@ def delta_inf(record: GeodesicRecord) -> float:
     constant's beta-independence.  The sup is taken over the grid points
     only, so it can only undershoot and delta can only come out too large
     (on the random:1:4 record, by 0.11% of the stretch at t = 0.2 against a
-    4x zero-padded Jacobian).  NumericalAbort where gamma is not invertible
-    on the grid (``DiffeoSample.check_invertible``, which builds gamma^-1 on
-    first use), as for ``jacobi.lambda_matrix``.
+    4x zero-padded Jacobian).  NumericalAbort where det D gamma <= 0 on the
+    grid (``DiffeoSample.check_unfolded``); no gamma^-1 is built.
     """
     best = np.inf
     for d in record.diffeos:
-        d.check_invertible()
+        d.check_unfolded()
         j = np.moveaxis(jacobian(d.forward), (0, 1), (-2, -1))
         best = min(best, float(np.max(np.linalg.norm(j, 2, axis=(-2, -1)))) ** -2)
     return best

@@ -28,6 +28,7 @@ import numpy as np
 from .euler_arnold import whole_steps
 from .flow import _rk4
 from .jacobi import PhiBlocks, detect_conjugate
+from .spectral import check_beta
 
 PI_SQRT2 = float(np.pi * np.sqrt(2.0))
 
@@ -40,8 +41,7 @@ class SphereMode:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"harmonic degree must be >= 1, got {self.n}")
-        if not 0.0 <= self.beta <= 1.0:
-            raise ValueError(f"beta must lie in [0, 1], got {self.beta}")
+        check_beta(self.beta)
 
     @property
     def eigenvalue(self) -> float:

@@ -520,6 +520,19 @@ def test_config_file_plus_override(tmp_path):
     assert (out / "scan.csv").read_text() == sphere.cluster_scan_csv(1.0, 6)
 
 
+def test_config_file_validated_after_override(tmp_path):
+    # the file alone (dt = 0.003 against the default t_final = 1) is invalid; the
+    # --set lines apply before the one validation, as they do with no file
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("dt = 0.003\n")
+    out = tmp_path / "out"
+    rc = main(["sphere-example", "--config", str(cfgfile), "--set", "t_final=0.3",
+               "--out", str(out)])
+    assert rc == 0
+    manifest = (out / "manifest.txt").read_text().splitlines()
+    assert "dt = 0.003" in manifest and "t_final = 0.3" in manifest
+
+
 def test_defaults_match_documented_values():
     cfg = RunConfig()
     assert cfg.beta == 0.0

@@ -174,6 +174,17 @@ def test_lambda_at_identity_is_identity():
     assert np.max(np.abs(out.stream.coeff - v.stream.coeff)) < 1e-12
 
 
+def test_min_det_builds_no_inverse(inversions):
+    # det D gamma = 1 + 1.05 cos x: the fold shows in D gamma, with no Newton inversion
+    g = grid(32)
+    d = DiffeoSample(FlowMap(g, 1.05 * np.sin(g.x) + 0j), 1.0)
+    assert abs(d.min_det + 0.05) < 1e-12
+    assert inversions == []
+    with pytest.raises(NumericalAbort, match=r"min det D gamma = -5\.000e-02 <= 0"):
+        d.check_unfolded()
+    assert inversions == []
+
+
 def test_field_operators_refuse_an_unconverged_inverse():
     # x + 1.5 sin x folds back where 1 + 1.5 cos x < 0: Newton leaves a large residual
     g = grid(32)

@@ -1,5 +1,6 @@
 """Galerkin basis, linearized operators, Phi evolution, conjugate detection."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -340,7 +341,8 @@ def _folded_record(amplitude):
 
 
 def test_non_invertible_map_refused():
-    # x + 1.5 sin x folds back where 1 + 1.5 cos x < 0: Newton leaves a large residual
+    # x + 1.5 sin x folds back where 1 + 1.5 cos x < 0: Newton leaves a large residual,
+    # which gamma^-1's readers report first; delta reads det D gamma alone
     record = _folded_record(1.5)
     d = record.diffeos[-1]
     assert d.residual > 1e-3
@@ -348,7 +350,8 @@ def test_non_invertible_map_refused():
     match = rf"t = 1 \(N = 32\) has residual {d.residual:.3e}"
     with pytest.raises(NumericalAbort, match=match):
         jacobi.lambda_samples(record, basis, 0.5)
-    with pytest.raises(NumericalAbort, match=match):
+    folded = r"t = 1 \(N = 32\) has min det D gamma = -5\.000e-01 <= 0"
+    with pytest.raises(NumericalAbort, match=folded):
         morse.delta_inf(record)
 
 
@@ -368,6 +371,14 @@ def test_folded_map_refused_although_newton_converges():
         morse.delta_inf(record)
     with pytest.raises(NumericalAbort, match=match):
         adjoint(d, v)
+
+
+def test_delta_inf_builds_no_inverse(random_record, inversions):
+    # delta needs D gamma only, and det D gamma > 0 alone makes x + d(x) a diffeomorphism
+    fresh = [DiffeoSample(d.forward, d.t) for d in random_record.diffeos]
+    delta = morse.delta_inf(dataclasses.replace(random_record, diffeos=fresh))
+    assert inversions == []
+    assert 0.0 < delta < 1.0 and all(d.min_det > 0.0 for d in fresh)
 
 
 def test_lambda_samples_build_each_inverse_once(inversions):
