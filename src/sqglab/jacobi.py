@@ -27,11 +27,13 @@ the decoupled blocks of Phi (``PhiBlocks``: one 2x2 block per degree on the
 sphere, given as such by the sphere backend; a single block for dense torus
 samples), so that zeros of different blocks do not hide one another;
 between samples a block is only interpolated near the minima of its
-sigma_min, and each such minimum is refined on that interpolant by a
-batched grid zoom: a few rounds of one equispaced grid per bracket, each
-narrowing the bracket to the grid cells around its smallest value.  The
-singular values and determinants of 2x2 blocks are taken in closed form,
-larger blocks through LAPACK.
+sigma_min, a minimum is skipped where Weyl's inequality proves that
+sigma_min stays above the threshold on its bracket (by the Frobenius drift
+of the interpolant first, then by its spectral drift), and each other one is
+refined on that interpolant by a batched grid zoom: a few rounds of one
+equispaced grid per bracket, each narrowing the bracket to the grid cells
+around its smallest value.  The singular values and determinants of 2x2
+blocks are taken in closed form, larger blocks through LAPACK.
 """
 
 from __future__ import annotations
@@ -370,26 +372,42 @@ def omega_gamma_split(record: GeodesicRecord, basis: GalerkinBasis, beta: float,
     interval adds h X diag(L(mu)) X^T, L(mu) = log(mu) / (mu - 1) > 0, as the
     Gram product Y Y^T, Y = X sqrt(h L), so it is symmetric positive-definite
     by construction.  Gamma = -int Lambda^-1 K0 Phi is the cumulative Simpson
-    rule over the snapshots (``_simpson_weights``) with Lambda_i^-1 = X X^T, or
-    X diag(1/mu) X^T at the end of the last interval.  Returns
+    rule over the snapshots (``_simpson_weights``), one ``tensordot`` over the
+    integrand stack, whose sample i is X (X^T K0 Phi_i) in the frame X of the
+    interval from t_i (Lambda_i^-1 = X X^T), or (X / mu) (X^T K0 Phi_i) at the
+    end of the last interval.  That stack and the outputs are the only
+    (T, d, d) arrays; Phi is read sample by sample.  Returns
     (omega_samples, gamma_samples, residual) with
     residual = max_i ||Phi_i - Omega_i - Gamma_i|| / ||Phi_i|| over t_i > 0.
+    ValueError where the Phi samples are not taken at the Lambda path's times.
     """
     path, k0 = _operators(record, basis, beta, lambdas, k0)
     times = np.array([s.t for s in path])
     if len(phi_samples) != len(times):
         raise ValueError("phi samples do not match the record sampling")
-    phi = np.array([s.matrix for s in phi_samples])
-    omega = [np.zeros_like(phi[0])]
+    for i, (s, t) in enumerate(zip(phi_samples, times)):
+        if s.t != t:
+            raise ValueError(f"phi sample {i} is at t = {float(s.t)!r}, the Lambda path's at "
+                             f"t = {float(t)!r}: phi samples do not match the record sampling")
+    omega = [np.zeros(k0.matrix.shape)]
     for h, mu, x in path.segments:
         dm = mu - 1.0
         y = x * np.sqrt(h * np.divide(np.log1p(dm), dm, out=np.ones_like(dm), where=dm != 0))
         omega.append(omega[-1] + y @ y.T)
+    # Lambda_i^-1 K0 Phi_i = X (X^T K0 Phi_i) in the frame of the interval from t_i,
+    # (X / mu) (X^T K0 Phi_i) at the last sample: one stack, filled sample by sample
     _, mu, x = path.segments[-1]
-    inverse = np.array([xi @ xi.T for _, _, xi in path.segments] + [x / mu @ x.T])
-    gamma = -np.tensordot(_simpson_weights(times), inverse @ k0.matrix @ phi, axes=1)
-    norm = np.linalg.norm(phi[1:], axis=(1, 2))  # a NaN anywhere reads as a NaN residual
-    err = np.linalg.norm(phi[1:] - omega[1:] - gamma[1:], axis=(1, 2))
+    frames = [(xi, xi) for _, _, xi in path.segments] + [(x / mu, x)]
+    integrand = np.empty((len(times),) + k0.matrix.shape)
+    for f, (left, xi), s in zip(integrand, frames, phi_samples):
+        np.matmul(left, xi.T @ k0.matrix @ s.matrix, out=f)
+    gamma = np.tensordot(_simpson_weights(times), integrand, axes=1)
+    del integrand
+    np.negative(gamma, out=gamma)
+    # a NaN anywhere reads as a NaN residual
+    norm = np.array([np.linalg.norm(s.matrix) for s in phi_samples[1:]])
+    err = np.array([np.linalg.norm(s.matrix - o - g_)
+                    for s, o, g_ in zip(phi_samples[1:], omega[1:], gamma[1:])])
     resid = np.max(err / np.where(norm > 0, norm, np.inf), initial=0.0)
     om = [OperatorSample(t, o) for t, o in zip(times, omega)]
     ga = [OperatorSample(t, g_) for t, g_ in zip(times, gamma)]
@@ -507,10 +525,13 @@ def _local_poly(times: np.ndarray, phi: np.ndarray, ti: np.ndarray, bi: np.ndarr
     r = np.maximum(t0 - times[np.maximum(ti - 1, 0)], times[np.minimum(ti + 1, nt - 1)] - t0)
     x = (times[rest] - t0[:, None]) / r[:, None]
     c0 = phi[ti, bi]
-    rhs = (phi[rest, bi[:, None]] - c0[:, None]).reshape(len(ti), w - 1, -1)
-    ck = np.linalg.solve(x[:, :, None] ** np.arange(1, w), rhs)
+    rhs = phi[rest, bi[:, None]]  # a gathered copy, differenced in place
+    rhs -= c0[:, None]
+    ck = np.linalg.solve(x[:, :, None] ** np.arange(1, w), rhs.reshape(len(ti), w - 1, -1))
+    del rhs  # each temporary goes as soon as it is read: a dense block is d^2 per sample
     c = np.concatenate([c0[None], np.moveaxis(ck, 1, 0).reshape((w - 1,) + c0.shape)])
-    return c, r, np.linalg.norm(c[1:], axis=(-2, -1)).sum(axis=0)
+    del ck
+    return c, r, sum(np.linalg.norm(ci, axis=(-2, -1)) for ci in c[1:])
 
 
 def _poly_at(c: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -538,8 +559,12 @@ def _detect_group(times: np.ndarray, phi: np.ndarray, sig: np.ndarray, thr: floa
     is_min = (sig <= np.vstack([inf, sig[:-1]])) & (sig <= np.vstack([sig[1:], inf]))
     ti, bi = np.nonzero(is_min)
     c, r, drift = _local_poly(times, phi, ti, bi)
-    # Weyl: sigma_min(p(t)) >= sigma_min(p(t_i)) - ||p(t) - p(t_i)||_2 on the bracket
-    reach = sig[ti, bi] - drift < thr
+    # Weyl: sigma_min(p(t)) >= sigma_min(p(t_i)) - ||p(t) - p(t_i)||_2 on the bracket,
+    # and ||p(t) - p(t_i)||_2 <= sum_(k>0) ||c_k||_2 <= the Frobenius drift
+    reach = np.flatnonzero(sig[ti, bi] - drift < thr)
+    if len(reach):  # the spectral drift, for the candidates the Frobenius one leaves
+        spectral = _svals(c[1:, reach])[..., 0].sum(axis=0)
+        reach = reach[sig[ti[reach], bi[reach]] - spectral < thr]
     ti, bi, c, r = ti[reach], bi[reach], c[:, reach], r[reach]
     if not len(ti):
         return np.empty(0), np.empty(0, dtype=int), bi
@@ -584,29 +609,36 @@ def detect_conjugate(phi_samples: list[OperatorSample] | PhiBlocks,
     bracketed by its neighbouring samples.  Around it the block is the
     polynomial through the five samples centred on it (``_local_poly``;
     shifted inward at the ends of the trace, all samples if fewer), so blocks
-    polynomial of degree <= 4 are reproduced.  Weyl's inequality with its
-    drift over the bracket skips the candidate when sigma_min provably stays
-    above the threshold.  The others are refined together by one rule, a
-    grid zoom on the sigma_min of each polynomial over its bracket (``_zoom``:
-    each round samples 33 equispaced points per bracket and keeps the two
-    grid cells around the smallest value; a sign change of the determinant
-    is a zero of sigma_min too).
+    polynomial of degree <= 4 are reproduced.  Weyl's inequality for
+    singular values, sigma_min(p(t)) >= sigma_min(p(t_i)) - ||p(t) - p(t_i)||_2,
+    skips the candidate when sigma_min provably stays above the threshold on
+    the bracket, by two proofs in turn: first the Frobenius drift
+    sum_(k>0) ||c_k||_F of the polynomial's coefficients, then, for the
+    candidates it leaves, the spectral drift sum_(k>0) ||c_k||_2, from one
+    batched singular-value pass over their coefficients (the largest singular
+    value, in closed form for 2x2 blocks).  The others are refined together
+    by one rule, a grid zoom on the sigma_min of each polynomial over its
+    bracket (``_zoom``: each round samples 33 equispaced points per bracket
+    and keeps the two grid cells around the smallest value; a sign change of
+    the determinant is a zero of sigma_min too).
     A refined time whose sigma_min is below the threshold is reported with
     the number of block singular values below it; within a block refined
     times closer than 1e-9 count once, and across blocks such times merge and
     their multiplicities add.  Singular values and determinants of 2x2 blocks are
     taken in closed form (``_svals``, ``_det``), larger ones through LAPACK.
     """
-    if not isinstance(phi_samples, PhiBlocks):  # a dense Phi is one block
-        phi_samples = PhiBlocks(np.array([s.t for s in phi_samples]),
-                                np.array([s.matrix for s in phi_samples])[:, None])
-    times = phi_samples.times
+    dense = not isinstance(phi_samples, PhiBlocks)
+    times = np.array([s.t for s in phi_samples]) if dense else phi_samples.times
     if np.any(np.diff(times) <= 0):
         raise ValueError("sample times must be strictly increasing")
     times = times[np.searchsorted(times, 0.0, side="right"):]
     if len(times) < 3:
         raise ValueError("need at least 3 samples with t > 0")
-    phi = phi_samples.values[-len(times):] / times[:, None, None, None]  # the samples at t > 0
+    if dense:  # one block, the samples at t > 0 stacked once and divided in place
+        phi = np.array([s.matrix for s in phi_samples[-len(times):]], dtype=float)[:, None]
+        phi /= times[:, None, None, None]
+    else:
+        phi = phi_samples.values[-len(times):] / times[:, None, None, None]
     block_sig = _svals(phi)[..., -1]
     sig = np.min(block_sig, axis=1)
     dets = np.prod(np.sign(_det(phi)), axis=1)

@@ -620,6 +620,47 @@ def _random_spd(rng, d):
     return a @ a.T + d * np.eye(d)
 
 
+def test_omega_gamma_split_holds_one_integrand_stack():
+    # d = 400 on random SPD Lambdas: Gamma matches the explicit-inverse
+    # reference, and the only (T, d, d) arrays are Omega, Gamma and the
+    # integrand stack.  Measured: 3.6 stacks of T d^2 doubles (22.0 MiB), and
+    # 5.8 (35.4 MiB) with whole stacks of Phi, Lambda^-1 and its products
+    rng = np.random.default_rng(11)
+    d, times = 400, np.linspace(0.0, 0.2, 5)
+    lams = jacobi.LambdaPath(jacobi.OperatorSample(t, _random_spd(rng, d) / d) for t in times)
+    a = rng.standard_normal((d, d))
+    k0 = jacobi.OperatorSample(0.0, a - a.T)
+    phi = [jacobi.OperatorSample(t, t * np.eye(d) + t**2 * rng.standard_normal((d, d)))
+           for t in times]
+    lams.segments  # the interval frames, factored before the split reads them
+    tracemalloc.start()
+    try:
+        _, gamma, _ = jacobi.omega_gamma_split(_SegmentRecord(times), None, 0.5, phi,
+                                               lambdas=lams, k0=k0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * len(times) * d * d * 8
+    want = _gamma_reference(lams, k0.matrix, phi)
+    assert np.array_equal(gamma[0].matrix, want[0])
+    for g_, w in zip(gamma[1:], want[1:]):
+        assert _rel_err(g_.matrix, w) < 1e-13
+
+
+def test_omega_gamma_split_refuses_phi_of_another_sampling():
+    # as many Phi samples as Lambda samples, but not at the same times
+    lams = [jacobi.OperatorSample(t, np.eye(3)) for t in (0.0, 0.1, 0.2, 0.3)]
+    k0 = jacobi.OperatorSample(0.0, np.zeros((3, 3)))
+    phi = [jacobi.OperatorSample(t, t * np.eye(3)) for t in (0.0, 0.1, 0.25, 0.35)]
+    with pytest.raises(ValueError, match=r"phi sample 2 is at t = 0\.25, the Lambda path's "
+                                         r"at t = 0\.2"):
+        jacobi.omega_gamma_split(_SegmentRecord([0.0, 0.1, 0.2, 0.3]), None, 0.5, phi,
+                                 lambdas=lams, k0=k0)
+    with pytest.raises(ValueError, match="do not match the record sampling"):
+        jacobi.omega_gamma_split(_SegmentRecord([0.0, 0.1, 0.2, 0.3]), None, 0.5, phi[:3],
+                                 lambdas=lams, k0=k0)
+
+
 def test_omega_is_exact_on_a_segment_with_spread_mu():
     # Lambda_1 = R^T V diag(mu) V^T R for Lambda_0 = R^T R: generalized
     # eigenvalues mu from 0.25 to 4, so 1 / (1 - s + s mu) varies fourfold
@@ -838,6 +879,34 @@ def test_detect_conjugate_skips_only_proven_minima(random_record, monkeypatch):
     near = jacobi.detect_conjugate(phi, threshold=thr)
     assert near.detected == []
     assert len(calls) > 2
+
+
+def test_detect_conjugate_skips_by_the_spectral_drift(monkeypatch):
+    # Phi/t = (1 + 10 (t - 0.4)^2) I + 0.1 (t - 0.4) Q, Q orthogonal (d = 200):
+    # sigma_min has its one sampled minimum, 1, at t = 0.4, where the local
+    # quadratic has c_1 = 0.01 Q and c_2 = 0.1 I.  Their Frobenius drift,
+    # 0.11 sqrt(d) = 1.56, proves nothing; their spectral drift, 0.11, proves
+    # sigma_min >= 0.89 on the bracket, so nothing is refined
+    d = 200
+    q = np.linalg.qr(np.random.default_rng(5).standard_normal((d, d)))[0]
+    times = np.linspace(0.0, 0.7, 8)
+    phi = [jacobi.OperatorSample(t, t * ((1 + 10 * (t - 0.4)**2) * np.eye(d)
+                                         + 0.1 * (t - 0.4) * q)) for t in times]
+    stack = np.array([s.matrix / s.t for s in phi[1:]])[:, None]
+    ti, bi = np.array([3]), np.array([0])
+    c, _, drift = jacobi._local_poly(times[1:], stack, ti, bi)
+    assert drift[0] == pytest.approx(0.11 * np.sqrt(d), rel=1e-9)
+    assert jacobi._svals(c[1:])[..., 0].sum(axis=0) == pytest.approx([0.11], rel=1e-9)
+
+    def no_zoom(f, a, b):
+        raise AssertionError("a proven minimum was refined")
+
+    monkeypatch.setattr(jacobi, "_zoom", no_zoom)
+    report = jacobi.detect_conjugate(phi)
+    assert report.detected == []
+    assert report.sigma_min[3] == pytest.approx(1.0, rel=1e-12)
+    assert np.argmin(report.sigma_min) == 3
+    assert report.sigma_min[3] - drift[0] < report.threshold
 
 
 @pytest.mark.parametrize("stack", ["sphere", "dense", "monomial"])
