@@ -129,14 +129,6 @@ def _apply_text(cfg: RunConfig, text: str):
             _apply_line(cfg, line, f"line {lineno}")
 
 
-def parse_config(text: str, cfg: RunConfig | None = None) -> RunConfig:
-    """Parse and validate ``key = value`` lines (``_apply_text``)."""
-    cfg = cfg if cfg is not None else RunConfig()
-    _apply_text(cfg, text)
-    _validate(cfg)
-    return cfg
-
-
 def _sha256(path: Path) -> str:
     return _sha256_of(path.read_bytes()).hexdigest()
 

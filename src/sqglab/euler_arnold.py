@@ -27,6 +27,7 @@ from .flow import (
 )
 from .group_ops import DiffeoSample
 from .spectral import (
+    SPLINE_UPSAMPLE,
     ScalarField,
     TWO_PI,
     VectorFieldExact,
@@ -36,8 +37,7 @@ from .spectral import (
     inner_product_beta,
     poisson_bracket,
     _packed_max_speed,
-    _spline_buffer,
-    _spline_coefficients_into,
+    _spline_coefficients,
     _spline_eval,
 )
 
@@ -171,11 +171,13 @@ def simulate(psi0: ScalarField, config: SolverConfig,
     ``on_snapshot(row)``, so a caller can stream it out.  On a numerical
     abort the last good snapshot is kept in the record and
     ``on_abort(record)`` is invoked before the exception propagates.
-    The stage spline grids of every step are built in one buffer
-    (``_spline_buffer``) allocated here, so the working memory of the loop
-    does not grow with the stages a step holds.
+    The stage spline grids of every step are built in one complex (m, m)
+    grid, m = ``SPLINE_UPSAMPLE`` N, allocated here, so the working memory
+    of the loop does not grow with the stages a step holds.
     """
     config.validate()
+    if psi0.grid.n != config.n:
+        raise ValueError(f"psi0 is on an N = {psi0.grid.n} grid, the config's n = {config.n}")
     if abs(psi0.mean()) > 1e-13:
         raise ValueError("initial stream must be mean-zero")
     g = psi0.grid
@@ -184,7 +186,7 @@ def simulate(psi0: ScalarField, config: SolverConfig,
     fwd = FlowMap.identity(g)
     record = GeodesicRecord(config=config, psi0=psi0)
     nsteps = whole_steps(config.t_final, config.dt)
-    buffer = _spline_buffer(g.n)
+    buffer = np.empty((SPLINE_UPSAMPLE * g.n,) * 2, dtype=complex)
 
     def snapshot(t, th, fw):
         record.times.append(t)
@@ -218,14 +220,14 @@ def _joint_rk4_step(theta, fwd, config, buffer):
     spectrum ux + i uy of theta stage i is turned into quintic spline
     coefficients on a grid ``SPLINE_UPSAMPLE`` times finer (the prefilter
     folded into the spectral upsampling), written into ``buffer``, the
-    (m, m) grid of ``_spline_buffer`` that the next stage overwrites.  This
+    (m, m) grid of ``simulate`` that the next stage overwrites.  This
     keeps particle advection cheap, and one grid alive at a time, without
     giving up spectral accuracy of the underlying field.
     """
     theta_next, packed_stages = _theta_step(theta, config.beta, config.dt)
 
     def velocity(i, x, y):
-        return _spline_eval((_spline_coefficients_into(packed_stages[i], buffer),), x, y)[0]
+        return _spline_eval((_spline_coefficients(packed_stages[i], buffer),), x, y)[0]
 
     return theta_next, advance_forward(fwd, velocity, config.dt)
 

@@ -23,9 +23,9 @@ linearized Cauchy problem is evolved by RK4 with no linear solves and split
 into the absolutely-continuous part Omega = int Lambda^-1, in closed form, and
 the compact remainder Gamma = -int Lambda^-1 K0 Phi.  Conjugate points are
 flagged from the smallest singular value of Phi(t)/t, block by block over
-the decoupled blocks of Phi (``PhiBlocks``: one 2x2 block per degree on the
-sphere, given as such by the sphere backend; a single block for dense torus
-samples), so that zeros of different blocks do not hide one another;
+the decoupled blocks of Phi (``PhiBlocks``, its one form: one 2x2 block per
+degree from the sphere backend, the single d x d block of ``evolve_phi`` on
+the torus), so that zeros of different blocks do not hide one another;
 between samples a block is only interpolated near the minima of its
 sigma_min, a minimum is skipped where Weyl's inequality proves that
 sigma_min stays above the threshold on its bracket (by the Frobenius drift
@@ -280,8 +280,7 @@ def lambda_samples(record: GeodesicRecord, basis: GalerkinBasis, beta: float) ->
 def _operators(record, basis, beta, lambdas, k0) -> tuple[LambdaPath, OperatorSample]:
     """The Lambda path and K0 of the Jacobi chain: those given, the others built from record."""
     path = lambda_samples(record, basis, beta) if lambdas is None else lambdas
-    k0 = k0_matrix(record.u0(), beta, basis) if k0 is None else k0
-    return (path if isinstance(path, LambdaPath) else LambdaPath(path)), k0
+    return path, k0_matrix(record.u0(), beta, basis) if k0 is None else k0
 
 
 def _segment_eigh(lam0: OperatorSample, lam1: OperatorSample) -> tuple[np.ndarray, np.ndarray]:
@@ -329,44 +328,56 @@ def _simpson_weights(t: np.ndarray) -> np.ndarray:
     return np.vstack([np.zeros(len(t)), np.cumsum(w, axis=0)])
 
 
+@dataclass(frozen=True)
+class PhiBlocks:
+    """Phi(t) as its decoupled blocks of equal size s, the one form of Phi.
+
+    values is (T, nb, s, s): block j holds the entries of Phi on the indices
+    j s ... (j + 1) s - 1 at the sample times ``times`` (T,), and Phi is
+    zero off these blocks.  The sphere backend gives one 2x2 block per
+    degree; the dense torus Phi of ``evolve_phi`` is the single d x d block.
+    """
+
+    times: np.ndarray
+    values: np.ndarray
+
+
 PHI_SUBSTEPS = 10
 
 
 def evolve_phi(record: GeodesicRecord, basis: GalerkinBasis, beta: float,
-               lambdas: LambdaPath | list[OperatorSample] | None = None,
-               k0: OperatorSample | None = None) -> list[OperatorSample]:
-    """Phi(t_i) at the record snapshot times; Phi(0) = 0, Phi'(0) = I.
+               lambdas: LambdaPath | None = None,
+               k0: OperatorSample | None = None) -> PhiBlocks:
+    """Phi(t_i) at the Lambda path's times, as one d x d block; Phi(0) = 0, Phi'(0) = I.
 
     m = Lambda Phi', m' = -K0 Phi', m(0) = I keep m + K0 Phi = I, so Phi is
     the one state: Phi' = Lambda^-1 (I - K0 Phi).  Over an interval
     Lambda(s)^-1 = X D(s)^-1 X^T (``LambdaPath.segments``), and ``PHI_SUBSTEPS``
     RK4 steps run on Phi = Phi_i + X u, u' = D^-1 (X^T (I - K0 Phi_i) - X^T K0 X u):
-    one matmul per stage and no solve.
+    one matmul per stage and no solve.  Each Phi_i is written into one
+    (T, 1, d, d) stack, returned as ``PhiBlocks``.
     """
     check_beta(beta)
     path, k0 = _operators(record, basis, beta, lambdas, k0)
     d = basis.dim
 
-    phi = np.zeros((d, d))
-    out = [OperatorSample(0.0, phi)]
-    for lam, (h, mu, x) in zip(path[1:], path.segments):
+    phi = np.zeros((len(path), 1, d, d))
+    for (h, mu, x), (prev,), (nxt,) in zip(path.segments, phi, phi[1:]):
         xk = x.T @ k0.matrix
-        a, b = xk @ x, x.T - xk @ phi  # X^T K0 X and X^T (I - K0 Phi_i)
+        a, b = xk @ x, x.T - xk @ prev  # X^T K0 X and X^T (I - K0 Phi_i)
         u = np.zeros((d, d))  # Phi gains X u over the interval
         for j in range(PHI_SUBSTEPS):
             s = (j + np.array(RK4_NODES)) / PHI_SUBSTEPS  # the stage positions in the interval
             (u,) = _rk4(lambda i, y: ((b - a @ y[0]) / (1.0 - s[i] + s[i] * mu)[:, None],),
                         (u,), h / PHI_SUBSTEPS)
-        phi = phi + x @ u
-        out.append(OperatorSample(lam.t, phi))
-    return out
+        np.add(prev, x @ u, out=nxt)
+    return PhiBlocks(np.array([lam.t for lam in path]), phi)
 
 
 def omega_gamma_split(record: GeodesicRecord, basis: GalerkinBasis, beta: float,
-                      phi_samples: list[OperatorSample],
-                      lambdas: LambdaPath | list[OperatorSample] | None = None,
+                      phi: PhiBlocks, lambdas: LambdaPath | None = None,
                       k0: OperatorSample | None = None):
-    """Omega/Gamma quadratures and the decomposition residual.
+    """Omega/Gamma quadratures and the decomposition residual of the dense Phi.
 
     Omega = int Lambda^-1 is exact on the segment model of ``evolve_phi``: an
     interval adds h X diag(L(mu)) X^T, L(mu) = log(mu) / (mu - 1) > 0, as the
@@ -376,20 +387,28 @@ def omega_gamma_split(record: GeodesicRecord, basis: GalerkinBasis, beta: float,
     integrand stack, whose sample i is X (X^T K0 Phi_i) in the frame X of the
     interval from t_i (Lambda_i^-1 = X X^T), or (X / mu) (X^T K0 Phi_i) at the
     end of the last interval.  That stack and the outputs are the only
-    (T, d, d) arrays; Phi is read sample by sample.  Returns
-    (omega_samples, gamma_samples, residual) with
-    residual = max_i ||Phi_i - Omega_i - Gamma_i|| / ||Phi_i|| over t_i > 0.
-    ValueError where the Phi samples are not taken at the Lambda path's times.
+    (T, d, d) arrays it allocates; Phi is read from the single block of
+    ``phi`` (``evolve_phi``).  Returns (omega_samples, gamma_samples, residual)
+    with residual = max_i ||Phi_i - Omega_i - Gamma_i|| / ||Phi_i|| over t_i > 0.
+    ValueError where ``phi`` is not one d x d block, or is not sampled at the
+    Lambda path's times.
     """
     path, k0 = _operators(record, basis, beta, lambdas, k0)
     times = np.array([s.t for s in path])
-    if len(phi_samples) != len(times):
-        raise ValueError("phi samples do not match the record sampling")
-    for i, (s, t) in enumerate(zip(phi_samples, times)):
-        if s.t != t:
-            raise ValueError(f"phi sample {i} is at t = {float(s.t)!r}, the Lambda path's at "
-                             f"t = {float(t)!r}: phi samples do not match the record sampling")
-    omega = [np.zeros(k0.matrix.shape)]
+    d = len(k0.matrix)
+    if phi.values.shape[1:] != (1, d, d):
+        nb, s = phi.values.shape[1:3]
+        raise ValueError(f"Phi of {nb} blocks of {s} x {s} is not one {d} x {d} block")
+    if len(phi.times) != len(times):
+        raise ValueError(f"{len(phi.times)} phi samples, {len(times)} Lambda samples: "
+                         "phi samples do not match the record sampling")
+    i = np.argmax(phi.times != times)  # the first sample that differs, if any
+    if phi.times[i] != times[i]:
+        raise ValueError(f"phi sample {i} is at t = {float(phi.times[i])!r}, the Lambda path's "
+                         f"at t = {float(times[i])!r}: phi samples do not match the record "
+                         f"sampling")
+    values = phi.values[:, 0]
+    omega = [np.zeros((d, d))]
     for h, mu, x in path.segments:
         dm = mu - 1.0
         y = x * np.sqrt(h * np.divide(np.log1p(dm), dm, out=np.ones_like(dm), where=dm != 0))
@@ -398,16 +417,16 @@ def omega_gamma_split(record: GeodesicRecord, basis: GalerkinBasis, beta: float,
     # (X / mu) (X^T K0 Phi_i) at the last sample: one stack, filled sample by sample
     _, mu, x = path.segments[-1]
     frames = [(xi, xi) for _, _, xi in path.segments] + [(x / mu, x)]
-    integrand = np.empty((len(times),) + k0.matrix.shape)
-    for f, (left, xi), s in zip(integrand, frames, phi_samples):
-        np.matmul(left, xi.T @ k0.matrix @ s.matrix, out=f)
+    integrand = np.empty((len(times), d, d))
+    for f, (left, xi), p in zip(integrand, frames, values):
+        np.matmul(left, xi.T @ k0.matrix @ p, out=f)
     gamma = np.tensordot(_simpson_weights(times), integrand, axes=1)
     del integrand
     np.negative(gamma, out=gamma)
     # a NaN anywhere reads as a NaN residual
-    norm = np.array([np.linalg.norm(s.matrix) for s in phi_samples[1:]])
-    err = np.array([np.linalg.norm(s.matrix - o - g_)
-                    for s, o, g_ in zip(phi_samples[1:], omega[1:], gamma[1:])])
+    norm = np.array([np.linalg.norm(p) for p in values[1:]])
+    err = np.array([np.linalg.norm(p - o - g_)
+                    for p, o, g_ in zip(values[1:], omega[1:], gamma[1:])])
     resid = np.max(err / np.where(norm > 0, norm, np.inf), initial=0.0)
     om = [OperatorSample(t, o) for t, o in zip(times, omega)]
     ga = [OperatorSample(t, g_) for t, g_ in zip(times, gamma)]
@@ -428,19 +447,6 @@ class ConjugateReport:
         trace = ("%.17g,%.17g,%.0f\n" * len(self.times)) % tuple(rows)
         tail = "".join(f"{t:.17g},{m}\n" for t, m in self.detected)
         return f"t,sigma_min,det_sign\n{trace}t_conj,multiplicity\n{tail}"
-
-
-@dataclass(frozen=True)
-class PhiBlocks:
-    """Phi(t) as its decoupled blocks of equal size s.
-
-    values is (T, nb, s, s): block j holds the entries of the dense Phi on
-    the indices j s ... (j + 1) s - 1 at every sample time, and Phi is zero
-    off these blocks.
-    """
-
-    times: np.ndarray
-    values: np.ndarray
 
 
 # the default detection threshold relative to the median of the sigma_min trace
@@ -593,13 +599,12 @@ def _median(trace: np.ndarray) -> float:
     return float(np.mean(s[(n - 1) // 2:n // 2 + 1]))
 
 
-def detect_conjugate(phi_samples: list[OperatorSample] | PhiBlocks,
-                     threshold: float | None = None) -> ConjugateReport:
+def detect_conjugate(phi: PhiBlocks, threshold: float | None = None) -> ConjugateReport:
     """Flag zeros of the Jacobi solution operator from sigma_min(Phi/t).
 
-    Detection runs on the decoupled blocks of Phi.  ``PhiBlocks`` (the
-    sphere backend's form, one 2x2 block per degree) are used as given;
-    dense samples are taken as one block.
+    Detection runs on the decoupled blocks of Phi (``PhiBlocks``), taken as
+    given: one 2x2 block per degree from the sphere backend, the single
+    dense block of ``evolve_phi`` on the torus.
     Sample times must strictly increase; the leading samples at t <= 0 are
     dropped.  The reported trace is the smallest block sigma_min and the
     determinant sign the product of the block signs.  The default threshold is scale-free:
@@ -627,18 +632,13 @@ def detect_conjugate(phi_samples: list[OperatorSample] | PhiBlocks,
     their multiplicities add.  Singular values and determinants of 2x2 blocks are
     taken in closed form (``_svals``, ``_det``), larger ones through LAPACK.
     """
-    dense = not isinstance(phi_samples, PhiBlocks)
-    times = np.array([s.t for s in phi_samples]) if dense else phi_samples.times
+    times = phi.times
     if np.any(np.diff(times) <= 0):
         raise ValueError("sample times must be strictly increasing")
     times = times[np.searchsorted(times, 0.0, side="right"):]
     if len(times) < 3:
         raise ValueError("need at least 3 samples with t > 0")
-    if dense:  # one block, the samples at t > 0 stacked once and divided in place
-        phi = np.array([s.matrix for s in phi_samples[-len(times):]], dtype=float)[:, None]
-        phi /= times[:, None, None, None]
-    else:
-        phi = phi_samples.values[-len(times):] / times[:, None, None, None]
+    phi = phi.values[-len(times):] / times[:, None, None, None]
     block_sig = _svals(phi)[..., -1]
     sig = np.min(block_sig, axis=1)
     dets = np.prod(np.sign(_det(phi)), axis=1)

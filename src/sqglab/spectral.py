@@ -331,27 +331,23 @@ def _quintic_prefilter(n: int, m: int) -> np.ndarray:
     return inv
 
 
-def _spline_buffer(n: int) -> np.ndarray:
-    """An uninitialised (m, m) grid buffer of ``_spline_coefficients_into``."""
-    m = SPLINE_UPSAMPLE * n
-    return np.empty((m, m), dtype=complex)
-
-
-def _spline_coefficients_into(coeff: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Periodic quintic B-spline coefficients of a field on a finer grid, in place.
+def _spline_coefficients(coeff: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Periodic quintic B-spline coefficients of a field on a finer grid.
 
     The N x N spectrum is zero-padded to m = SPLINE_UPSAMPLE * N and divided
     by the separable B-spline symbol, so the spline through the refined
     samples is evaluated by ``_spline_eval``.  Only N of the m rows carry
     modes, the first and last N/2: the inverse transform runs along axis 1
-    on those rows of the (m, m) buffer ``out`` (``_spline_buffer``), then
-    along axis 0 on all of it, and ``out`` is returned.  It is overwritten
-    whatever it held, so one buffer serves every stage of a run.  A packed
-    field a + i b gives the coefficients of a in the real and of b in the
-    imaginary part.
+    on those rows of the complex (m, m) grid, then along axis 0 on all of
+    it.  The grid is built in ``out`` when given, else in a new array;
+    ``out`` is overwritten whatever it held, so one grid serves every stage
+    of a run.  A packed field a + i b gives the coefficients of a in the real
+    and of b in the imaginary part.
     """
     n = coeff.shape[-1]
-    m = out.shape[0]
+    m = SPLINE_UPSAMPLE * n
+    if out is None:
+        out = np.empty((m, m), dtype=complex)
     half = n // 2
     inv = _quintic_prefilter(n, m)
     for part, modes, row_inv in ((out[:half], coeff[:half], inv[:half, None]),
@@ -363,11 +359,6 @@ def _spline_coefficients_into(coeff: np.ndarray, out: np.ndarray) -> np.ndarray:
         part *= row_inv
     out[half:m - half] = 0.0
     return np.fft.ifft(out, axis=0, norm="forward", out=out)
-
-
-def _spline_coefficients(coeff: np.ndarray) -> np.ndarray:
-    """``_spline_coefficients_into`` on a fresh buffer: a complex (m, m) grid of its own."""
-    return _spline_coefficients_into(coeff, _spline_buffer(coeff.shape[-1]))
 
 
 # points per pass of the spline sampler; its workspace, about 1.5 kB per

@@ -43,12 +43,17 @@ def shear_phi(shear_record, shear_basis, shear_lambdas):
 
 
 def _densify(blocks):
-    """Dense Phi samples with the entries of a ``jacobi.PhiBlocks`` and zeros elsewhere."""
+    """The one-block ``jacobi.PhiBlocks`` with the entries of blocks and zeros elsewhere."""
     nt, nb, s, _ = blocks.values.shape
     stack = np.zeros((nt, nb * s, nb * s))
     for j in range(nb):  # block j on the indices j s ... (j + 1) s - 1
         stack[:, j * s:(j + 1) * s, j * s:(j + 1) * s] = blocks.values[:, j]
-    return [jacobi.OperatorSample(float(t), m) for t, m in zip(blocks.times, stack)]
+    return dense_phi(blocks.times, stack)
+
+
+def dense_phi(times, matrices):
+    """Dense Phi samples as the single block of a ``jacobi.PhiBlocks``."""
+    return jacobi.PhiBlocks(np.asarray(times, dtype=float), np.asarray(matrices)[:, None])
 
 
 def coords_many(basis, coeffs):

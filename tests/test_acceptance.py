@@ -150,8 +150,8 @@ def test_criterion_07_lemma_decomposition(shear_record, shear_basis,
     eye = np.eye(shear_basis.dim)
     devs = []
     for i in (1, 2, 4):
-        h = shear_phi[i].t
-        devs.append((h, np.linalg.norm(shear_phi[i].matrix / h - eye)))
+        h = shear_phi.times[i]
+        devs.append((h, np.linalg.norm(shear_phi.values[i, 0] / h - eye)))
     # first-order decay: deviation roughly proportional to h
     for (h1, d1), (h2, d2) in zip(devs, devs[1:]):
         ratio = (d2 / d1) / (h2 / h1)
@@ -179,7 +179,7 @@ def test_criterion_08_jacobi_vs_perturbed_geodesic(shear_record, shear_basis,
         for i in range(1, len(shear_record.times)):
             j = (rec_eps.diffeos[i].forward.disp - shear_record.diffeos[i].forward.disp) / eps
             jx, jy = j.real, j.imag
-            w = shear_basis.vector_of(shear_phi[i].matrix @ w0)
+            w = shear_basis.vector_of(shear_phi.values[i, 0] @ w0)
             wx, wy = (f.values() for f in w.component_fields())
             jac = jacobian(shear_record.diffeos[i].forward)
             px = jac[0, 0] * wx + jac[0, 1] * wy

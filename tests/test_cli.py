@@ -12,14 +12,22 @@ import pytest
 
 import sqglab
 from sqglab import cli, euler_arnold, jacobi, morse, sphere
-from sqglab.cli import ConfigError, RunConfig, main, parse_config
+from sqglab.cli import ConfigError, RunConfig, main
 from sqglab.spectral import load_field
 from sqglab.flow import FlowMap, NumericalAbort, load_flowmap
 from sqglab.group_ops import DiffeoSample
 
 
+def _parse(text):
+    """The configuration of a ``--config`` file as ``main`` reads it: lines, then validation."""
+    cfg = RunConfig()
+    cli._apply_text(cfg, text)
+    cli._validate(cfg)
+    return cfg
+
+
 def test_parse_config_basic():
-    cfg = parse_config("beta = 0.5\nN = 32\n# comment\ndt=2e-3\n\nic = shear\n")
+    cfg = _parse("beta = 0.5\nN = 32\n# comment\ndt=2e-3\n\nic = shear\n")
     assert cfg.beta == 0.5
     assert cfg.N == 32
     assert cfg.dt == 2e-3
@@ -27,20 +35,20 @@ def test_parse_config_basic():
 
 
 def test_parse_config_rejects_unknown_key():
-    with pytest.raises(ConfigError, match="line 2"):
-        parse_config("beta = 0.5\nbogus = 1\n")
+    with pytest.raises(ConfigError, match=r"unknown key 'bogus' \(line 2\)"):
+        _parse("beta = 0.5\nbogus = 1\n")
 
 
 def test_parse_config_rejects_bad_value():
-    with pytest.raises(ConfigError):
-        parse_config("N = not_a_number\n")
+    with pytest.raises(ConfigError, match=r"bad value 'not_a_number' for key 'N' \(line 1\)"):
+        _parse("N = not_a_number\n")
 
 
 def test_parse_config_rejects_out_of_range():
-    with pytest.raises(ConfigError):
-        parse_config("beta = 2.0\n")
-    with pytest.raises(ConfigError):
-        parse_config("dt = -1\n")
+    with pytest.raises(ConfigError, match=r"beta must lie in \[0, 1\], got 2\.0"):
+        _parse("beta = 2.0\n")
+    with pytest.raises(ConfigError, match="dt and t_final must be positive"):
+        _parse("dt = -1\n")
 
 
 def test_exit_code_2_on_bad_config(tmp_path, capsys):
@@ -225,9 +233,10 @@ def test_exit_code_3_on_indefinite_lambda(tmp_path, monkeypatch, capsys):
             d = basis.dim
             bad = record.times if which == "every" else record.times[-1:]
             named.append(bad[0])
-            return [jacobi.OperatorSample(t, np.diag([1.0, -1.0 if t in bad else 1.0]
-                                                     + [1.0] * (d - 2)))
-                    for t in record.times]
+            return jacobi.LambdaPath(
+                jacobi.OperatorSample(t, np.diag([1.0, -1.0 if t in bad else 1.0]
+                                                 + [1.0] * (d - 2)))
+                for t in record.times)
 
         monkeypatch.setattr(jacobi, "lambda_samples", indefinite)
         out = tmp_path / which

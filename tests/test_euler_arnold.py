@@ -9,7 +9,7 @@ import pytest
 from sqglab import euler_arnold as ea
 from sqglab.presets import initial_stream, random_stream
 from sqglab.flow import FlowMap
-from sqglab.spectral import ScalarField, _spline_buffer, frac_laplacian, grid
+from sqglab.spectral import SPLINE_UPSAMPLE, ScalarField, frac_laplacian, grid
 
 
 def theta_from_stream(psi, beta):
@@ -81,7 +81,8 @@ def test_step_rk4_is_the_theta_of_the_joint_step():
     g = grid(32)
     theta = theta_from_stream(random_stream(g, 5, 4), 0.5)
     cfg = ea.SolverConfig(beta=0.5, dt=0.01, t_final=0.01, n=32)
-    joint, _ = ea._joint_rk4_step(theta, FlowMap.identity(g), cfg, _spline_buffer(32))
+    buffer = np.empty((SPLINE_UPSAMPLE * 32,) * 2, dtype=complex)
+    joint, _ = ea._joint_rk4_step(theta, FlowMap.identity(g), cfg, buffer)
     assert np.array_equal(ea.step_rk4(theta, cfg.beta, cfg.dt).coeff, joint.coeff)
 
 
@@ -191,6 +192,12 @@ def test_t_final_must_be_a_multiple_of_dt(dt, t_final, message):
         ea.simulate(initial_stream("shear", grid(32)), cfg)
     for dt, t_final in ((1e-3, 0.05), (2e-3, 0.2), (5e-3, 0.1), (1.0, 2.0)):
         ea.SolverConfig(dt=dt, t_final=t_final).validate()
+
+
+def test_simulate_refuses_a_grid_other_than_config_n():
+    cfg = ea.SolverConfig(beta=0.5, dt=1e-3, t_final=1e-3, n=64)
+    with pytest.raises(ValueError, match="psi0 is on an N = 32 grid, the config's n = 64"):
+        ea.simulate(initial_stream("shear", grid(32)), cfg)
 
 
 def test_simulate_flows_invert_each_other():

@@ -10,7 +10,7 @@ from scipy.integrate import cumulative_simpson
 from scipy.interpolate import CubicSpline
 from scipy.optimize import minimize_scalar
 
-from conftest import coords_many, coords_of
+from conftest import coords_many, coords_of, dense_phi
 from sqglab import jacobi, morse, sphere
 from sqglab.euler_arnold import GeodesicRecord, SolverConfig, simulate
 from sqglab.flow import FlowMap, NumericalAbort, jacobian
@@ -109,12 +109,12 @@ def _evolve_phi_reference(record, lambdas, k0, substeps=10):
     return out
 
 
-def _detect_reference(phi_samples, threshold_factor=1e-3):
-    """Conjugate detection with per-sample svd/det and a spline over every entry.
+def _detect_reference(phi, threshold_factor=1e-3):
+    """Conjugate detection on a dense Phi with per-sample svd/det and a spline over every entry.
 
     Returns (times, sigma_min, det_sign, detected, threshold).
     """
-    pts = [(s.t, s.matrix / s.t) for s in phi_samples if s.t > 0]
+    pts = [(t, m / t) for t, m in zip(phi.times, phi.values[:, 0]) if t > 0]
     times = np.array([p[0] for p in pts])
     mats = np.array([p[1] for p in pts])
     sig = np.array([np.linalg.svd(m, compute_uv=False) for m in mats])[:, -1]
@@ -504,10 +504,9 @@ def test_each_snapshot_interval_factored_once(random_record, segment_eighs, monk
 
 def _gamma_reference(lambdas, k0, phi):
     """-int Lambda^-1 K0 Phi by the cumulative Simpson rule, with explicit inverses."""
-    integrand = np.array([np.linalg.inv(lam.matrix) @ k0 @ p.matrix
-                          for lam, p in zip(lambdas, phi)])
-    times = np.array([p.t for p in phi])
-    return -np.tensordot(jacobi._simpson_weights(times), integrand, axes=1)
+    integrand = np.array([np.linalg.inv(lam.matrix) @ k0 @ p
+                          for lam, p in zip(lambdas, phi.values[:, 0])])
+    return -np.tensordot(jacobi._simpson_weights(phi.times), integrand, axes=1)
 
 
 def test_gamma_matches_explicit_inverse_reference(random_record, shear_record, shear_basis,
@@ -533,20 +532,20 @@ def test_phi_matches_solve_reference_on_random_record(random_record):
     k0 = jacobi.k0_matrix(random_record.u0(), 0.5, basis)
     phi = jacobi.evolve_phi(random_record, basis, 0.5, lambdas=lams, k0=k0)
     want = _evolve_phi_reference(random_record, lams, k0.matrix)
-    assert len(phi) == len(want) == 5
-    assert np.array_equal(phi[0].matrix, want[0])
-    for s, w in zip(phi[1:], want[1:]):
-        assert _rel_err(s.matrix, w) < 1e-12
+    assert phi.values.shape[:2] == (len(want), 1) and len(want) == 5
+    assert np.array_equal(phi.values[0, 0], want[0])
+    for s, w in zip(phi.values[1:, 0], want[1:]):
+        assert _rel_err(s, w) < 1e-12
 
 
 def test_phi_matches_solve_reference_on_shear(shear_record, shear_basis, shear_lambdas,
                                               shear_phi):
     k0 = jacobi.k0_matrix(shear_record.u0(), shear_record.config.beta, shear_basis)
     want = _evolve_phi_reference(shear_record, shear_lambdas, k0.matrix)
-    assert len(shear_phi) == len(want) == 21
-    assert np.array_equal(shear_phi[0].matrix, want[0])
-    for s, w in zip(shear_phi[1:], want[1:]):
-        assert _rel_err(s.matrix, w) < 1e-12
+    assert shear_phi.values.shape[:2] == (len(want), 1) and len(want) == 21
+    assert np.array_equal(shear_phi.values[0, 0], want[0])
+    for s, w in zip(shear_phi.values[1:, 0], want[1:]):
+        assert _rel_err(s, w) < 1e-12
 
 
 def test_k0_passed_once_gives_identical_phi_and_residual(random_record):
@@ -555,7 +554,8 @@ def test_k0_passed_once_gives_identical_phi_and_residual(random_record):
     k0 = jacobi.k0_matrix(random_record.u0(), 0.5, basis)
     phi = jacobi.evolve_phi(random_record, basis, 0.5, lambdas=lams)
     phi_k0 = jacobi.evolve_phi(random_record, basis, 0.5, lambdas=lams, k0=k0)
-    assert all(np.array_equal(a.matrix, b.matrix) for a, b in zip(phi, phi_k0))
+    assert np.array_equal(phi.times, phi_k0.times)
+    assert np.array_equal(phi.values, phi_k0.values)
     _, _, resid = jacobi.omega_gamma_split(random_record, basis, 0.5, phi, lambdas=lams)
     _, _, resid_k0 = jacobi.omega_gamma_split(random_record, basis, 0.5, phi,
                                               lambdas=lams, k0=k0)
@@ -570,8 +570,8 @@ def test_phi_trivial_geodesic_is_linear():
     rec = simulate(psi0, cfg)
     basis = jacobi.make_basis(g, 3, 0.5)
     phi = jacobi.evolve_phi(rec, basis, 0.5)
-    for s in phi:
-        assert np.max(np.abs(s.matrix - s.t * np.eye(basis.dim))) < 1e-10
+    for t, s in zip(phi.times, phi.values[:, 0]):
+        assert np.max(np.abs(s - t * np.eye(basis.dim))) < 1e-10
     _, _, resid = jacobi.omega_gamma_split(rec, basis, 0.5, phi)
     assert resid < 1e-12
 
@@ -596,9 +596,9 @@ class _SegmentRecord:
 def _segment_omega(lam0, lam1, h):
     """Omega(h) of ``omega_gamma_split`` on the single interval [0, h]."""
     d = len(lam0)
-    lams = [jacobi.OperatorSample(0.0, lam0), jacobi.OperatorSample(h, lam1)]
+    lams = jacobi.LambdaPath([jacobi.OperatorSample(0.0, lam0), jacobi.OperatorSample(h, lam1)])
     k0 = jacobi.OperatorSample(0.0, np.zeros((d, d)))
-    phi = [jacobi.OperatorSample(t, t * np.eye(d)) for t in (0.0, h)]
+    phi = dense_phi([0.0, h], [t * np.eye(d) for t in (0.0, h)])
     omega, _, _ = jacobi.omega_gamma_split(_SegmentRecord([0.0, h]), None, 0.5, phi,
                                            lambdas=lams, k0=k0)
     return omega[-1].matrix
@@ -606,10 +606,9 @@ def _segment_omega(lam0, lam1, h):
 
 def test_residual_of_a_non_finite_phi_is_nan():
     # a NaN Phi must not read as a residual of 0, which max(0.0, nan) would give
-    lams = [jacobi.OperatorSample(t, np.eye(3)) for t in (0.0, 0.1)]
+    lams = jacobi.LambdaPath(jacobi.OperatorSample(t, np.eye(3)) for t in (0.0, 0.1))
     k0 = jacobi.OperatorSample(0.0, np.zeros((3, 3)))
-    phi = [jacobi.OperatorSample(0.0, np.zeros((3, 3))),
-           jacobi.OperatorSample(0.1, np.full((3, 3), np.nan))]
+    phi = dense_phi([0.0, 0.1], [np.zeros((3, 3)), np.full((3, 3), np.nan)])
     _, _, resid = jacobi.omega_gamma_split(_SegmentRecord([0.0, 0.1]), None, 0.5, phi,
                                            lambdas=lams, k0=k0)
     assert np.isnan(resid)
@@ -630,8 +629,8 @@ def test_omega_gamma_split_holds_one_integrand_stack():
     lams = jacobi.LambdaPath(jacobi.OperatorSample(t, _random_spd(rng, d) / d) for t in times)
     a = rng.standard_normal((d, d))
     k0 = jacobi.OperatorSample(0.0, a - a.T)
-    phi = [jacobi.OperatorSample(t, t * np.eye(d) + t**2 * rng.standard_normal((d, d)))
-           for t in times]
+    phi = dense_phi(times, [t * np.eye(d) + t**2 * rng.standard_normal((d, d))
+                            for t in times])
     lams.segments  # the interval frames, factored before the split reads them
     tracemalloc.start()
     try:
@@ -649,16 +648,39 @@ def test_omega_gamma_split_holds_one_integrand_stack():
 
 def test_omega_gamma_split_refuses_phi_of_another_sampling():
     # as many Phi samples as Lambda samples, but not at the same times
-    lams = [jacobi.OperatorSample(t, np.eye(3)) for t in (0.0, 0.1, 0.2, 0.3)]
+    lams = jacobi.LambdaPath(jacobi.OperatorSample(t, np.eye(3)) for t in (0.0, 0.1, 0.2, 0.3))
     k0 = jacobi.OperatorSample(0.0, np.zeros((3, 3)))
-    phi = [jacobi.OperatorSample(t, t * np.eye(3)) for t in (0.0, 0.1, 0.25, 0.35)]
+    times = [0.0, 0.1, 0.25, 0.35]
+    phi = dense_phi(times, [t * np.eye(3) for t in times])
     with pytest.raises(ValueError, match=r"phi sample 2 is at t = 0\.25, the Lambda path's "
                                          r"at t = 0\.2"):
         jacobi.omega_gamma_split(_SegmentRecord([0.0, 0.1, 0.2, 0.3]), None, 0.5, phi,
                                  lambdas=lams, k0=k0)
     with pytest.raises(ValueError, match="do not match the record sampling"):
-        jacobi.omega_gamma_split(_SegmentRecord([0.0, 0.1, 0.2, 0.3]), None, 0.5, phi[:3],
+        jacobi.omega_gamma_split(_SegmentRecord([0.0, 0.1, 0.2, 0.3]), None, 0.5,
+                                 jacobi.PhiBlocks(phi.times[:3], phi.values[:3]),
                                  lambdas=lams, k0=k0)
+
+
+def test_omega_gamma_split_refuses_more_than_one_block():
+    # the sphere's two 2x2 blocks on d = 4 indices: read as block 0 alone they
+    # would give a residual of the wrong operator, not an error
+    times = np.linspace(0.0, 0.3, 4)
+    lams = jacobi.LambdaPath(jacobi.OperatorSample(t, np.eye(4)) for t in times)
+    k0 = jacobi.OperatorSample(0.0, np.zeros((4, 4)))
+    phi = sphere.sphere_phi_samples([1, 2], 1.0, times)
+    with pytest.raises(ValueError, match="Phi of 2 blocks of 2 x 2 is not one 4 x 4 block"):
+        jacobi.omega_gamma_split(_SegmentRecord(times), None, 0.5, phi, lambdas=lams, k0=k0)
+
+
+def test_evolve_phi_returns_one_block_at_the_lambda_path_times(random_record):
+    basis = jacobi.make_basis(grid(64), 4, 0.5)
+    lams = jacobi.lambda_samples(random_record, basis, 0.5)
+    phi = jacobi.evolve_phi(random_record, basis, 0.5, lambdas=lams)
+    assert isinstance(phi, jacobi.PhiBlocks)
+    assert phi.values.shape == (len(lams), 1, basis.dim, basis.dim)
+    assert np.array_equal(phi.times, [lam.t for lam in lams])
+    assert np.array_equal(phi.times, random_record.times)
 
 
 def test_omega_is_exact_on_a_segment_with_spread_mu():
@@ -687,9 +709,9 @@ def test_omega_of_a_constant_lambda_is_h_lambda_inverse():
 
 
 def test_phi_initial_conditions(shear_phi, shear_basis):
-    assert np.max(np.abs(shear_phi[0].matrix)) < 1e-14
-    h = shear_phi[1].t
-    slope = shear_phi[1].matrix / h
+    assert np.max(np.abs(shear_phi.values[0, 0])) < 1e-14
+    h = shear_phi.times[1]
+    slope = shear_phi.values[1, 0] / h
     assert np.max(np.abs(slope - np.eye(shear_basis.dim))) < 10 * h
 
 
@@ -801,8 +823,8 @@ def test_detect_conjugate_counts_closed_form_on_criterion_10_stacks():
 def test_detect_conjugate_matches_reference_on_dense_phi(random_record):
     basis = jacobi.make_basis(grid(64), 4, 0.5)
     phi = jacobi.evolve_phi(random_record, basis, 0.5)
-    assert len(phi) == 5
-    assert np.all(phi[-1].matrix != 0)  # dense: the support is every entry
+    assert phi.values.shape == (5, 1, basis.dim, basis.dim)
+    assert np.all(phi.values[-1] != 0)  # dense: the support is every entry
     _assert_detection_matches_reference(phi)
 
 
@@ -890,9 +912,9 @@ def test_detect_conjugate_skips_by_the_spectral_drift(monkeypatch):
     d = 200
     q = np.linalg.qr(np.random.default_rng(5).standard_normal((d, d)))[0]
     times = np.linspace(0.0, 0.7, 8)
-    phi = [jacobi.OperatorSample(t, t * ((1 + 10 * (t - 0.4)**2) * np.eye(d)
-                                         + 0.1 * (t - 0.4) * q)) for t in times]
-    stack = np.array([s.matrix / s.t for s in phi[1:]])[:, None]
+    phi = dense_phi(times, [t * ((1 + 10 * (t - 0.4)**2) * np.eye(d) + 0.1 * (t - 0.4) * q)
+                            for t in times])
+    stack = phi.values[1:] / times[1:, None, None, None]
     ti, bi = np.array([3]), np.array([0])
     c, _, drift = jacobi._local_poly(times[1:], stack, ti, bi)
     assert drift[0] == pytest.approx(0.11 * np.sqrt(d), rel=1e-9)
@@ -919,9 +941,9 @@ def test_local_poly_drift_bounds_the_block_polynomials(random_record, stack):
         times = blocks.times[1:]
         groups = [blocks.values[1:] / times[:, None, None, None]]
     elif stack == "dense":
-        phi = jacobi.evolve_phi(random_record, jacobi.make_basis(grid(64), 4, 0.5), 0.5)[1:]
-        times = np.array([s.t for s in phi])
-        groups = [np.array([s.matrix / s.t for s in phi])[:, None]]
+        phi = jacobi.evolve_phi(random_record, jacobi.make_basis(grid(64), 4, 0.5), 0.5)
+        times = phi.times[1:]
+        groups = [phi.values[1:] / times[:, None, None, None]]
     else:
         # a quartic monomial centred at sample 4 times a rank-one matrix: the
         # fit is exact, and on that bracket the bound is attained by its top term
@@ -1016,7 +1038,7 @@ def test_detect_conjugate_finds_sign_changing_zeros_of_dense_blocks(n):
         ev = np.linalg.eigvals(-np.linalg.solve(b, a))
         zeros = np.sort(ev[np.abs(ev.imag) < 1e-12].real + 1.5)
         zeros = zeros[(zeros > 0.0) & (zeros < 3.0)]
-        phi = [jacobi.OperatorSample(t, t * (a + (t - 1.5) * b)) for t in times]
+        phi = dense_phi(times, [t * (a + (t - 1.5) * b) for t in times])
         report = jacobi.detect_conjugate(phi)
         assert len(report.detected) == len(zeros)
         for (t_det, mult), z in zip(report.detected, zeros):

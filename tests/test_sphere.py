@@ -116,10 +116,10 @@ def test_phi_samples_block_structure(densify):
     blocks = sphere.sphere_phi_samples([1, 2], 0.5, times)
     # two 2x2 blocks, on the index pairs (0, 1) and (2, 3)
     assert blocks.values.shape == (5, 2, 2, 2)
-    samples = densify(blocks)
-    assert samples[0].matrix.shape == (4, 4)
-    assert np.max(np.abs(samples[0].matrix)) < 1e-14
-    m = samples[3].matrix
+    dense = densify(blocks).values[:, 0]
+    assert dense[0].shape == (4, 4)
+    assert np.max(np.abs(dense[0])) < 1e-14
+    m = dense[3]
     # off-diagonal blocks stay zero; each block is a rotation-scaling
     assert np.max(np.abs(m[:2, 2:])) < 1e-14
     assert np.isclose(m[0, 0], m[1, 1]) and np.isclose(m[0, 1], -m[1, 0])
