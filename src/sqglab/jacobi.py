@@ -185,8 +185,8 @@ class OperatorSample:
     matrix: np.ndarray
 
 
-def k0_matrix(u0: VectorFieldExact, beta: float, basis: GalerkinBasis) -> OperatorSample:
-    """Matrix of K0 w = ad*_w u0 in the basis coordinates, in closed form.
+def k0_matrix(u0: VectorFieldExact, beta: float, basis: GalerkinBasis) -> np.ndarray:
+    """Matrix (d, d) of the time-independent K0 w = ad*_w u0 in the basis coordinates.
 
     Column j is ad*_{e_j} u0, whose stream is (-Lap)^(b/2-1) of the bracket
     {S, e_j}, S = (-Lap)^(1-b/2) psi_u0.  Each basis stream is one +-k mode,
@@ -231,8 +231,7 @@ def k0_matrix(u0: VectorFieldExact, beta: float, basis: GalerkinBasis) -> Operat
     del p, q
     m = m.reshape(basis.dim, basis.dim)
     k0 = np.subtract(m, m.T)
-    k0 *= 0.5
-    return OperatorSample(0.0, k0)
+    return np.multiply(k0, 0.5, out=k0)
 
 
 def lambda_matrix(d: DiffeoSample, beta: float, basis: GalerkinBasis) -> OperatorSample:
@@ -265,19 +264,23 @@ def lambda_inverse(sample: OperatorSample) -> np.ndarray:
 
 
 class LambdaPath(tuple):
-    """Lambda samples, taken linear between them; each interval is diagonalized once."""
+    """Lambda samples, taken linear between them; each interval is diagonalized once.
 
-    @cached_property
-    def segments(self) -> list[tuple[float, np.ndarray, np.ndarray]]:
-        """(h, mu, X) of each interval: its length and its ``_segment_eigh``."""
-        return [(b.t - a.t,) + _segment_eigh(a, b) for a, b in zip(self, self[1:])]
+    Building the path sets its read-only ``times`` and ``segments``, the (h, mu, X) of
+    each interval: its length and ``_segment_eigh``, which refuses an indefinite sample.
+    """
+
+    def __init__(self, samples):  # tuple.__new__ has stored them
+        self.times = np.array([s.t for s in self])
+        self.times.flags.writeable = False
+        self.segments = [(b.t - a.t,) + _segment_eigh(a, b) for a, b in zip(self, self[1:])]
 
 
 def lambda_samples(record: GeodesicRecord, basis: GalerkinBasis, beta: float) -> LambdaPath:
     return LambdaPath(lambda_matrix(d, beta, basis) for d in record.diffeos)
 
 
-def _operators(record, basis, beta, lambdas, k0) -> tuple[LambdaPath, OperatorSample]:
+def _operators(record, basis, beta, lambdas, k0) -> tuple[LambdaPath, np.ndarray]:
     """The Lambda path and K0 of the Jacobi chain: those given, the others built from record."""
     path = lambda_samples(record, basis, beta) if lambdas is None else lambdas
     return path, k0_matrix(record.u0(), beta, basis) if k0 is None else k0
@@ -346,8 +349,7 @@ PHI_SUBSTEPS = 10
 
 
 def evolve_phi(record: GeodesicRecord, basis: GalerkinBasis, beta: float,
-               lambdas: LambdaPath | None = None,
-               k0: OperatorSample | None = None) -> PhiBlocks:
+               lambdas: LambdaPath | None = None, k0: np.ndarray | None = None) -> PhiBlocks:
     """Phi(t_i) at the Lambda path's times, as one d x d block; Phi(0) = 0, Phi'(0) = I.
 
     m = Lambda Phi', m' = -K0 Phi', m(0) = I keep m + K0 Phi = I, so Phi is
@@ -363,7 +365,7 @@ def evolve_phi(record: GeodesicRecord, basis: GalerkinBasis, beta: float,
 
     phi = np.zeros((len(path), 1, d, d))
     for (h, mu, x), (prev,), (nxt,) in zip(path.segments, phi, phi[1:]):
-        xk = x.T @ k0.matrix
+        xk = x.T @ k0
         a, b = xk @ x, x.T - xk @ prev  # X^T K0 X and X^T (I - K0 Phi_i)
         u = np.zeros((d, d))  # Phi gains X u over the interval
         for j in range(PHI_SUBSTEPS):
@@ -371,12 +373,12 @@ def evolve_phi(record: GeodesicRecord, basis: GalerkinBasis, beta: float,
             (u,) = _rk4(lambda i, y: ((b - a @ y[0]) / (1.0 - s[i] + s[i] * mu)[:, None],),
                         (u,), h / PHI_SUBSTEPS)
         np.add(prev, x @ u, out=nxt)
-    return PhiBlocks(np.array([lam.t for lam in path]), phi)
+    return PhiBlocks(path.times, phi)
 
 
 def omega_gamma_split(record: GeodesicRecord, basis: GalerkinBasis, beta: float,
                       phi: PhiBlocks, lambdas: LambdaPath | None = None,
-                      k0: OperatorSample | None = None):
+                      k0: np.ndarray | None = None):
     """Omega/Gamma quadratures and the decomposition residual of the dense Phi.
 
     Omega = int Lambda^-1 is exact on the segment model of ``evolve_phi``: an
@@ -394,18 +396,17 @@ def omega_gamma_split(record: GeodesicRecord, basis: GalerkinBasis, beta: float,
     Lambda path's times.
     """
     path, k0 = _operators(record, basis, beta, lambdas, k0)
-    times = np.array([s.t for s in path])
-    d = len(k0.matrix)
+    d = len(k0)
     if phi.values.shape[1:] != (1, d, d):
         nb, s = phi.values.shape[1:3]
         raise ValueError(f"Phi of {nb} blocks of {s} x {s} is not one {d} x {d} block")
-    if len(phi.times) != len(times):
-        raise ValueError(f"{len(phi.times)} phi samples, {len(times)} Lambda samples: "
+    if len(phi.times) != len(path.times):
+        raise ValueError(f"{len(phi.times)} phi samples, {len(path.times)} Lambda samples: "
                          "phi samples do not match the record sampling")
-    i = np.argmax(phi.times != times)  # the first sample that differs, if any
-    if phi.times[i] != times[i]:
+    i = np.argmax(phi.times != path.times)  # the first sample that differs, if any
+    if phi.times[i] != path.times[i]:
         raise ValueError(f"phi sample {i} is at t = {float(phi.times[i])!r}, the Lambda path's "
-                         f"at t = {float(times[i])!r}: phi samples do not match the record "
+                         f"at t = {float(path.times[i])!r}: phi samples do not match the record "
                          f"sampling")
     values = phi.values[:, 0]
     omega = [np.zeros((d, d))]
@@ -417,10 +418,10 @@ def omega_gamma_split(record: GeodesicRecord, basis: GalerkinBasis, beta: float,
     # (X / mu) (X^T K0 Phi_i) at the last sample: one stack, filled sample by sample
     _, mu, x = path.segments[-1]
     frames = [(xi, xi) for _, _, xi in path.segments] + [(x / mu, x)]
-    integrand = np.empty((len(times), d, d))
+    integrand = np.empty((len(path.times), d, d))
     for f, (left, xi), p in zip(integrand, frames, values):
-        np.matmul(left, xi.T @ k0.matrix @ p, out=f)
-    gamma = np.tensordot(_simpson_weights(times), integrand, axes=1)
+        np.matmul(left, xi.T @ k0 @ p, out=f)
+    gamma = np.tensordot(_simpson_weights(path.times), integrand, axes=1)
     del integrand
     np.negative(gamma, out=gamma)
     # a NaN anywhere reads as a NaN residual
@@ -428,8 +429,8 @@ def omega_gamma_split(record: GeodesicRecord, basis: GalerkinBasis, beta: float,
     err = np.array([np.linalg.norm(p - o - g_)
                     for p, o, g_ in zip(values[1:], omega[1:], gamma[1:])])
     resid = np.max(err / np.where(norm > 0, norm, np.inf), initial=0.0)
-    om = [OperatorSample(t, o) for t, o in zip(times, omega)]
-    ga = [OperatorSample(t, g_) for t, g_ in zip(times, gamma)]
+    om = [OperatorSample(t, o) for t, o in zip(path.times, omega)]
+    ga = [OperatorSample(t, g_) for t, g_ in zip(path.times, gamma)]
     return om, ga, float(resid)
 
 

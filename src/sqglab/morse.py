@@ -134,7 +134,7 @@ def c_constant(u0: VectorFieldExact, beta: float, basis: GalerkinBasis) -> float
     D_jj = 2 pi^2 |k_j|^beta s_j^2 = |k_j|^(2 beta - 2) for the unit-beta-norm
     amplitude s_j, and C = ||K0 D^(-1/2)||_2^2.
     """
-    k = k0_matrix(u0, beta, basis).matrix
+    k = k0_matrix(u0, beta, basis)
     kk = np.repeat(np.sum(basis.k**2, axis=1), 2).astype(float)
     return float(np.linalg.norm(k * kk ** (0.5 - beta / 2.0), 2) ** 2)
 

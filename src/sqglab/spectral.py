@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import math
 import struct
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -362,7 +363,7 @@ def _spline_coefficients(coeff: np.ndarray, out: np.ndarray | None = None) -> np
 
 
 # points per pass of the spline sampler; its workspace, about 1.5 kB per
-# point, is allocated once and reused by every call
+# point, is allocated once per thread and reused by each of its calls
 SPLINE_CHUNK = 512
 
 # row j: the quintic B-spline weight of tap floor(u) - 2 + j as the
@@ -376,16 +377,18 @@ _QUINTIC_TAPS = np.array([[1, -5, 10, -10, 5, -1],
 
 @functools.cache
 def _wrapped_taps(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat row and column offsets, (6, m + 1), of the taps of each floor(u) in 0..m.
+    """Flat row and column offsets, (6, m + 1), of the taps of each floor(u) in 0..m, read-only.
 
     floor(u) = m occurs when mod(x, 2 pi) rounds up to 2 pi; it wraps to 0.
     """
     col = np.mod(np.arange(-2, 4)[:, None] + np.arange(m + 1), m)
-    return col * m, col
+    row = col * m
+    row.flags.writeable = col.flags.writeable = False
+    return row, col
 
 
-class _SplineWork:
-    """Reused buffers of the spline sampler for up to ``size`` points.
+class _SplineWork(threading.local):
+    """Reused buffers of the spline sampler for ``SPLINE_CHUNK`` points, one set per thread.
 
     Each buffer is flat; a call on s points works on the contiguous first
     part of it.  Each coordinate and weight is stored twice, once for the
@@ -393,17 +396,16 @@ class _SplineWork:
     contraction runs on the float view of the gathered values.
     """
 
-    def __init__(self, size: int):
-        self.size = size
-        self.u = np.empty(4 * size)
-        self.powers = np.empty(24 * size)
-        self.weights = np.empty(24 * size)
-        self.base = np.empty(2 * size, dtype=np.intp)
-        self.rows = np.empty(6 * size, dtype=np.intp)
-        self.cols = np.empty(6 * size, dtype=np.intp)
-        self.index = np.empty(36 * size, dtype=np.intp)
-        self.values = np.empty(36 * size, dtype=complex)
-        self.partial = np.empty(12 * size)
+    def __init__(self):  # run again by each other thread on its first read
+        self.u = np.empty(4 * SPLINE_CHUNK)
+        self.powers = np.empty(24 * SPLINE_CHUNK)
+        self.weights = np.empty(24 * SPLINE_CHUNK)
+        self.base = np.empty(2 * SPLINE_CHUNK, dtype=np.intp)
+        self.rows = np.empty(6 * SPLINE_CHUNK, dtype=np.intp)
+        self.cols = np.empty(6 * SPLINE_CHUNK, dtype=np.intp)
+        self.index = np.empty(36 * SPLINE_CHUNK, dtype=np.intp)
+        self.values = np.empty(36 * SPLINE_CHUNK, dtype=complex)
+        self.partial = np.empty(12 * SPLINE_CHUNK)
 
     @staticmethod
     def _part(buf: np.ndarray, *shape) -> np.ndarray:
@@ -455,9 +457,7 @@ class _SplineWork:
         np.einsum("ap,ap->p", partial, weights[:, 0], out=out.view(float))
 
 
-@functools.cache
-def _spline_work() -> _SplineWork:
-    return _SplineWork(SPLINE_CHUNK)
+_SPLINE_WORK = _SplineWork()
 
 
 def _spline_eval(grids, x: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
@@ -467,17 +467,15 @@ def _spline_eval(grids, x: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
     floor(u) - 2 .. floor(u) + 3, u = mod(x, 2 pi) m / 2 pi on the m-point
     grid, wrapped periodically; their weights and indices are computed
     once per chunk of ``SPLINE_CHUNK`` points and shared by every grid.
-    The workspace is one per process, so calls must not overlap in threads.
     """
-    work = _spline_work()
     x, y = np.ravel(x), np.ravel(y)
     m = grids[0].shape[0]
     out = [np.empty(x.size, dtype=complex) for _ in grids]
-    for p0 in range(0, x.size, work.size):
-        chunk = slice(p0, p0 + work.size)
-        weights, index = work.taps(x[chunk], y[chunk], m)
+    for p0 in range(0, x.size, SPLINE_CHUNK):
+        chunk = slice(p0, p0 + SPLINE_CHUNK)
+        weights, index = _SPLINE_WORK.taps(x[chunk], y[chunk], m)
         for c, o in zip(grids, out):
-            work.contract(c, weights, index, o[chunk])
+            _SPLINE_WORK.contract(c, weights, index, o[chunk])
     return out
 
 
@@ -553,8 +551,9 @@ def read_checkpoint(path, magic: bytes, channels: int) -> list[np.ndarray]:
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    if data[:len(magic)] != magic:
-        raise ValueError(f"bad magic {data[:len(magic)]!r}, expected {magic!r}")
+    found = MAGIC_FLOW if data.startswith(MAGIC_FLOW) else data[:len(magic)]  # GSQG begins GSQGF
+    if found != magic:
+        raise ValueError(f"bad magic {found!r}, expected {magic!r}")
     header = len(magic) + 8
     if len(data) < header:
         raise ValueError(f"checkpoint {path} has {len(data)} bytes, "

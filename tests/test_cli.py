@@ -500,6 +500,11 @@ def test_simulate_artifacts_roundtrip(tmp_path):
     fm = load_flowmap(tmp_path / "gamma_final.gsqgf")
     assert fm.grid.n == 32
     assert np.all(np.isfinite(fm.disp))
+    # each loader refuses the other kind; a field's magic is a prefix of a flow map's
+    with pytest.raises(ValueError, match=r"bad magic b'GSQGF', expected b'GSQG'$"):
+        load_field(tmp_path / "gamma_final.gsqgf")
+    with pytest.raises(ValueError, match=r"bad magic b'GSQG\\x01', expected b'GSQGF'$"):
+        load_flowmap(tmp_path / "theta_final.gsqg")
 
 
 def test_conjugate_scan_artifact(tmp_path):

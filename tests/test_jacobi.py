@@ -248,7 +248,7 @@ def test_k0_antisymmetric():
     u0 = gradient_perp(random_stream(g, 9, 3))
     for beta in (0.0, 0.5, 1.0):
         basis = jacobi.make_basis(g, 4, beta)
-        k0 = jacobi.k0_matrix(u0, beta, basis).matrix
+        k0 = jacobi.k0_matrix(u0, beta, basis)
         assert np.array_equal(k0, -k0.T)
 
 
@@ -277,7 +277,7 @@ def test_k0_matches_coadjoint_columns():
         want = np.column_stack([
             coords_of(basis, coadjoint_algebra(basis.vector_of(eye[j]), u0, beta).stream)
             for j in range(basis.dim)])
-        got = jacobi.k0_matrix(u0, beta, basis).matrix
+        got = jacobi.k0_matrix(u0, beta, basis)
         assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
 
@@ -292,7 +292,7 @@ def test_k0_matches_coadjoint_columns_at_dealias_cutoff():
     want = np.column_stack([
         coords_of(basis, coadjoint_algebra(basis.vector_of(eye[j]), u0, 0.5).stream)
         for j in range(basis.dim)])
-    got = jacobi.k0_matrix(u0, 0.5, basis).matrix
+    got = jacobi.k0_matrix(u0, 0.5, basis)
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
 
@@ -481,6 +481,17 @@ def test_segment_eigh_refuses_indefinite_lambda():
             jacobi._segment_eigh(lam0, lam1)
 
 
+def test_lambda_path_factors_each_interval_when_built(segment_eighs):
+    # the factorization belongs to the phase that builds the path, and an
+    # indefinite sample is refused there, before any reader of the path runs
+    lams = jacobi.LambdaPath(jacobi.OperatorSample(t, np.eye(3)) for t in (0.0, 0.1, 0.2))
+    assert segment_eighs == [(0.0, 0.1), (0.1, 0.2)]
+    assert np.array_equal(lams.times, [0.0, 0.1, 0.2]) and not lams.times.flags.writeable
+    with pytest.raises(np.linalg.LinAlgError, match=r"Lambda\(0\.1\) is not positive-definite"):
+        jacobi.LambdaPath(jacobi.OperatorSample(t, np.diag([1.0, 1.0 - 2.0 * t / 0.1]))
+                          for t in (0.0, 0.1))
+
+
 def test_lambda_inverse_refuses_singular_sample():
     lam = jacobi.OperatorSample(0.5, np.diag([1.0, 0.0, 1.0]))
     with pytest.raises(np.linalg.LinAlgError, match=r"Lambda\(0\.5\) is singular"):
@@ -520,7 +531,7 @@ def test_gamma_matches_explicit_inverse_reference(random_record, shear_record, s
                             (shear_record, shear_basis, shear_lambdas, shear_phi)):
         k0 = jacobi.k0_matrix(rec.u0(), 0.5, b)
         _, gamma, _ = jacobi.omega_gamma_split(rec, b, 0.5, ph, lambdas=lam, k0=k0)
-        want = _gamma_reference(lam, k0.matrix, ph)
+        want = _gamma_reference(lam, k0, ph)
         assert np.array_equal(gamma[0].matrix, want[0])
         for g_, w in zip(gamma[1:], want[1:]):
             assert _rel_err(g_.matrix, w) < 1e-13
@@ -531,7 +542,7 @@ def test_phi_matches_solve_reference_on_random_record(random_record):
     lams = jacobi.lambda_samples(random_record, basis, 0.5)
     k0 = jacobi.k0_matrix(random_record.u0(), 0.5, basis)
     phi = jacobi.evolve_phi(random_record, basis, 0.5, lambdas=lams, k0=k0)
-    want = _evolve_phi_reference(random_record, lams, k0.matrix)
+    want = _evolve_phi_reference(random_record, lams, k0)
     assert phi.values.shape[:2] == (len(want), 1) and len(want) == 5
     assert np.array_equal(phi.values[0, 0], want[0])
     for s, w in zip(phi.values[1:, 0], want[1:]):
@@ -541,7 +552,7 @@ def test_phi_matches_solve_reference_on_random_record(random_record):
 def test_phi_matches_solve_reference_on_shear(shear_record, shear_basis, shear_lambdas,
                                               shear_phi):
     k0 = jacobi.k0_matrix(shear_record.u0(), shear_record.config.beta, shear_basis)
-    want = _evolve_phi_reference(shear_record, shear_lambdas, k0.matrix)
+    want = _evolve_phi_reference(shear_record, shear_lambdas, k0)
     assert shear_phi.values.shape[:2] == (len(want), 1) and len(want) == 21
     assert np.array_equal(shear_phi.values[0, 0], want[0])
     for s, w in zip(shear_phi.values[1:, 0], want[1:]):
@@ -596,8 +607,8 @@ class _SegmentRecord:
 def _segment_omega(lam0, lam1, h):
     """Omega(h) of ``omega_gamma_split`` on the single interval [0, h]."""
     d = len(lam0)
-    lams = jacobi.LambdaPath([jacobi.OperatorSample(0.0, lam0), jacobi.OperatorSample(h, lam1)])
-    k0 = jacobi.OperatorSample(0.0, np.zeros((d, d)))
+    lams = jacobi.LambdaPath(jacobi.OperatorSample(t, m) for t, m in ((0.0, lam0), (h, lam1)))
+    k0 = np.zeros((d, d))
     phi = dense_phi([0.0, h], [t * np.eye(d) for t in (0.0, h)])
     omega, _, _ = jacobi.omega_gamma_split(_SegmentRecord([0.0, h]), None, 0.5, phi,
                                            lambdas=lams, k0=k0)
@@ -607,7 +618,7 @@ def _segment_omega(lam0, lam1, h):
 def test_residual_of_a_non_finite_phi_is_nan():
     # a NaN Phi must not read as a residual of 0, which max(0.0, nan) would give
     lams = jacobi.LambdaPath(jacobi.OperatorSample(t, np.eye(3)) for t in (0.0, 0.1))
-    k0 = jacobi.OperatorSample(0.0, np.zeros((3, 3)))
+    k0 = np.zeros((3, 3))
     phi = dense_phi([0.0, 0.1], [np.zeros((3, 3)), np.full((3, 3), np.nan)])
     _, _, resid = jacobi.omega_gamma_split(_SegmentRecord([0.0, 0.1]), None, 0.5, phi,
                                            lambdas=lams, k0=k0)
@@ -628,10 +639,9 @@ def test_omega_gamma_split_holds_one_integrand_stack():
     d, times = 400, np.linspace(0.0, 0.2, 5)
     lams = jacobi.LambdaPath(jacobi.OperatorSample(t, _random_spd(rng, d) / d) for t in times)
     a = rng.standard_normal((d, d))
-    k0 = jacobi.OperatorSample(0.0, a - a.T)
+    k0 = a - a.T
     phi = dense_phi(times, [t * np.eye(d) + t**2 * rng.standard_normal((d, d))
                             for t in times])
-    lams.segments  # the interval frames, factored before the split reads them
     tracemalloc.start()
     try:
         _, gamma, _ = jacobi.omega_gamma_split(_SegmentRecord(times), None, 0.5, phi,
@@ -640,7 +650,7 @@ def test_omega_gamma_split_holds_one_integrand_stack():
     finally:
         tracemalloc.stop()
     assert peak < 4 * len(times) * d * d * 8
-    want = _gamma_reference(lams, k0.matrix, phi)
+    want = _gamma_reference(lams, k0, phi)
     assert np.array_equal(gamma[0].matrix, want[0])
     for g_, w in zip(gamma[1:], want[1:]):
         assert _rel_err(g_.matrix, w) < 1e-13
@@ -649,7 +659,7 @@ def test_omega_gamma_split_holds_one_integrand_stack():
 def test_omega_gamma_split_refuses_phi_of_another_sampling():
     # as many Phi samples as Lambda samples, but not at the same times
     lams = jacobi.LambdaPath(jacobi.OperatorSample(t, np.eye(3)) for t in (0.0, 0.1, 0.2, 0.3))
-    k0 = jacobi.OperatorSample(0.0, np.zeros((3, 3)))
+    k0 = np.zeros((3, 3))
     times = [0.0, 0.1, 0.25, 0.35]
     phi = dense_phi(times, [t * np.eye(3) for t in times])
     with pytest.raises(ValueError, match=r"phi sample 2 is at t = 0\.25, the Lambda path's "
@@ -667,7 +677,7 @@ def test_omega_gamma_split_refuses_more_than_one_block():
     # would give a residual of the wrong operator, not an error
     times = np.linspace(0.0, 0.3, 4)
     lams = jacobi.LambdaPath(jacobi.OperatorSample(t, np.eye(4)) for t in times)
-    k0 = jacobi.OperatorSample(0.0, np.zeros((4, 4)))
+    k0 = np.zeros((4, 4))
     phi = sphere.sphere_phi_samples([1, 2], 1.0, times)
     with pytest.raises(ValueError, match="Phi of 2 blocks of 2 x 2 is not one 4 x 4 block"):
         jacobi.omega_gamma_split(_SegmentRecord(times), None, 0.5, phi, lambdas=lams, k0=k0)

@@ -123,7 +123,7 @@ def test_c_constant_attained_and_bounds_random_directions(beta):
     basis = make_basis(g, 4, beta)
     u0 = gradient_perp(random_stream(g, 8, 4))
     c = morse.c_constant(u0, beta, basis)
-    k0 = k0_matrix(u0, beta, basis).matrix
+    k0 = k0_matrix(u0, beta, basis)
 
     def quotient(x):
         # |K0 x|^2 in the beta-orthonormal coordinates over ||psi_x||_{beta/2}^2

@@ -1,5 +1,8 @@
 """Spectral core: fields, multipliers, brackets, interpolation, checkpoints."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from scipy import ndimage
@@ -27,6 +30,7 @@ from sqglab.spectral import (
     _quintic_prefilter,
     _spline_coefficients,
     _spline_eval,
+    _wrapped_taps,
 )
 
 
@@ -263,7 +267,7 @@ def _spline_test_points(seed, m):
     return x, y
 
 
-@pytest.mark.parametrize("n", [32, 64])
+@pytest.mark.parametrize("n", [32, 48, 64])
 def test_spline_coefficients_match_scipy_prefilter(n):
     # every mode up to the Nyquist line carries energy
     g = grid(n)
@@ -324,6 +328,47 @@ def test_prefilter_tables_are_cached_read_only():
     # the 64 modes are the first and last 32 of the 256-point spectrum
     w = TWO_PI * np.r_[0:32, -32:0] / 256
     assert np.array_equal(inv, 120.0 / (66.0 + 52.0 * np.cos(w) + 2.0 * np.cos(2.0 * w)))
+
+
+def test_wrapped_taps_are_cached_read_only():
+    # every sample at that m reads these tables; floor(u) = m wraps to 0
+    rows, cols = _wrapped_taps(192)
+    assert _wrapped_taps(192)[0] is rows and _wrapped_taps(192)[1] is cols
+    assert not rows.flags.writeable and not cols.flags.writeable
+    assert np.array_equal(rows[:, 192], rows[:, 0]) and np.array_equal(cols[:, 192], cols[:, 0])
+    assert np.array_equal(rows, 192 * cols)
+
+
+def test_spline_sampler_threads_keep_their_own_workspace():
+    # two threads sampling at once each get the values of a sequential run,
+    # with a short switch interval so that their chunks interleave
+    g = grid(32)
+    grids = [_spline_coefficients(random_field(g, s, kmax=10).coeff) for s in (51, 52)]
+    rng = np.random.default_rng(53)
+    points = [rng.uniform(-1.0, TWO_PI + 1.0, size=(2, 3000)) for _ in grids]
+    want = [_spline_eval((c,), x, y)[0] for c, (x, y) in zip(grids, points)]
+    got = [[], []]
+    start = threading.Barrier(2, timeout=60)
+
+    def sample(i):
+        start.wait()
+        for _ in range(100):
+            got[i].append(_spline_eval((grids[i],), *points[i])[0])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=sample, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for w, results in zip(want, got):
+        assert len(results) == 100
+        assert sum(not np.array_equal(r, w) for r in results) == 0
 
 
 def test_spline_grids_sampled_together_equal_one_at_a_time():
