@@ -7,10 +7,11 @@ keys are the fields of ``RunConfig``; every run writes its artifacts plus a
 revision (``null`` outside a checkout), the resolved configuration under
 the config keys (so those lines can be read back with ``--config``), the
 wall seconds of each timed phase and the SHA-256 of each emitted file.
-Exit codes: 0 ok, 2 configuration error (a NaN or infinite real value
-included, a ``--config`` that cannot be read as UTF-8 text and an ``--out``
-that cannot be a directory; for ``jacobi`` also fewer than 3 snapshots
-after t = 0), 3 numerical abort, 4 spectrum coverage too small.
+Exit codes: 0 ok, 2 configuration error (a malformed ``ic`` or ``spectrum``
+and a NaN or infinite real value included, for every command, a ``--config``
+that cannot be read as UTF-8 text and an ``--out`` that cannot be a
+directory; for ``jacobi`` also fewer than 3 snapshots after t = 0),
+3 numerical abort, 4 spectrum coverage too small.
 """
 
 from __future__ import annotations
@@ -85,6 +86,7 @@ def _validate(cfg: RunConfig):
         raise ConfigError("T must be positive")
     try:
         check_spec(cfg.ic, cfg.N)
+        _parse_spectrum(cfg.spectrum)
         _solver_config(cfg).validate()
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -196,10 +198,7 @@ def _parse_spectrum(spec: str) -> morse.Spectrum:
     build = {"torus": morse.Spectrum.torus, "sphere": morse.Spectrum.sphere}
     if kind not in build:
         raise ConfigError(f"unknown spectrum kind {kind!r}")
-    try:
-        return build[kind](num)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return build[kind](num)  # ValueError below cutoff 1, a config error in ``_validate``
 
 
 # ---------------------------------------------------------------------------
@@ -252,10 +251,9 @@ def cmd_jacobi(cfg: RunConfig, out: Path, phases: Phases) -> list[Path]:
     psi0 = initial_stream(cfg.ic, g)
     record = phases.run(simulate, psi0, _solver_config(cfg))
     lams = phases.run(jacobi.lambda_samples, record, basis, cfg.beta)
-    k0 = phases.run(jacobi.k0_matrix, record.u0(), cfg.beta, basis)
-    phi = phases.run(jacobi.evolve_phi, record, basis, cfg.beta, lambdas=lams, k0=k0)
+    phi = phases.run(jacobi.evolve_phi, record, basis, cfg.beta, lambdas=lams)
     _, _, resid = phases.run(jacobi.omega_gamma_split, record, basis, cfg.beta, phi,
-                             lambdas=lams, k0=k0)
+                             lambdas=lams)
     report = phases.run(jacobi.detect_conjugate, phi)
     conj = out / "conjugate.csv"
     conj.write_text(report.csv())
@@ -281,8 +279,7 @@ def cmd_sphere_example(cfg: RunConfig, out: Path, phases: Phases) -> list[Path]:
 def cmd_morse_bound(cfg: RunConfig, out: Path, phases: Phases) -> list[Path]:
     if cfg.beta >= 1.0:
         raise ConfigError("morse-bound requires beta < 1")
-    spectrum = _parse_spectrum(cfg.spectrum)
-    inp = morse.MorseInput(cfg.delta, cfg.C, cfg.T, cfg.beta, spectrum)
+    inp = morse.MorseInput(cfg.delta, cfg.C, cfg.T, cfg.beta, _parse_spectrum(cfg.spectrum))
     bound = morse.morse_bound(inp)
     path = out / "bound.csv"
     path.write_text(morse.bound_csv_rows(

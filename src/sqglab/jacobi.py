@@ -18,22 +18,22 @@ The basis is its integer wavevector table alone, with no stack of grid
 coefficients: coordinates, streams and K0 are read from it in closed form.
 
 On one segment model, Lambda(t) linear between snapshots and each interval
-diagonalized once (``LambdaPath``), the solution operator Phi(t) of the
-linearized Cauchy problem is evolved by RK4 with no linear solves and split
-into the absolutely-continuous part Omega = int Lambda^-1, in closed form, and
-the compact remainder Gamma = -int Lambda^-1 K0 Phi.  Conjugate points are
-flagged from the smallest singular value of Phi(t)/t, block by block over
-the decoupled blocks of Phi (``PhiBlocks``, its one form: one 2x2 block per
-degree from the sphere backend, the single d x d block of ``evolve_phi`` on
-the torus), so that zeros of different blocks do not hide one another;
-between samples a block is only interpolated near the minima of its
-sigma_min, a minimum is skipped where Weyl's inequality proves that
-sigma_min stays above the threshold on its bracket (by the Frobenius drift
-of the interpolant first, then by its spectral drift), and each other one is
+diagonalized once (``LambdaPath``, which holds K0 too), the solution operator
+Phi(t) of the linearized Cauchy problem is evolved by RK4 with no linear
+solves and split into the absolutely-continuous part Omega = int Lambda^-1, in
+closed form, and the compact remainder Gamma = -int Lambda^-1 K0 Phi.
+Conjugate points are flagged from the smallest singular value of Phi(t)/t,
+block by block over the decoupled blocks of Phi (``PhiBlocks``, its one form:
+one 2x2 block per degree from the sphere backend, the single d x d block of
+``evolve_phi`` on the torus), so that zeros of different blocks do not hide
+one another; between samples a block is only interpolated near the minima of
+its sigma_min, a minimum is skipped where Weyl's inequality proves that
+sigma_min stays above the threshold on its bracket (by the Frobenius drift of
+the interpolant first, then by its spectral drift), and each other one is
 refined on that interpolant by a batched grid zoom: a few rounds of one
 equispaced grid per bracket, each narrowing the bracket to the grid cells
-around its smallest value.  The singular values and determinants of 2x2
-blocks are taken in closed form, larger blocks through LAPACK.
+around its smallest value.  The singular values and determinants of 2x2 blocks
+are taken in closed form, larger blocks through LAPACK.
 """
 
 from __future__ import annotations
@@ -73,6 +73,9 @@ class GalerkinBasis:
     cutoff: int
     beta: float
     k: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        check_beta(self.beta)
 
     @property
     def dim(self) -> int:
@@ -164,7 +167,6 @@ def _mode_scale(kx: int, ky: int, beta: float) -> float:
 
 def make_basis(g: SpectralGrid, cutoff: int, beta: float) -> GalerkinBasis:
     """Half-lattice basis {cos(k.x), sin(k.x)} with unit beta norm."""
-    check_beta(beta)
     if cutoff < 2:
         raise ValueError(f"basis cutoff K = {cutoff} must be >= 2")
     if cutoff > g.cutoff:
@@ -179,13 +181,13 @@ def make_basis(g: SpectralGrid, cutoff: int, beta: float) -> GalerkinBasis:
 
 @dataclass(frozen=True)
 class OperatorSample:
-    """Dense matrix representation of one of the Jacobi-analysis operators."""
+    """Omega or Gamma of ``omega_gamma_split`` at one sample time."""
 
     t: float
     matrix: np.ndarray
 
 
-def k0_matrix(u0: VectorFieldExact, beta: float, basis: GalerkinBasis) -> np.ndarray:
+def k0_matrix(u0: VectorFieldExact, basis: GalerkinBasis) -> np.ndarray:
     """Matrix (d, d) of the time-independent K0 w = ad*_w u0 in the basis coordinates.
 
     Column j is ad*_{e_j} u0, whose stream is (-Lap)^(b/2-1) of the bracket
@@ -210,10 +212,9 @@ def k0_matrix(u0: VectorFieldExact, beta: float, basis: GalerkinBasis) -> np.nda
     the dealiased grid bracket.  The antisymmetric part is returned, so
     K0^T = -K0 exactly.
     """
-    check_beta(beta)
     g = basis.grid
     n, h = g.n, len(basis.k)
-    s = (frac_laplacian(u0.stream, 1.0 - beta / 2.0).coeff * g.dealias_mask).ravel()
+    s = (frac_laplacian(u0.stream, 1.0 - basis.beta / 2.0).coeff * g.dealias_mask).ravel()
     kx, ky = basis.k.T
     # (2 pi)^2 s_p s_q / 2 (k_p x k_q)
     w = np.multiply.outer(kx, ky) - np.multiply.outer(ky, kx)
@@ -234,7 +235,7 @@ def k0_matrix(u0: VectorFieldExact, beta: float, basis: GalerkinBasis) -> np.nda
     return np.multiply(k0, 0.5, out=k0)
 
 
-def lambda_matrix(d: DiffeoSample, beta: float, basis: GalerkinBasis) -> OperatorSample:
+def lambda_matrix(d: DiffeoSample, basis: GalerkinBasis) -> np.ndarray:
     """Lambda(t) as the Gram matrix of the directly evaluated pushed-forward basis.
 
     Lambda_ij = <Ad_gamma e_i, Ad_gamma e_j>_beta = (2 pi)^2 Re(A^H W A) with
@@ -244,11 +245,10 @@ def lambda_matrix(d: DiffeoSample, beta: float, basis: GalerkinBasis) -> Operato
     builds it on first use; NumericalAbort where gamma is not invertible on
     the grid (``DiffeoSample.inverse``).
     """
-    check_beta(beta)
     a = basis.compose(d.inverse)
-    a *= np.sqrt(_band_weight(basis.grid, 1.0 - beta / 2.0))  # in place: no second copy
+    a *= np.sqrt(_band_weight(basis.grid, 1.0 - basis.beta / 2.0))  # in place: no second copy
     b = a.reshape(basis.dim, -1).view(float)  # real and imaginary parts side by side
-    return OperatorSample(d.t, (b @ b.T) * TWO_PI**2)
+    return (b @ b.T) * TWO_PI**2
 
 
 def _refused(t: float, what: str) -> np.linalg.LinAlgError:
@@ -256,55 +256,59 @@ def _refused(t: float, what: str) -> np.linalg.LinAlgError:
                                  f"the basis cutoff")
 
 
-def lambda_inverse(sample: OperatorSample) -> np.ndarray:
+def lambda_inverse(lam: np.ndarray, t: float) -> np.ndarray:
     try:
-        return np.linalg.inv(sample.matrix)
+        return np.linalg.inv(lam)
     except np.linalg.LinAlgError as exc:
-        raise _refused(sample.t, "singular") from exc
+        raise _refused(t, "singular") from exc
 
 
-class LambdaPath(tuple):
-    """Lambda samples, taken linear between them; each interval is diagonalized once.
+class LambdaPath:
+    """The Jacobi chain's operators: K0 and the Lambda samples, taken linear between them.
 
-    Building the path sets its read-only ``times`` and ``segments``, the (h, mu, X) of
-    each interval: its length and ``_segment_eigh``, which refuses an indefinite sample.
+    It holds the read-only ``times``, the (d, d) arrays ``samples`` and ``k0``, and
+    ``segments``, set when it is built: the (h, mu, X) of each interval from
+    ``_segment_eigh``, which refuses an indefinite sample.
     """
 
-    def __init__(self, samples):  # tuple.__new__ has stored them
-        self.times = np.array([s.t for s in self])
+    def __init__(self, times, samples, k0: np.ndarray):
+        self.times = np.array(times, dtype=float)
         self.times.flags.writeable = False
-        self.segments = [(b.t - a.t,) + _segment_eigh(a, b) for a, b in zip(self, self[1:])]
+        self.samples = list(samples)
+        self.k0 = k0
+        ends = list(zip(self.times.tolist(), self.samples))
+        self.segments = [_segment_eigh(t0, a, t1, b) for (t0, a), (t1, b) in zip(ends, ends[1:])]
 
 
 def lambda_samples(record: GeodesicRecord, basis: GalerkinBasis, beta: float) -> LambdaPath:
-    return LambdaPath(lambda_matrix(d, beta, basis) for d in record.diffeos)
+    """The ``LambdaPath`` of record in the basis metric; ValueError unless beta is the basis's."""
+    if beta != basis.beta:
+        raise ValueError(f"beta = {beta} is not the basis's beta = {basis.beta}")
+    return LambdaPath([d.t for d in record.diffeos],
+                      [lambda_matrix(d, basis) for d in record.diffeos],
+                      k0_matrix(record.u0(), basis))
 
 
-def _operators(record, basis, beta, lambdas, k0) -> tuple[LambdaPath, np.ndarray]:
-    """The Lambda path and K0 of the Jacobi chain: those given, the others built from record."""
-    path = lambda_samples(record, basis, beta) if lambdas is None else lambdas
-    return path, k0_matrix(record.u0(), beta, basis) if k0 is None else k0
-
-
-def _segment_eigh(lam0: OperatorSample, lam1: OperatorSample) -> tuple[np.ndarray, np.ndarray]:
-    """(mu, X) with Lambda_1 X = Lambda_0 X diag(mu) and X^T Lambda_0 X = I.
+def _segment_eigh(t0: float, lam0: np.ndarray, t1: float,
+                  lam1: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """(h, mu, X) of [t0, t1]: h = t1 - t0, Lambda_1 X = Lambda_0 X diag(mu), X^T Lambda_0 X = I.
 
     X diagonalizes the whole segment Lambda(s) = (1 - s) Lambda_0 + s Lambda_1:
     X^T Lambda(s) X = diag(1 - s + s mu), so Lambda(s)^-1 = X diag(1 / (1 - s + s mu)) X^T,
-    symmetric positive-definite for s in [0, 1] since every mu > 0: LinAlgError
-    where Lambda_0 or Lambda_1 is not positive-definite.  The Cholesky factor
+    symmetric positive-definite for s in [0, 1] since every mu > 0: LinAlgError at
+    t0 or t1 where Lambda_0 or Lambda_1 is not positive-definite.  The Cholesky factor
     Lambda_0 = L L^T reduces the pencil to the symmetric C = L^-1 Lambda_1 L^-T
     (Golub & Van Loan, Matrix Computations, sec. 8.7; LAPACK dsygst); with
     C = V diag(mu) V^T, X = L^-T V.  mu ascends; column signs are arbitrary.
     """
     try:
-        li = np.linalg.inv(np.linalg.cholesky(lam0.matrix))
+        li = np.linalg.inv(np.linalg.cholesky(lam0))
     except np.linalg.LinAlgError as exc:
-        raise _refused(lam0.t, "not positive-definite") from exc
-    mu, v = np.linalg.eigh(li @ lam1.matrix @ li.T)
+        raise _refused(t0, "not positive-definite") from exc
+    mu, v = np.linalg.eigh(li @ lam1 @ li.T)
     if not mu[0] > 0:  # Lambda_1 is congruent to diag(mu)
-        raise _refused(lam1.t, "not positive-definite")
-    return mu, li.T @ v
+        raise _refused(t1, "not positive-definite")
+    return t1 - t0, mu, li.T @ v
 
 
 def _simpson_weights(t: np.ndarray) -> np.ndarray:
@@ -349,7 +353,7 @@ PHI_SUBSTEPS = 10
 
 
 def evolve_phi(record: GeodesicRecord, basis: GalerkinBasis, beta: float,
-               lambdas: LambdaPath | None = None, k0: np.ndarray | None = None) -> PhiBlocks:
+               lambdas: LambdaPath | None = None) -> PhiBlocks:
     """Phi(t_i) at the Lambda path's times, as one d x d block; Phi(0) = 0, Phi'(0) = I.
 
     m = Lambda Phi', m' = -K0 Phi', m(0) = I keep m + K0 Phi = I, so Phi is
@@ -357,15 +361,15 @@ def evolve_phi(record: GeodesicRecord, basis: GalerkinBasis, beta: float,
     Lambda(s)^-1 = X D(s)^-1 X^T (``LambdaPath.segments``), and ``PHI_SUBSTEPS``
     RK4 steps run on Phi = Phi_i + X u, u' = D^-1 (X^T (I - K0 Phi_i) - X^T K0 X u):
     one matmul per stage and no solve.  Each Phi_i is written into one
-    (T, 1, d, d) stack, returned as ``PhiBlocks``.
+    (T, 1, d, d) stack, returned as ``PhiBlocks``.  Lambda and K0 are read
+    from lambdas alone, or from ``lambda_samples`` of record without it.
     """
-    check_beta(beta)
-    path, k0 = _operators(record, basis, beta, lambdas, k0)
-    d = basis.dim
+    path = lambda_samples(record, basis, beta) if lambdas is None else lambdas
+    d = len(path.k0)
 
-    phi = np.zeros((len(path), 1, d, d))
+    phi = np.zeros((len(path.times), 1, d, d))
     for (h, mu, x), (prev,), (nxt,) in zip(path.segments, phi, phi[1:]):
-        xk = x.T @ k0
+        xk = x.T @ path.k0
         a, b = xk @ x, x.T - xk @ prev  # X^T K0 X and X^T (I - K0 Phi_i)
         u = np.zeros((d, d))  # Phi gains X u over the interval
         for j in range(PHI_SUBSTEPS):
@@ -377,8 +381,7 @@ def evolve_phi(record: GeodesicRecord, basis: GalerkinBasis, beta: float,
 
 
 def omega_gamma_split(record: GeodesicRecord, basis: GalerkinBasis, beta: float,
-                      phi: PhiBlocks, lambdas: LambdaPath | None = None,
-                      k0: np.ndarray | None = None):
+                      phi: PhiBlocks, lambdas: LambdaPath | None = None):
     """Omega/Gamma quadratures and the decomposition residual of the dense Phi.
 
     Omega = int Lambda^-1 is exact on the segment model of ``evolve_phi``: an
@@ -390,13 +393,13 @@ def omega_gamma_split(record: GeodesicRecord, basis: GalerkinBasis, beta: float,
     interval from t_i (Lambda_i^-1 = X X^T), or (X / mu) (X^T K0 Phi_i) at the
     end of the last interval.  That stack and the outputs are the only
     (T, d, d) arrays it allocates; Phi is read from the single block of
-    ``phi`` (``evolve_phi``).  Returns (omega_samples, gamma_samples, residual)
-    with residual = max_i ||Phi_i - Omega_i - Gamma_i|| / ||Phi_i|| over t_i > 0.
-    ValueError where ``phi`` is not one d x d block, or is not sampled at the
-    Lambda path's times.
+    ``phi``, Lambda and K0 as in ``evolve_phi``.  Returns (omega_samples,
+    gamma_samples, residual) with residual = max_i ||Phi_i - Omega_i - Gamma_i||
+    / ||Phi_i|| over t_i > 0.  ValueError where ``phi`` is not one d x d block,
+    or is not sampled at the Lambda path's times.
     """
-    path, k0 = _operators(record, basis, beta, lambdas, k0)
-    d = len(k0)
+    path = lambda_samples(record, basis, beta) if lambdas is None else lambdas
+    d = len(path.k0)
     if phi.values.shape[1:] != (1, d, d):
         nb, s = phi.values.shape[1:3]
         raise ValueError(f"Phi of {nb} blocks of {s} x {s} is not one {d} x {d} block")
@@ -420,7 +423,7 @@ def omega_gamma_split(record: GeodesicRecord, basis: GalerkinBasis, beta: float,
     frames = [(xi, xi) for _, _, xi in path.segments] + [(x / mu, x)]
     integrand = np.empty((len(path.times), d, d))
     for f, (left, xi), p in zip(integrand, frames, values):
-        np.matmul(left, xi.T @ k0 @ p, out=f)
+        np.matmul(left, xi.T @ path.k0 @ p, out=f)
     gamma = np.tensordot(_simpson_weights(path.times), integrand, axes=1)
     del integrand
     np.negative(gamma, out=gamma)

@@ -124,19 +124,19 @@ def delta_inf(record: GeodesicRecord) -> float:
     return best
 
 
-def c_constant(u0: VectorFieldExact, beta: float, basis: GalerkinBasis) -> float:
+def c_constant(u0: VectorFieldExact, basis: GalerkinBasis) -> float:
     """Sharpest C with ||K0 v||_{-beta/2}^2 <= C ||psi_v||_{beta/2}^2.
 
-    On the truncated space the left side is |K0 x|^2 in the
+    beta is the basis's.  On the truncated space the left side is |K0 x|^2 in the
     beta-orthonormal coordinates and the right side x^T D x with D the Gram
     matrix of the basis streams in the order-beta/2 homogeneous norm.  The
     streams are single, distinct +-k modes, so D is diagonal,
     D_jj = 2 pi^2 |k_j|^beta s_j^2 = |k_j|^(2 beta - 2) for the unit-beta-norm
     amplitude s_j, and C = ||K0 D^(-1/2)||_2^2.
     """
-    k = k0_matrix(u0, beta, basis)
+    k = k0_matrix(u0, basis)
     kk = np.repeat(np.sum(basis.k**2, axis=1), 2).astype(float)
-    return float(np.linalg.norm(k * kk ** (0.5 - beta / 2.0), 2) ** 2)
+    return float(np.linalg.norm(k * kk ** (0.5 - basis.beta / 2.0), 2) ** 2)
 
 
 def sphere_rotation_constants(beta: float, n_max: int) -> tuple[float, float]:

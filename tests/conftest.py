@@ -100,9 +100,9 @@ def segment_eighs(monkeypatch):
     """The (t_0, t_1) of each ``jacobi._segment_eigh`` call, one entry per call."""
     calls, eigh = [], jacobi._segment_eigh
 
-    def counted(lam0, lam1):
-        calls.append((lam0.t, lam1.t))
-        return eigh(lam0, lam1)
+    def counted(t0, lam0, t1, lam1):
+        calls.append((t0, t1))
+        return eigh(t0, lam0, t1, lam1)
 
     monkeypatch.setattr(jacobi, "_segment_eigh", counted)
     return calls

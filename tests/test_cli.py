@@ -234,9 +234,10 @@ def test_exit_code_3_on_indefinite_lambda(tmp_path, monkeypatch, capsys):
             bad = record.times if which == "every" else record.times[-1:]
             named.append(bad[0])
             return jacobi.LambdaPath(
-                jacobi.OperatorSample(t, np.diag([1.0, -1.0 if t in bad else 1.0]
-                                                 + [1.0] * (d - 2)))
-                for t in record.times)
+                record.times,
+                [np.diag([1.0, -1.0 if t in bad else 1.0] + [1.0] * (d - 2))
+                 for t in record.times],
+                np.zeros((d, d)))
 
         monkeypatch.setattr(jacobi, "lambda_samples", indefinite)
         out = tmp_path / which
@@ -274,9 +275,22 @@ def test_exit_code_4_on_threshold_beyond_floats(tmp_path, capsys, key, value):
 
 @pytest.mark.parametrize("spec", ["torus:0", "torus:-3", "sphere:0"])
 def test_exit_code_2_on_spectrum_cutoff_below_one(tmp_path, capsys, spec):
-    rc = main(["morse-bound", "--set", f"spectrum={spec}", "--out", str(tmp_path)])
-    assert rc == 2
-    assert "cutoff must be >= 1" in capsys.readouterr().err
+    # every command validates the spectrum, as it does ic, not only morse-bound
+    for command in cli._COMMANDS:
+        rc = main([command, "--set", f"spectrum={spec}", "--out", str(tmp_path / command)])
+        assert rc == 2
+        assert "cutoff must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / command / "manifest.txt").exists()
+
+
+@pytest.mark.parametrize("command", ["sphere-example", "morse-bound"])
+def test_exit_code_2_on_malformed_spectrum(tmp_path, capsys, command):
+    for spec, message in (("bogus", "bad spectrum spec 'bogus'"),
+                          ("torus:x", "bad spectrum spec 'torus:x'"),
+                          ("disk:4", "unknown spectrum kind 'disk'")):
+        rc = main([command, "--set", f"spectrum={spec}", "--out", str(tmp_path)])
+        assert rc == 2
+        assert f"config error: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["sphere-example", "morse-bound", "conjugate-scan"])
@@ -351,9 +365,8 @@ def test_manifest_phases_use_benchmark_layer_names(tmp_path):
     runs = {
         "simulate": (short, {"euler_arnold.simulate"}),
         "jacobi": (short, {"euler_arnold.simulate", "jacobi.make_basis",
-                           "jacobi.lambda_samples", "jacobi.k0_matrix",
-                           "jacobi.evolve_phi", "jacobi.omega_gamma_split",
-                           "jacobi.detect_conjugate"}),
+                           "jacobi.lambda_samples", "jacobi.evolve_phi",
+                           "jacobi.omega_gamma_split", "jacobi.detect_conjugate"}),
         "conjugate-scan": (["--set", "n_max=5"], {"sphere.sphere_phi_samples",
                                                   "jacobi.detect_conjugate"}),
     }

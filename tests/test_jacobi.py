@@ -57,8 +57,8 @@ def _lambda_reference(d, beta, basis):
     return coords_many(basis, c)
 
 
-def _symmetry_error(sample):
-    return float(np.max(np.abs(sample.matrix - sample.matrix.T)))
+def _symmetry_error(a):
+    return float(np.max(np.abs(a - a.T)))
 
 
 class _MatrixInterpolant:
@@ -82,7 +82,7 @@ class _MatrixInterpolant:
 def _evolve_phi_reference(record, lambdas, k0, substeps=10):
     """Phi(t_i) by RK4 on (m, v) with one linear solve per stage."""
     times = np.asarray(record.times)
-    lam = _MatrixInterpolant(times, [s.matrix for s in lambdas])
+    lam = _MatrixInterpolant(times, lambdas.samples)
     d = k0.shape[0]
     m = np.eye(d)
     v = np.zeros((d, d))
@@ -248,7 +248,7 @@ def test_k0_antisymmetric():
     u0 = gradient_perp(random_stream(g, 9, 3))
     for beta in (0.0, 0.5, 1.0):
         basis = jacobi.make_basis(g, 4, beta)
-        k0 = jacobi.k0_matrix(u0, beta, basis)
+        k0 = jacobi.k0_matrix(u0, basis)
         assert np.array_equal(k0, -k0.T)
 
 
@@ -258,10 +258,10 @@ def test_k0_working_memory(random_record):
     # lookup peaks at 41.5 MiB
     basis = jacobi.make_basis(grid(64), 12, 0.5)
     u0 = random_record.u0()
-    jacobi.k0_matrix(u0, 0.5, basis)  # warm: caches on the grid and the basis
+    jacobi.k0_matrix(u0, basis)  # warm: caches on the grid and the basis
     tracemalloc.start()
     try:
-        jacobi.k0_matrix(u0, 0.5, basis)
+        jacobi.k0_matrix(u0, basis)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -277,7 +277,7 @@ def test_k0_matches_coadjoint_columns():
         want = np.column_stack([
             coords_of(basis, coadjoint_algebra(basis.vector_of(eye[j]), u0, beta).stream)
             for j in range(basis.dim)])
-        got = jacobi.k0_matrix(u0, beta, basis)
+        got = jacobi.k0_matrix(u0, basis)
         assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
 
@@ -292,23 +292,23 @@ def test_k0_matches_coadjoint_columns_at_dealias_cutoff():
     want = np.column_stack([
         coords_of(basis, coadjoint_algebra(basis.vector_of(eye[j]), u0, 0.5).stream)
         for j in range(basis.dim)])
-    got = jacobi.k0_matrix(u0, 0.5, basis)
+    got = jacobi.k0_matrix(u0, basis)
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
 
 def test_lambda_matrix_identity_diffeo():
     g = grid(64)
     basis = jacobi.make_basis(g, 4, 0.5)
-    lam = jacobi.lambda_matrix(DiffeoSample.identity(g), 0.5, basis)
-    assert np.max(np.abs(lam.matrix - np.eye(basis.dim))) < 1e-8
+    lam = jacobi.lambda_matrix(DiffeoSample.identity(g), basis)
+    assert np.max(np.abs(lam - np.eye(basis.dim))) < 1e-8
 
 
 def test_lambda_matrix_matches_two_composition_reference(random_record):
     g = grid(64)
     basis = jacobi.make_basis(g, 6, 0.5)
     for d in (random_record.diffeos[-1], DiffeoSample.identity(g)):
-        lam = jacobi.lambda_matrix(d, 0.5, basis)
-        assert _rel_err(lam.matrix, _lambda_reference(d, 0.5, basis)) < 1e-10
+        lam = jacobi.lambda_matrix(d, basis)
+        assert _rel_err(lam, _lambda_reference(d, 0.5, basis)) < 1e-10
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(float).eps,
@@ -390,7 +390,24 @@ def test_lambda_samples_build_each_inverse_once(inversions):
     first = jacobi.lambda_samples(record, basis, 0.5)
     again = jacobi.lambda_samples(record, basis, 0.5)
     assert [id(f) for f in inversions] == [id(d.forward) for d in record.diffeos]
-    assert all(np.array_equal(a.matrix, b.matrix) for a, b in zip(first, again))
+    assert all(np.array_equal(a, b) for a, b in zip(first.samples, again.samples))
+
+
+def test_lambda_samples_refuse_a_beta_that_is_not_the_basis(random_record):
+    # a basis at beta 0.5 read in the beta = 0 metric would give Lambda(0) off
+    # the identity by 1.0, and the chain a residual with no error
+    basis = jacobi.make_basis(grid(64), 4, 0.5)
+    with pytest.raises(ValueError, match=r"beta = 0\.0 is not the basis's beta = 0\.5"):
+        jacobi.lambda_samples(random_record, basis, 0.0)
+    with pytest.raises(ValueError, match=r"beta = 1\.0 is not the basis's beta = 0\.5"):
+        jacobi.evolve_phi(random_record, basis, 1.0)
+
+
+def test_basis_checks_its_beta():
+    with pytest.raises(ValueError, match=r"beta must lie in \[0, 1\], got 1\.5"):
+        jacobi.make_basis(grid(32), 4, 1.5)
+    with pytest.raises(ValueError, match=r"beta must lie in \[0, 1\], got -0\.5"):
+        jacobi.GalerkinBasis(grid(32), 2, -0.5, np.array([[1, 0], [0, 1]]))
 
 
 @pytest.mark.parametrize("ic", ["shear", "random:1:4"])
@@ -436,22 +453,21 @@ def test_delta_inf_grid_sup_undershoots_little(random_record):
 
 
 def test_lambda_matrix_spd_on_geodesic(shear_record, shear_basis, shear_lambdas):
-    lam = shear_lambdas[-1]
+    lam = shear_lambdas.samples[-1]
     assert _symmetry_error(lam) < 1e-12
-    sym = 0.5 * (lam.matrix + lam.matrix.T)
+    sym = 0.5 * (lam + lam.T)
     assert np.linalg.eigvalsh(sym).min() > 0.0
-    inv = jacobi.lambda_inverse(lam)
-    assert np.max(np.abs(inv @ lam.matrix - np.eye(lam.matrix.shape[0]))) < 1e-8
+    inv = jacobi.lambda_inverse(lam, shear_lambdas.times[-1])
+    assert np.max(np.abs(inv @ lam - np.eye(lam.shape[0]))) < 1e-8
 
 
-def _segment_eigh_errors(lam0, lam1):
+def _segment_eigh_errors(a0, a1):
     """Relative errors of ``_segment_eigh`` against scipy's generalized ``eigh``.
 
     (mu, X^T Lambda_0 X - I, Lambda_1 X - Lambda_0 X diag(mu), X diag(1/mu) X^T);
     the last is free of the arbitrary column signs of X.
     """
-    a0, a1 = lam0.matrix, lam1.matrix
-    mu, x = jacobi._segment_eigh(lam0, lam1)
+    _, mu, x = jacobi._segment_eigh(0.0, a0, 1.0, a1)
     mu_o, x_o = sla.eigh(a1, a0)
     eye = np.eye(len(mu))
     return (np.max(np.abs(mu - mu_o) / np.abs(mu_o)),
@@ -465,7 +481,8 @@ def test_segment_eigh_matches_scipy_generalized_eigh(random_record, shear_lambda
     # random:1:4 (K = 6, d = 112) the largest error measured 3.1e-15 (of mu);
     # the bound keeps a margin of 30
     lams = jacobi.lambda_samples(random_record, jacobi.make_basis(grid(64), 6, 0.5), 0.5)
-    for samples in (shear_lambdas, lams):
+    for path in (shear_lambdas, lams):
+        samples = path.samples
         errs = np.array([_segment_eigh_errors(a, b) for a, b in zip(samples, samples[1:])])
         assert errs.max() < 1e-13, errs.max(axis=0)
 
@@ -475,27 +492,27 @@ def test_segment_eigh_refuses_indefinite_lambda():
     # gives a generalized eigenvalue mu <= 0
     indefinite, eye = np.diag([1.0, -1.0, 1.0, 1.0]), np.eye(4)
     for m0, m1, t in ((indefinite, eye, r"0\.25"), (eye, indefinite, r"0\.5")):
-        lam0, lam1 = jacobi.OperatorSample(0.25, m0), jacobi.OperatorSample(0.5, m1)
         with pytest.raises(np.linalg.LinAlgError,
                            match=rf"Lambda\({t}\) is not positive-definite"):
-            jacobi._segment_eigh(lam0, lam1)
+            jacobi._segment_eigh(0.25, m0, 0.5, m1)
 
 
 def test_lambda_path_factors_each_interval_when_built(segment_eighs):
     # the factorization belongs to the phase that builds the path, and an
     # indefinite sample is refused there, before any reader of the path runs
-    lams = jacobi.LambdaPath(jacobi.OperatorSample(t, np.eye(3)) for t in (0.0, 0.1, 0.2))
+    k0 = np.zeros((3, 3))
+    lams = jacobi.LambdaPath((0.0, 0.1, 0.2), [np.eye(3)] * 3, k0)
     assert segment_eighs == [(0.0, 0.1), (0.1, 0.2)]
     assert np.array_equal(lams.times, [0.0, 0.1, 0.2]) and not lams.times.flags.writeable
+    assert lams.k0 is k0
     with pytest.raises(np.linalg.LinAlgError, match=r"Lambda\(0\.1\) is not positive-definite"):
-        jacobi.LambdaPath(jacobi.OperatorSample(t, np.diag([1.0, 1.0 - 2.0 * t / 0.1]))
-                          for t in (0.0, 0.1))
+        jacobi.LambdaPath((0.0, 0.1), [np.diag([1.0, 1.0 - 2.0 * t / 0.1]) for t in (0.0, 0.1)],
+                          np.zeros((2, 2)))
 
 
 def test_lambda_inverse_refuses_singular_sample():
-    lam = jacobi.OperatorSample(0.5, np.diag([1.0, 0.0, 1.0]))
     with pytest.raises(np.linalg.LinAlgError, match=r"Lambda\(0\.5\) is singular"):
-        jacobi.lambda_inverse(lam)
+        jacobi.lambda_inverse(np.diag([1.0, 0.0, 1.0]), 0.5)
 
 
 def test_each_snapshot_interval_factored_once(random_record, segment_eighs, monkeypatch):
@@ -513,10 +530,10 @@ def test_each_snapshot_interval_factored_once(random_record, segment_eighs, monk
     assert inverses == []
 
 
-def _gamma_reference(lambdas, k0, phi):
+def _gamma_reference(lambdas, phi):
     """-int Lambda^-1 K0 Phi by the cumulative Simpson rule, with explicit inverses."""
-    integrand = np.array([np.linalg.inv(lam.matrix) @ k0 @ p
-                          for lam, p in zip(lambdas, phi.values[:, 0])])
+    integrand = np.array([np.linalg.inv(lam) @ lambdas.k0 @ p
+                          for lam, p in zip(lambdas.samples, phi.values[:, 0])])
     return -np.tensordot(jacobi._simpson_weights(phi.times), integrand, axes=1)
 
 
@@ -529,9 +546,8 @@ def test_gamma_matches_explicit_inverse_reference(random_record, shear_record, s
     phi = jacobi.evolve_phi(random_record, basis, 0.5, lambdas=lams)
     for rec, b, lam, ph in ((random_record, basis, lams, phi),
                             (shear_record, shear_basis, shear_lambdas, shear_phi)):
-        k0 = jacobi.k0_matrix(rec.u0(), 0.5, b)
-        _, gamma, _ = jacobi.omega_gamma_split(rec, b, 0.5, ph, lambdas=lam, k0=k0)
-        want = _gamma_reference(lam, k0, ph)
+        _, gamma, _ = jacobi.omega_gamma_split(rec, b, 0.5, ph, lambdas=lam)
+        want = _gamma_reference(lam, ph)
         assert np.array_equal(gamma[0].matrix, want[0])
         for g_, w in zip(gamma[1:], want[1:]):
             assert _rel_err(g_.matrix, w) < 1e-13
@@ -540,9 +556,8 @@ def test_gamma_matches_explicit_inverse_reference(random_record, shear_record, s
 def test_phi_matches_solve_reference_on_random_record(random_record):
     basis = jacobi.make_basis(grid(64), 6, 0.5)
     lams = jacobi.lambda_samples(random_record, basis, 0.5)
-    k0 = jacobi.k0_matrix(random_record.u0(), 0.5, basis)
-    phi = jacobi.evolve_phi(random_record, basis, 0.5, lambdas=lams, k0=k0)
-    want = _evolve_phi_reference(random_record, lams, k0)
+    phi = jacobi.evolve_phi(random_record, basis, 0.5, lambdas=lams)
+    want = _evolve_phi_reference(random_record, lams, jacobi.k0_matrix(random_record.u0(), basis))
     assert phi.values.shape[:2] == (len(want), 1) and len(want) == 5
     assert np.array_equal(phi.values[0, 0], want[0])
     for s, w in zip(phi.values[1:, 0], want[1:]):
@@ -551,7 +566,7 @@ def test_phi_matches_solve_reference_on_random_record(random_record):
 
 def test_phi_matches_solve_reference_on_shear(shear_record, shear_basis, shear_lambdas,
                                               shear_phi):
-    k0 = jacobi.k0_matrix(shear_record.u0(), shear_record.config.beta, shear_basis)
+    k0 = jacobi.k0_matrix(shear_record.u0(), shear_basis)
     want = _evolve_phi_reference(shear_record, shear_lambdas, k0)
     assert shear_phi.values.shape[:2] == (len(want), 1) and len(want) == 21
     assert np.array_equal(shear_phi.values[0, 0], want[0])
@@ -559,18 +574,17 @@ def test_phi_matches_solve_reference_on_shear(shear_record, shear_basis, shear_l
         assert _rel_err(s, w) < 1e-12
 
 
-def test_k0_passed_once_gives_identical_phi_and_residual(random_record):
+def test_jacobi_chain_builds_k0_once(random_record, monkeypatch):
+    # the call pattern of the benchmark body: the path holds K0, which Phi and
+    # the split read from it
+    calls, k0_matrix = [], jacobi.k0_matrix
+    monkeypatch.setattr(jacobi, "k0_matrix", lambda *a: calls.append(a) or k0_matrix(*a))
     basis = jacobi.make_basis(grid(64), 4, 0.5)
     lams = jacobi.lambda_samples(random_record, basis, 0.5)
-    k0 = jacobi.k0_matrix(random_record.u0(), 0.5, basis)
     phi = jacobi.evolve_phi(random_record, basis, 0.5, lambdas=lams)
-    phi_k0 = jacobi.evolve_phi(random_record, basis, 0.5, lambdas=lams, k0=k0)
-    assert np.array_equal(phi.times, phi_k0.times)
-    assert np.array_equal(phi.values, phi_k0.values)
-    _, _, resid = jacobi.omega_gamma_split(random_record, basis, 0.5, phi, lambdas=lams)
-    _, _, resid_k0 = jacobi.omega_gamma_split(random_record, basis, 0.5, phi,
-                                              lambdas=lams, k0=k0)
-    assert resid == resid_k0
+    jacobi.omega_gamma_split(random_record, basis, 0.5, phi, lambdas=lams)
+    assert len(calls) == 1
+    assert np.array_equal(lams.k0, k0_matrix(random_record.u0(), basis))
 
 
 def test_phi_trivial_geodesic_is_linear():
@@ -597,31 +611,20 @@ def test_simpson_weights_match_scipy_cumulative_simpson(n):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-class _SegmentRecord:
-    """What ``omega_gamma_split`` reads of a record given Lambda and K0: its times."""
-
-    def __init__(self, times):
-        self.times = times
-
-
 def _segment_omega(lam0, lam1, h):
     """Omega(h) of ``omega_gamma_split`` on the single interval [0, h]."""
     d = len(lam0)
-    lams = jacobi.LambdaPath(jacobi.OperatorSample(t, m) for t, m in ((0.0, lam0), (h, lam1)))
-    k0 = np.zeros((d, d))
+    lams = jacobi.LambdaPath((0.0, h), (lam0, lam1), np.zeros((d, d)))
     phi = dense_phi([0.0, h], [t * np.eye(d) for t in (0.0, h)])
-    omega, _, _ = jacobi.omega_gamma_split(_SegmentRecord([0.0, h]), None, 0.5, phi,
-                                           lambdas=lams, k0=k0)
+    omega, _, _ = jacobi.omega_gamma_split(None, None, 0.5, phi, lambdas=lams)
     return omega[-1].matrix
 
 
 def test_residual_of_a_non_finite_phi_is_nan():
     # a NaN Phi must not read as a residual of 0, which max(0.0, nan) would give
-    lams = jacobi.LambdaPath(jacobi.OperatorSample(t, np.eye(3)) for t in (0.0, 0.1))
-    k0 = np.zeros((3, 3))
+    lams = jacobi.LambdaPath((0.0, 0.1), [np.eye(3)] * 2, np.zeros((3, 3)))
     phi = dense_phi([0.0, 0.1], [np.zeros((3, 3)), np.full((3, 3), np.nan)])
-    _, _, resid = jacobi.omega_gamma_split(_SegmentRecord([0.0, 0.1]), None, 0.5, phi,
-                                           lambdas=lams, k0=k0)
+    _, _, resid = jacobi.omega_gamma_split(None, None, 0.5, phi, lambdas=lams)
     assert np.isnan(resid)
 
 
@@ -637,20 +640,19 @@ def test_omega_gamma_split_holds_one_integrand_stack():
     # 5.8 (35.4 MiB) with whole stacks of Phi, Lambda^-1 and its products
     rng = np.random.default_rng(11)
     d, times = 400, np.linspace(0.0, 0.2, 5)
-    lams = jacobi.LambdaPath(jacobi.OperatorSample(t, _random_spd(rng, d) / d) for t in times)
+    samples = [_random_spd(rng, d) / d for _ in times]
     a = rng.standard_normal((d, d))
-    k0 = a - a.T
+    lams = jacobi.LambdaPath(times, samples, a - a.T)
     phi = dense_phi(times, [t * np.eye(d) + t**2 * rng.standard_normal((d, d))
                             for t in times])
     tracemalloc.start()
     try:
-        _, gamma, _ = jacobi.omega_gamma_split(_SegmentRecord(times), None, 0.5, phi,
-                                               lambdas=lams, k0=k0)
+        _, gamma, _ = jacobi.omega_gamma_split(None, None, 0.5, phi, lambdas=lams)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 4 * len(times) * d * d * 8
-    want = _gamma_reference(lams, k0, phi)
+    want = _gamma_reference(lams, phi)
     assert np.array_equal(gamma[0].matrix, want[0])
     for g_, w in zip(gamma[1:], want[1:]):
         assert _rel_err(g_.matrix, w) < 1e-13
@@ -658,29 +660,25 @@ def test_omega_gamma_split_holds_one_integrand_stack():
 
 def test_omega_gamma_split_refuses_phi_of_another_sampling():
     # as many Phi samples as Lambda samples, but not at the same times
-    lams = jacobi.LambdaPath(jacobi.OperatorSample(t, np.eye(3)) for t in (0.0, 0.1, 0.2, 0.3))
-    k0 = np.zeros((3, 3))
+    lams = jacobi.LambdaPath((0.0, 0.1, 0.2, 0.3), [np.eye(3)] * 4, np.zeros((3, 3)))
     times = [0.0, 0.1, 0.25, 0.35]
     phi = dense_phi(times, [t * np.eye(3) for t in times])
     with pytest.raises(ValueError, match=r"phi sample 2 is at t = 0\.25, the Lambda path's "
                                          r"at t = 0\.2"):
-        jacobi.omega_gamma_split(_SegmentRecord([0.0, 0.1, 0.2, 0.3]), None, 0.5, phi,
-                                 lambdas=lams, k0=k0)
+        jacobi.omega_gamma_split(None, None, 0.5, phi, lambdas=lams)
     with pytest.raises(ValueError, match="do not match the record sampling"):
-        jacobi.omega_gamma_split(_SegmentRecord([0.0, 0.1, 0.2, 0.3]), None, 0.5,
-                                 jacobi.PhiBlocks(phi.times[:3], phi.values[:3]),
-                                 lambdas=lams, k0=k0)
+        jacobi.omega_gamma_split(None, None, 0.5,
+                                 jacobi.PhiBlocks(phi.times[:3], phi.values[:3]), lambdas=lams)
 
 
 def test_omega_gamma_split_refuses_more_than_one_block():
     # the sphere's two 2x2 blocks on d = 4 indices: read as block 0 alone they
     # would give a residual of the wrong operator, not an error
     times = np.linspace(0.0, 0.3, 4)
-    lams = jacobi.LambdaPath(jacobi.OperatorSample(t, np.eye(4)) for t in times)
-    k0 = np.zeros((4, 4))
+    lams = jacobi.LambdaPath(times, [np.eye(4)] * 4, np.zeros((4, 4)))
     phi = sphere.sphere_phi_samples([1, 2], 1.0, times)
     with pytest.raises(ValueError, match="Phi of 2 blocks of 2 x 2 is not one 4 x 4 block"):
-        jacobi.omega_gamma_split(_SegmentRecord(times), None, 0.5, phi, lambdas=lams, k0=k0)
+        jacobi.omega_gamma_split(None, None, 0.5, phi, lambdas=lams)
 
 
 def test_evolve_phi_returns_one_block_at_the_lambda_path_times(random_record):
@@ -688,8 +686,8 @@ def test_evolve_phi_returns_one_block_at_the_lambda_path_times(random_record):
     lams = jacobi.lambda_samples(random_record, basis, 0.5)
     phi = jacobi.evolve_phi(random_record, basis, 0.5, lambdas=lams)
     assert isinstance(phi, jacobi.PhiBlocks)
-    assert phi.values.shape == (len(lams), 1, basis.dim, basis.dim)
-    assert np.array_equal(phi.times, [lam.t for lam in lams])
+    assert phi.values.shape == (len(lams.times), 1, basis.dim, basis.dim)
+    assert np.array_equal(phi.times, lams.times)
     assert np.array_equal(phi.times, random_record.times)
 
 
